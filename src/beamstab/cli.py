@@ -226,9 +226,13 @@ def cmd_sweep(cfg, args):
         threads=args.threads)
     rows = [(s.lam, s.value, s.argmax_n) for s in samples]
     _write_csv(cfg, "sweep", "sweep.csv", ("lambda", "value", "argmax_n"), rows)
+    counts = ("modes_in_range", "modes_eigvals", "norm_evals")
+    work = {key: sum(s.work[key] for s in samples) for key in counts}
+    work["pruning"] = samples[0].work["pruning"]
     payload = {"samples": len(samples),
                "max_value": max(s.value for s in samples),
-               "min_value": min(s.value for s in samples)}
+               "min_value": min(s.value for s in samples),
+               "work": work}
     try:
         fit = resolvent.fit_growth(samples)
         payload["fit"] = {"exponent": fit.exponent, "intercept": fit.intercept,

@@ -16,7 +16,6 @@ with exponential kernel and the relaxed flux law.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels as kmod
 from . import modal as modal_mod
@@ -87,6 +86,8 @@ def _propagator(mode):
         def U(t):
             return (V * np.exp(lam * t)) @ Vi
     else:
+        import scipy.linalg  # lazy: only this fallback needs scipy
+
         def U(t):
             return scipy.linalg.expm(G * t)
     return U
@@ -148,6 +149,7 @@ def semiuniform_series(spec, ts, n_max, grid=None):
                 M = (L * np.exp(lam * t)) @ R
                 vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
         else:
+            import scipy.linalg  # lazy: only this fallback needs scipy
             for j, t in enumerate(ts):
                 M = Wh @ (scipy.linalg.expm(G * t) @ (Ginv @ Whi))
                 vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])

@@ -299,6 +299,7 @@ def _mode_arrays(spec, ns, grid=None, check_condition=True):
     if bresse:
         pairs.append((idx["temp_a"], spec.kernel_h, c.tau, "temp_a"))
     block_of = {blk.temp: blk for blk in blocks}
+    damping = _damping_diagonal(spec, labels, blocks, scheme)
     for iT, kernel, relax, temp in pairs:
         if scheme == "none":
             G[:, iT, iT] = -c.varpi * om**2 / c.rho3
@@ -309,13 +310,13 @@ def _mode_arrays(spec, ns, grid=None, check_condition=True):
             iP = blk.start
             G[:, iT, iP] = om / c.rho3
             G[:, iP, iT] = -om / relax
-            G[:, iP, iP] = -1.0 / (relax * c.varpi)
+            G[:, iP, iP] = damping[iP]
         elif scheme == "prony-reduction":
             aj = np.array(blk.aj)
             thj = np.array(blk.thj)
             G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2
             rows = np.arange(blk.start, blk.start + blk.size)
-            G[:, rows, rows] = -1.0 / thj
+            G[:, rows, rows] = damping[rows]
             G[:, sl, iT] = aj * thj
         else:  # sgrid-upwind
             h = blk.grid.spacing
@@ -357,6 +358,27 @@ def _mode_arrays(spec, ns, grid=None, check_condition=True):
 
     W *= c.ell / 2.0
     return G, W, labels, blocks, scheme
+
+
+def _damping_diagonal(spec, labels, blocks, scheme):
+    """The n-independent diagonal D of G_n = A_n + diag(D), or None.
+
+    D is -1/theta_j on prony memory rows and -1/(relax*varpi) on flux rows,
+    zero elsewhere; A_n = G_n - diag(D) is W_n-skew-adjoint (W A + A^T W = 0).
+    Only these two realisations have damping bounded uniformly in n: the
+    upwind history grid and the classical law return None.
+    """
+    if scheme not in ("prony-reduction", "flux"):
+        return None
+    c = spec.coeffs
+    D = np.zeros(len(labels))
+    for blk in blocks:
+        if scheme == "flux":
+            relax = c.sigma if blk.temp == "temp_b" else c.tau
+            D[blk.start] = -1.0 / (relax * c.varpi)
+        else:
+            D[blk.start:blk.start + blk.size] = -1.0 / np.array(blk.thj)
+    return D
 
 
 def assemble(spec, n, grid=None):

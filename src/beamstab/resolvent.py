@@ -12,9 +12,43 @@ log axis and, inside the bin, also evaluates at the imaginary parts of the
 least-damped eigenvalues of the active modes, reporting the achieved
 (lambda, sup) pair.  With ``peak_refine=False`` it degenerates to the plain
 fixed-lambda evaluation.
+
+Certified mode pruning.  For prony memory (``prony-reduction``) and relaxed
+flux (``flux``) modes, G_n = A_n + D with D = diag(-1/theta_j) on the memory
+rows (-1/(relax*varpi) on the flux rows) independent of n, and
+W A_n + A_n^T W = 0.  D commutes with W, so it is W-self-adjoint with
+W-norm delta = max|D|, and S_n = W^{1/2} A_n W^{-1/2} is real skew, hence
+normal with spectrum +-i s_k (s_k its singular values, computed as square
+roots of the eigenvalues of S_n^T S_n).  Writing
+i lam - G_n ~ (i lam - S_n)(I - (i lam - S_n)^{-1} D) and d = dist(lam, {s_k}):
+
+* ||(i lam - G_n)^{-1}||_W <= 1/(d - delta) when d > delta (Neumann series);
+* every eigenvalue mu of G_n has |Im mu - (+-s_k)| <= delta for some k
+  (Bauer-Fike: mu - G_n is singular only where the series diverges);
+* ||(i lam - G_n)^{-1}||_W >= 1/(d + delta) (Weyl: singular values move by
+  at most ||D||).
+
+A sweep point takes three maxima: the best peak candidate, the value at lam
+(which a candidate must exceed), and the value at the achieved lambda.
+Candidates come first.  Only modes whose bin lies within delta of some s_k
+can hold an eigenvalue there, so only they go to ``eigvals``.  The other two
+maxima are taken over the modes whose upper bound reaches a known lower bound
+of the maximum: the best candidate value or the largest Weyl bound.  Pruned
+modes lie strictly below the maximum, so they cannot be its argmax, and
+per-mode LAPACK results do not depend on the batch they share: the samples
+are bit-identical to evaluating every mode.
+
+Rounding allowance ROUND_REL = 2^-20 (about 1e-6): each s_k is widened by
+ROUND_REL * max_k s_k.  That covers the sqrt(d*eps) relative error of square
+roots of computed eigenvalues of S^T S, the O(eps sqrt(cond W)) error of
+forming S, and the backward error of the computed eigenvalues of G_n tested
+against the bin.  Computed norms are trusted to a relative ROUND_REL on
+either side of the bounds.  The upwind history grid and the classical law have
+no uniform bound on D and keep every mode.  Either way the sup is taken over
+the ``_window_modes`` set (or the ``full_range`` set), not over all n.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +76,7 @@ __all__ = [
 
 WINDOW_FACTOR = 4.0
 CRAMER_TOL = 1e-8
+ROUND_REL = 2.0 ** -20   # rounding allowance of the pruning certificate
 
 
 @dataclass(frozen=True)
@@ -49,6 +84,8 @@ class ResolventSample:
     lam: float
     value: float
     argmax_n: int
+    # modes_in_range, modes_eigvals, norm_evals and pruning of this point
+    work: dict = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -162,6 +199,31 @@ def _window_modes(spec, lam, n_max):
     return np.unique(np.concatenate([base, np.arange(lo, hi + 1)]))
 
 
+class _Certificate:
+    """Per-mode frequencies s_k of the conservative part and the radius
+    delta + allowance around them (see the module docstring)."""
+
+    def __init__(self, G, Wh, Whi, D):
+        S = Wh @ (G.real - np.diag(D)) @ Whi
+        # singular values of S as square roots of the eigenvalues of S^T S
+        self.s = np.sqrt(np.maximum(np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S), 0.0))
+        self.radius = np.max(np.abs(D)) + ROUND_REL * self.s[:, -1]
+
+    def _dist(self, lo, hi):
+        """Per mode: distance from the interval [lo, hi] to the nearest s_k."""
+        return np.min(np.maximum(np.maximum(lo - self.s, self.s - hi), 0.0), axis=1)
+
+    def may_hold_eigenvalue(self, lo, hi):
+        """Modes that may have an eigenvalue with imaginary part in [lo, hi]."""
+        return np.flatnonzero(self._dist(lo, hi) <= self.radius)
+
+    def may_reach(self, lam, known):
+        """Modes whose norm at lam may reach the max, given a lower bound of it."""
+        d = self._dist(lam, lam)
+        floor = max(known, (1.0 - ROUND_REL) / np.min(d + self.radius))
+        return np.flatnonzero(d - self.radius <= (1.0 + ROUND_REL) / floor)
+
+
 def _sweep_point(spec, lam, bin_lo, bin_hi, n_max, grid, peak_refine, full_range):
     if full_range:
         c = spec.coeffs
@@ -169,37 +231,56 @@ def _sweep_point(spec, lam, bin_lo, bin_hi, n_max, grid, peak_refine, full_range
         ns = np.arange(1, max(n_max, hi) + 1)
     else:
         ns = _window_modes(spec, lam, n_max)
-    G, W, *_ = modal_mod._mode_arrays(spec, ns, grid=grid)
+    G, W, labels, blocks, scheme = modal_mod._mode_arrays(spec, ns, grid=grid)
     Wh, Whi = _weight_factors(W)
+    D = modal_mod._damping_diagonal(spec, labels, blocks, scheme)
+    cert = None if D is None else _Certificate(G, Wh, Whi, D)
+    work = {"modes_in_range": int(ns.size), "modes_eigvals": 0, "norm_evals": 0,
+            "pruning": "none" if cert is None else "certified"}
 
-    vals = _batched_norms(G, Wh, Whi, lam)
-    best = int(np.argmax(vals))
-    best_val, best_lam, best_n = float(vals[best]), float(lam), int(ns[best])
+    def max_norm(rows, at):
+        """(value, n) of the max over the modes ``rows`` (None: all, no copy)."""
+        if rows is None:
+            vals, sel = _batched_norms(G, Wh, Whi, at), ns
+        else:
+            vals, sel = _batched_norms(G[rows], Wh[rows], Whi[rows], at), ns[rows]
+        work["norm_evals"] += vals.size
+        b = int(np.argmax(vals))
+        return float(vals[b]), int(sel[b])
 
+    # 1. best peak candidate: the least-damped eigenvalue in the bin, per mode
+    cand = None
     if peak_refine and lam > 0:
-        ev = np.linalg.eigvals(G)
-        im = ev.imag
-        re = ev.real
-        in_bin = (im > bin_lo) & (im <= bin_hi)
-        re_masked = np.where(in_bin, re, -np.inf)
-        pick = np.argmax(re_masked, axis=1)
-        rows = np.arange(len(ns))
-        cand_lam = im[rows, pick]
-        has = np.isfinite(re_masked[rows, pick])
-        if np.any(has):
-            sub = rows[has]
-            cvals = _batched_norms(G[sub], Wh[sub], Whi[sub], cand_lam[sub])
-            j = int(np.argmax(cvals))
-            if cvals[j] > best_val:
-                best_val = float(cvals[j])
-                best_lam = float(cand_lam[sub][j])
-                best_n = int(ns[sub][j])
-        if best_lam != lam:
-            # certify the sup over all candidate modes at the achieved lambda
-            vals2 = _batched_norms(G, Wh, Whi, best_lam)
-            b2 = int(np.argmax(vals2))
-            best_val, best_n = float(vals2[b2]), int(ns[b2])
-    return ResolventSample(lam=best_lam, value=best_val, argmax_n=best_n)
+        rows = None if cert is None else cert.may_hold_eigenvalue(bin_lo, bin_hi)
+        if rows is None or rows.size:
+            ev = np.linalg.eigvals(G if rows is None else G[rows])
+            work["modes_eigvals"] += len(ev)
+            im = ev.imag
+            re_masked = np.where((im > bin_lo) & (im <= bin_hi), ev.real, -np.inf)
+            pick = np.argmax(re_masked, axis=1)
+            idx = np.arange(len(ev))
+            has = np.isfinite(re_masked[idx, pick])
+            if np.any(has):
+                sub = (idx if rows is None else rows)[has]
+                cand_lam = im[idx, pick][has]
+                cvals = _batched_norms(G[sub], Wh[sub], Whi[sub], cand_lam)
+                work["norm_evals"] += cvals.size
+                j = int(np.argmax(cvals))
+                cand = (float(cvals[j]), float(cand_lam[j]), int(ns[sub[j]]))
+    known = -np.inf if cand is None else cand[0]
+
+    # 2. the value at lam; a candidate wins only by exceeding it
+    rows = None if cert is None else cert.may_reach(lam, known)
+    at_lam = max_norm(rows, lam) if rows is None or rows.size else None
+    if cand is None or (at_lam is not None and not cand[0] > at_lam[0]):
+        value, n = at_lam
+        return ResolventSample(lam=float(lam), value=value, argmax_n=n, work=work)
+    value, best_lam, n = cand
+    if best_lam != lam:
+        # 3. certify the sup over all candidate modes at the achieved lambda
+        rows = None if cert is None else cert.may_reach(best_lam, value)
+        value, n = max_norm(rows, best_lam)
+    return ResolventSample(lam=best_lam, value=value, argmax_n=n, work=work)
 
 
 def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, full_range=False,
@@ -207,8 +288,10 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, full_range=False,
     """Resolvent samples sup_n ||(i lam - G_n)^{-1}||_W over a lambda grid.
 
     The grid is treated as bins on the log axis; within each bin the sample
-    may move to a resonance (see module docstring).  Raises with (lambda, n)
-    context when a sample hits the spectrum exactly.
+    may move to a resonance (see module docstring).  Each sample's ``work``
+    counts the modes in range, the modes given to ``eigvals`` and the
+    resolvent norms evaluated.  Raises with (lambda, n) context when a sample
+    hits the spectrum exactly.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if np.any(lam_grid < 0):

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from beamstab import cli
+
+GOLDEN = Path(__file__).parent / "data" / "golden_sweep"
 
 REF1_BASE = {
     "model": "BGP",
@@ -109,7 +112,8 @@ class TestOutputs:
         assert cli.main(["sweep", "--config", str(path)]) == 0
         assert cli.main(["sweep", "--config", str(path), "--out", str(out2),
                          "--threads", "4"]) == 0
-        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+        for name in ("sweep.csv", "sweep_fit.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_header_line_and_ratio_column(self, tmp_path):
         out = tmp_path / "out"
@@ -181,6 +185,28 @@ class TestOutputs:
         data = json.loads((tmp_path / "out" / "stability.json").read_text())
         assert data["numbers"]["chi_g"] == pytest.approx(1.0, abs=1e-4)
         assert cli.main(["check", "--config", str(path)]) == 0
+
+
+class TestGoldenSweep:
+    """Sweep outputs recorded before certified pruning; the ``work`` object
+    in sweep_fit.json is the only addition since."""
+
+    @pytest.mark.parametrize("name, pruning", [("bgp_prony", "certified"),
+                                               ("bmc", "certified"),
+                                               ("tgp_tabulated", "none")])
+    def test_bytes_unchanged(self, tmp_path, name, pruning):
+        src = GOLDEN / name
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(src / "config.json"),
+                         "--out", str(out)]) == 0
+        assert (out / "sweep.csv").read_bytes() == (src / "sweep.csv").read_bytes()
+        fit = json.loads((out / "sweep_fit.json").read_text(encoding="utf-8"))
+        work = fit.pop("work")
+        text = json.dumps(fit, indent=2, sort_keys=True) + "\n"
+        assert text.encode("utf-8") == (src / "sweep_fit.json").read_bytes()
+        assert work["pruning"] == pruning
+        assert 0 < work["modes_eigvals"] <= work["modes_in_range"]
+        assert 0 < work["norm_evals"] <= 3 * work["modes_in_range"]
 
 
 class TestCheck:

@@ -58,6 +58,48 @@ class TestPropagate:
             bs.propagate(m, np.zeros(m.dim, dtype=complex), [1.0, 0.5])
 
 
+
+class TestExpmFallback:
+    """EIG_COND_LIMIT = 0 forces both scipy expm branches; they must agree
+    with the eigendecomposition path."""
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        import scipy.linalg
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counted(A):
+            calls.append(A.shape)
+            return expm(A)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        return calls
+
+    def test_propagate(self, ref1, rng, monkeypatch, expm_calls):
+        from beamstab import dynamics as dmod
+        m = bs.assemble(ref1["BGP"], 3)
+        u0 = random_states(rng, m.dim, 1)[0]
+        ts = np.linspace(0.0, 20.0, 9)
+        eig = bs.propagate(m, u0, ts)
+        assert not expm_calls
+        monkeypatch.setattr(dmod, "EIG_COND_LIMIT", 0.0)
+        fallback = bs.propagate(m, u0, ts)
+        assert len(expm_calls) == len(ts) - 1
+        scale = np.max(np.abs(eig.states))
+        np.testing.assert_allclose(fallback.states, eig.states, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(fallback.energy, eig.energy, rtol=1e-10)
+
+    def test_semiuniform_series(self, ref1, monkeypatch, expm_calls):
+        from beamstab import dynamics as dmod
+        ts = np.geomspace(1.0, 100.0, 5)
+        eig = bs.semiuniform_series(ref1["BMC"], ts, 6)
+        assert not expm_calls
+        monkeypatch.setattr(dmod, "EIG_COND_LIMIT", 0.0)
+        fallback = bs.semiuniform_series(ref1["BMC"], ts, 6)
+        assert len(expm_calls) == 6 * len(ts)
+        np.testing.assert_allclose(fallback, eig, rtol=1e-10)
+
 class TestSemiuniform:
     def test_time_zero_matches_resolvent_at_zero(self, ref1):
         v0 = bs.semiuniform_norm(ref1["BMC"], 0.0, 16)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import beamstab as bs
+from beamstab import modal as modal_mod
 from beamstab import resolvent as rmod
+from beamstab.resolvent import ResolventSample
 from conftest import ref1_coeffs, wnorm
 
 
@@ -301,3 +305,194 @@ class TestSpectralAbscissa:
         sa = bs.spectral_abscissa(ref1["BMC"], 64)
         assert sa.per_mode[63] > sa.per_mode[15] > sa.per_mode[3]
         assert sa.per_mode[63] > -1e-3
+
+
+def _dense_reference(spec, lam, bin_lo, bin_hi, n_max, grid, peak_refine, full_range):
+    """The sweep point evaluated densely over every mode in range (the body
+    of ``_sweep_point`` before certified pruning); a test oracle only."""
+    if full_range:
+        c = spec.coeffs
+        hi = int(np.ceil(rmod.WINDOW_FACTOR * lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi))
+        ns = np.arange(1, max(n_max, hi) + 1)
+    else:
+        ns = rmod._window_modes(spec, lam, n_max)
+    G, W, *_ = modal_mod._mode_arrays(spec, ns, grid=grid)
+    Wh, Whi = rmod._weight_factors(W)
+
+    vals = rmod._batched_norms(G, Wh, Whi, lam)
+    best = int(np.argmax(vals))
+    best_val, best_lam, best_n = float(vals[best]), float(lam), int(ns[best])
+
+    if peak_refine and lam > 0:
+        ev = np.linalg.eigvals(G)
+        im = ev.imag
+        re = ev.real
+        in_bin = (im > bin_lo) & (im <= bin_hi)
+        re_masked = np.where(in_bin, re, -np.inf)
+        pick = np.argmax(re_masked, axis=1)
+        rows = np.arange(len(ns))
+        cand_lam = im[rows, pick]
+        has = np.isfinite(re_masked[rows, pick])
+        if np.any(has):
+            sub = rows[has]
+            cvals = rmod._batched_norms(G[sub], Wh[sub], Whi[sub], cand_lam[sub])
+            j = int(np.argmax(cvals))
+            if cvals[j] > best_val:
+                best_val = float(cvals[j])
+                best_lam = float(cand_lam[sub][j])
+                best_n = int(ns[sub][j])
+        if best_lam != lam:
+            vals2 = rmod._batched_norms(G, Wh, Whi, best_lam)
+            b2 = int(np.argmax(vals2))
+            best_val, best_n = float(vals2[b2]), int(ns[b2])
+    return ResolventSample(lam=best_lam, value=best_val, argmax_n=best_n)
+
+
+def _triples(samples):
+    return [(s.lam, s.value, s.argmax_n) for s in samples]
+
+
+def assert_sweep_matches_dense(spec, lams, n_max, **kwargs):
+    """The pruned sweep equals the dense oracle bit for bit; returns it."""
+    got = bs.sweep(spec, lams, n_max, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rmod, "_sweep_point", _dense_reference)
+        want = bs.sweep(spec, lams, n_max, **kwargs)
+    assert _triples(got) == _triples(want)
+    return got
+
+
+def _coeffs(draw, model, fast_rotation=False):
+    """Random admissible coefficients; ``fast_rotation`` makes the rotation
+    wave speed sqrt(b/rho2) exceed the shear one sqrt(k/rho1) by over 16x."""
+    pos = st.floats(0.3, 3.0)
+    kw = {name: draw(pos) for name in ("rho1", "rho2", "rho3", "k", "k0", "b",
+                                       "varpi", "gamma")}
+    if fast_rotation:
+        kw.update(k=draw(st.floats(0.01, 0.03)), rho1=draw(st.floats(1.0, 2.0)),
+                  b=draw(st.floats(8.0, 20.0)), rho2=draw(st.floats(0.2, 0.5)))
+        assert np.sqrt(kw["b"] / kw["rho2"]) > 16 * np.sqrt(kw["k"] / kw["rho1"])
+    kw["l"] = draw(st.floats(0.1, 0.9)) if model[0] == "B" else 0.0
+    kw["sigma"] = draw(pos)
+    kw["tau"] = draw(pos)
+    return bs.BeamCoefficients(ell=np.pi, **kw)
+
+
+def _prony(draw):
+    terms = draw(st.lists(st.tuples(st.floats(0.2, 2.0), st.floats(0.3, 4.0)),
+                          min_size=1, max_size=3))
+    return bs.normalized(bs.prony_kernel(terms))
+
+
+@st.composite
+def bounded_damping_specs(draw):
+    model = draw(st.sampled_from(["BGP", "BMC", "TGP", "TMC"]))
+    c = _coeffs(draw, model, fast_rotation=draw(st.booleans()))
+    kg = _prony(draw) if model.endswith("GP") else None
+    kh = _prony(draw) if model == "BGP" else None
+    return bs.SystemSpec(model, c, kernel_g=kg, kernel_h=kh)
+
+
+class TestPrunedSweepMatchesDense:
+    @pytest.mark.parametrize("tag", ["BGP", "BMC", "TGP", "TMC"])
+    def test_ref1(self, ref1, tag):
+        out = assert_sweep_matches_dense(ref1[tag], np.geomspace(5.0, 400.0, 12), 16)
+        assert {s.work["pruning"] for s in out} == {"certified"}
+
+    def test_normalized_two_term_kernel(self):
+        kern = bs.normalized(bs.prony_kernel([(1.0, 1.0), (0.5, 3.0)]))
+        for tag in ("BGP", "TGP"):
+            spec = bs.SystemSpec(tag, ref1_coeffs(), kernel_g=kern,
+                                 kernel_h=kern if tag == "BGP" else None)
+            assert_sweep_matches_dense(spec, np.geomspace(3.0, 300.0, 10), 16)
+
+    @pytest.mark.parametrize("kwargs", [dict(peak_refine=False),
+                                        dict(full_range=True),
+                                        dict(threads=2)])
+    def test_options(self, ref1, kwargs):
+        lams = np.concatenate([[0.0], np.geomspace(2.0, 150.0, 9)])
+        for tag in ("BGP", "TMC"):
+            assert_sweep_matches_dense(ref1[tag], lams, 12, **kwargs)
+
+    def test_single_point_and_zero(self, ref1):
+        assert_sweep_matches_dense(ref1["BMC"], [0.0], 16)
+        assert_sweep_matches_dense(ref1["BGP"], [37.0], 16)
+
+    def test_unpruned_schemes(self, ref1):
+        grid = bs.make_grid(ref1["TGP"].kernel_g, 12)
+        for spec, g in ((ref1["TGP"], grid), (ref1["TF"], None)):
+            out = assert_sweep_matches_dense(spec, np.geomspace(3.0, 40.0, 6), 8,
+                                             grid=g)
+            assert {s.work["pruning"] for s in out} == {"none"}
+            assert all(s.work["modes_eigvals"] == s.work["modes_in_range"]
+                       for s in out)
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=bounded_damping_specs(), hi=st.floats(20.0, 80.0))
+    def test_random_coefficients(self, spec, hi):
+        out = assert_sweep_matches_dense(spec, np.geomspace(2.0, hi, 7), 8)
+        assert all(s.work["modes_eigvals"] <= s.work["modes_in_range"] for s in out)
+
+
+def _certificate(spec, ns):
+    G, W, labels, blocks, scheme = modal_mod._mode_arrays(spec, ns)
+    D = modal_mod._damping_diagonal(spec, labels, blocks, scheme)
+    Wh, Whi = rmod._weight_factors(W)
+    return G, W, D, Wh, Whi, rmod._Certificate(G, Wh, Whi, D)
+
+
+class TestCertificate:
+    NS = [1, 2, 7, 40, 300, 2500]
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=bounded_damping_specs())
+    def test_damping_is_the_non_skew_part(self, spec):
+        G, W, labels, blocks, scheme = modal_mod._mode_arrays(spec, self.NS)
+        D = modal_mod._damping_diagonal(spec, labels, blocks, scheme)
+        assert np.all(G.imag == 0) and np.all(D <= 0) and np.any(D < 0)
+        Gr = G.real
+        lhs = W @ Gr + np.swapaxes(Gr, 1, 2) @ W
+        rhs = 2.0 * W * D[None, None, :]
+        scale = np.abs(W) @ np.abs(Gr) + np.swapaxes(np.abs(Gr), 1, 2) @ np.abs(W)
+        assert np.all(np.abs(lhs - rhs) <= 64 * np.finfo(float).eps * scale)
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=bounded_damping_specs(), u=st.floats(0.0, 1.0))
+    def test_bounds_enclose_the_exact_norm(self, spec, u):
+        G, W, D, Wh, Whi, cert = _certificate(spec, self.NS)
+        s_max = cert.s[:, -1]
+        for lam in (u * s_max[0], u * s_max[-1], cert.s[-1, 4] + 1.5 * cert.radius[-1]):
+            vals = rmod._batched_norms(G, Wh, Whi, lam)
+            d = cert._dist(lam, lam)
+            upper = np.where(d > cert.radius, 1.0 / np.maximum(d - cert.radius, 1e-300),
+                             np.inf)
+            assert np.all(vals <= upper * (1 + rmod.ROUND_REL))
+            assert np.all(vals >= (1 - rmod.ROUND_REL) / (d + cert.radius))
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=bounded_damping_specs())
+    def test_eigenvalues_lie_near_the_conservative_spectrum(self, spec):
+        ns = self.NS + [8000]
+        G, W, D, Wh, Whi, cert = _certificate(spec, ns)
+        ev = np.linalg.eigvals(G)
+        s = np.concatenate([cert.s, -cert.s], axis=1)
+        gap = np.min(np.abs(ev[:, :, None] - 1j * s[:, None, :]), axis=2)
+        # Bauer-Fike with a wide margin: 1/64 of the rounding allowance suffices
+        delta = np.max(np.abs(D))
+        assert np.all(gap <= delta + rmod.ROUND_REL / 64 * cert.s[:, -1:])
+
+    def test_no_bound_for_upwind_and_classical(self, ref1):
+        grid = bs.make_grid(ref1["BGP"].kernel_g, 10)
+        for spec, g in ((ref1["BGP"], grid), (ref1["TGP"], grid),
+                        (ref1["BF"], None), (ref1["TF"], None)):
+            _, _, labels, blocks, scheme = modal_mod._mode_arrays(spec, [1], grid=g)
+            assert modal_mod._damping_diagonal(spec, labels, blocks, scheme) is None
+
+    def test_pruning_cuts_the_work(self, ref1):
+        # the reference sweep of the benchmark: 13 bins on [1e2, 1e3]
+        out = bs.sweep(ref1["BGP"], np.geomspace(100.0, 1000.0, 13), 64)
+        work = {key: sum(s.work[key] for s in out)
+                for key in ("modes_in_range", "modes_eigvals", "norm_evals")}
+        assert work["modes_in_range"] == 20425
+        assert work["modes_eigvals"] <= 5000 and work["norm_evals"] <= 5000

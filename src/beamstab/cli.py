@@ -276,7 +276,9 @@ def cmd_lowerbound(cfg, args):
 def cmd_decay(cfg, args):
     blk = cfg.decay
     ts = np.geomspace(blk["t_min"], blk["t_max"], int(blk["points"]))
-    vals = dynamics.semiuniform_series(cfg.spec, ts, int(blk["n_max"]), grid=cfg.grid)
+    work = {}
+    vals = dynamics.semiuniform_series(cfg.spec, ts, int(blk["n_max"]), grid=cfg.grid,
+                                       work=work)
     kind = blk["kind"]
     if kind == "auto":
         rep = model.stability_numbers(cfg.spec, tol=cfg.tolerance)
@@ -291,7 +293,7 @@ def cmd_decay(cfg, args):
                list(zip(traj.t, traj.energy)))
     payload = {"kind": fit.kind, "rate": fit.rate, "constant": fit.constant,
                "residual": fit.residual, "window": list(fit.window),
-               "n_max": int(blk["n_max"])}
+               "n_max": int(blk["n_max"]), "work": work}
     _write_json(cfg, "decay", "decay_fit.json", payload)
     _write_svg(cfg, "decay.svg", svg.line_chart(
         ts, [vals], labels=["semiuniform norm"], title="smoothed-propagator decay",
@@ -365,8 +367,9 @@ def _battery(cfg, rng):
                 scale = max(abs(info.rate), 1e-30)
                 worst_gap = max(worst_gap, info.identity_gap / scale)
         Wh, Whi = modal.weight_sqrt(mode.weight)
+        U = dynamics._propagator(mode)
         for t in (0.5, 5.0, 50.0):
-            traj_mat = Wh @ (dynamics._propagator(mode)(t) @ Whi)
+            traj_mat = Wh @ (U(t) @ Whi)
             contraction = max(contraction,
                               float(np.linalg.svd(traj_mat, compute_uv=False)[0]))
     yield ("dissipativity", worst <= 1e-10, f"max Re<Gu,u>/|u|^2 = {worst:.3e}")

@@ -6,6 +6,31 @@ scaling-and-squaring routine takes over.  All decay statements are made on
 the n <= N_max truncation; block diagonality makes the truncated operator
 norm equal to the max over modes, so ``semiuniform_series`` is exact there.
 
+Batched smoothed propagator.  ``semiuniform_series`` walks the modes in
+chunks (``modal._mode_chunks``: at most CHUNK_ELEMENTS = 25,600 entries per
+stacked (N, d, d) array, which is 256 modes at d = 10 and 18 at d = 37).  Per
+chunk it assembles the stack once, factors the weights, inverts G_n and
+diagonalizes G_n = V diag(lam) V^{-1}, so that
+
+    W^{1/2} exp(t G_n) G_n^{-1} W^{-1/2} = L diag(exp(lam t)) R,
+    L = W^{1/2} V,  R = V^{-1} G_n^{-1} W^{-1/2}.
+
+The product is the sum of the rank-one terms exp(lam_k t) (L e_k)(e_k^T R),
+so by the triangle inequality its 2-norm is at most
+b_n(t) = sum_k |exp(lam_k t)| ||L e_k|| ||e_k^T R||.  At each t the SVD runs
+first on the mode with the largest b_n; its value, with the maximum of the
+earlier chunks, is a computed lower bound ``known`` of the sup.  The SVD then
+runs only on the modes with b_n (1 + ROUND_REL) >= known (1 - ROUND_REL).
+Rounding allowance ROUND_REL = 2^-20, the sweep's: the computed product
+differs from L diag(exp(lam t)) R by at most about d*eps*b_n in norm (its
+componentwise error is bounded by |L| diag|exp(lam t)| |R|, whose norm is at
+most b_n), and the computed SVD and b_n carry relative errors of order d*eps.
+A pruned mode's computed norm therefore lies strictly below ``known``, so it
+cannot change the max; per-mode LAPACK results do not depend on the batch,
+and the values are bit-identical to the per-mode loop.  Modes whose
+eigenvector condition number is not below EIG_COND_LIMIT take ``expm`` at
+every time point, without pruning.
+
 For a one-term exponential kernel the auxiliary prony state y of a memory
 mode maps linearly onto the relaxed-flux variable, flux = -varpi*omega*y.
 That map matches energies exactly and intertwines the two generators, which
@@ -22,6 +47,7 @@ from . import modal as modal_mod
 from . import model as mmod
 from .errors import (DomainError, FitError, NumericError, SpecError,
                      SpectralPointError, UnsupportedMapError)
+from .resolvent import ROUND_REL
 
 __all__ = [
     "ModalState",
@@ -75,12 +101,20 @@ class LimitRow:
     gap_h: float
 
 
+def _eig_guarded(G):
+    """Eigendecomposition of one generator or of a stack, and whether each
+    eigenvector basis is conditioned below EIG_COND_LIMIT; modes failing the
+    guard take the scaling-and-squaring ``expm`` instead."""
+    lam, V = np.linalg.eig(G)
+    cond = np.linalg.cond(V)
+    return lam, V, np.isfinite(cond) & (cond < EIG_COND_LIMIT)
+
+
 def _propagator(mode):
     """exp(t G) evaluator; eigendecomposition with a conditioning guard."""
     G = mode.generator
-    lam, V = np.linalg.eig(G)
-    cond = np.linalg.cond(V)
-    if np.isfinite(cond) and cond < EIG_COND_LIMIT:
+    lam, V, ok = _eig_guarded(G)
+    if ok:
         Vi = np.linalg.inv(V)
 
         def U(t):
@@ -118,43 +152,90 @@ def propagate(mode, u0, ts):
     return Trajectory(n=mode.n, t=ts.copy(), states=states, energy=energy)
 
 
-def semiuniform_series(spec, ts, n_max, grid=None):
+class _SmoothedPropagators:
+    """W^{1/2} exp(t G_n) G_n^{-1} W^{-1/2} = L diag(exp(lam t)) R for a stack
+    of diagonalizable modes, with L = W^{1/2} V and R = V^{-1} G^{-1} W^{-1/2}."""
+
+    def __init__(self, lam, V, Wh, Whi, Ginv):
+        self.lam = lam
+        self.L = Wh @ V
+        self.R = np.linalg.solve(V, Ginv @ Whi)
+        # ||L e_k|| ||e_k^T R||: the norm of each rank-one term at exp(lam t) = 1
+        self.terms = np.linalg.norm(self.L, axis=1) * np.linalg.norm(self.R, axis=2)
+
+    def bounds(self, E):
+        """Per mode, sum_k |E_k| ||L e_k|| ||e_k^T R|| >= ||L diag(E) R||_2."""
+        return np.sum(np.abs(E) * self.terms, axis=1)
+
+    def norms(self, rows, E):
+        """Largest singular values of L diag(E) R for the modes ``rows``."""
+        M = (self.L[rows] * E[rows, None, :]) @ self.R[rows]
+        return np.linalg.svd(M, compute_uv=False)[:, 0]
+
+
+def _inverses(G, ns):
+    """G_n^{-1} for a stack; a singular mode raises with its index."""
+    eye = np.eye(G.shape[-1], dtype=complex)
+    try:
+        return np.linalg.solve(G, eye)
+    except np.linalg.LinAlgError:
+        for n, g in zip(ns, G):
+            try:
+                np.linalg.solve(g, eye)
+            except np.linalg.LinAlgError:
+                raise SpectralPointError(f"0 is in the spectrum of mode {n}",
+                                         lam=0.0, n=int(n)) from None
+        raise
+
+
+def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     """sup_{n <= n_max} ||exp(t G_n) G_n^{-1}||_{W_n} on a time grid.
 
-    Exact per-mode weighted operator norms; the truncation level must be
-    reported with any decay claim derived from this.
+    Exact per-mode weighted operator norms, batched over chunks of modes with
+    certified pruning (see the module docstring); the truncation level must
+    be reported with any decay claim derived from this.  A ``work`` dict, when
+    given, receives the counters modes_propagated, norm_evals (SVDs run),
+    expm_modes and pruning.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise DomainError("times must be nonnegative")
     vals = np.zeros(ts.size)
-    eye_cache = {}
-    for n in range(1, n_max + 1):
-        mode = modal_mod.assemble(spec, n, grid=grid)
-        G, W = mode.generator, mode.weight
-        d = mode.dim
-        eye = eye_cache.setdefault(d, np.eye(d))
+    counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
+              "pruning": "certified"}
+    for ns in modal_mod._mode_chunks(spec, n_max, grid):
+        G, W, *_ = modal_mod._mode_arrays(spec, ns, grid=grid)
         Wh, Whi = modal_mod.weight_sqrt(W)
-        try:
-            Ginv = np.linalg.solve(G, eye.astype(complex))
-        except np.linalg.LinAlgError:
-            raise SpectralPointError(f"0 is in the spectrum of mode {n}",
-                                     lam=0.0, n=n) from None
-        lam, V = np.linalg.eig(G)
-        cond = np.linalg.cond(V)
-        if np.isfinite(cond) and cond < EIG_COND_LIMIT:
-            L = Wh @ V
-            R = np.linalg.solve(V, Ginv @ Whi)
-            for j, t in enumerate(ts):
-                M = (L * np.exp(lam * t)) @ R
-                vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
-        else:
+        Ginv = _inverses(G, ns)
+        lam, V, ok = _eig_guarded(G)
+        counts["modes_propagated"] += ns.size
+        for i in np.flatnonzero(~ok):
             import scipy.linalg  # lazy: only this fallback needs scipy
+            GW = Ginv[i] @ Whi[i]
             for j, t in enumerate(ts):
-                M = Wh @ (scipy.linalg.expm(G * t) @ (Ginv @ Whi))
+                M = Wh[i] @ (scipy.linalg.expm(G[i] * t) @ GW)
                 vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
+            counts["expm_modes"] += 1
+            counts["norm_evals"] += ts.size
+        if not np.any(ok):
+            continue
+        stack = _SmoothedPropagators(lam[ok], V[ok], Wh[ok], Whi[ok], Ginv[ok])
+        for j, t in enumerate(ts):
+            E = np.exp(stack.lam * t)
+            bound = stack.bounds(E)
+            first = int(np.argmax(bound))
+            vals[j] = max(vals[j], stack.norms([first], E)[0])
+            # NaN bounds are kept: a mode is pruned only when provably below
+            rows = np.flatnonzero(~(bound * (1.0 + ROUND_REL) < vals[j] * (1.0 - ROUND_REL)))
+            rows = rows[rows != first]
+            if rows.size:
+                # fmax skips NaN norms like the per-mode max() does
+                vals[j] = max(vals[j], np.fmax.reduce(stack.norms(rows, E)))
+            counts["norm_evals"] += 1 + rows.size
     if not np.all(np.isfinite(vals)):
         raise NumericError("semiuniform norm overflowed")
+    if work is not None:
+        work.update(counts)
     return vals
 
 

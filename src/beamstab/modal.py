@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 GRID_TAIL_REL = 1e-10
+CHUNK_ELEMENTS = 25_600   # entries of one stacked (N, d, d) array: 256 modes at d = 10
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,15 @@ def _make_block(temp, start, size, scheme, kernel, grid):
     return MemoryBlock(temp=temp, start=start, size=size, scheme=scheme)
 
 
+def _mode_chunks(spec, n_max, grid=None):
+    """Mode indices 1..n_max in consecutive chunks whose stacked (N, d, d)
+    arrays hold at most CHUNK_ELEMENTS entries each (one mode at least)."""
+    d = len(_layout(spec, grid)[0])
+    size = max(1, CHUNK_ELEMENTS // (d * d))
+    ns = np.arange(1, n_max + 1)
+    return [ns[i:i + size] for i in range(0, n_max, size)]
+
+
 def _mode_arrays(spec, ns, grid=None, check_condition=True):
     """Stacked (G, W) arrays for the requested mode indices.
 
@@ -402,15 +412,17 @@ def weight_matrix(spec, n, grid=None):
     return W[0]
 
 
-def weight_sqrt(W, rel_floor=1e-12):
-    """Hermitian square root and inverse square root of a weight matrix."""
+def weight_sqrt(W):
+    """Hermitian square root and inverse square root of a weight matrix, or
+    of each matrix of a stack (N, d, d)."""
     ew, V = np.linalg.eigh(W)
-    if ew[0] <= rel_floor * ew[-1]:
+    low, high = ew[..., 0], ew[..., -1]
+    if np.any(low <= 1e-12 * high):
         raise SingularWeightError(
-            f"weight matrix is numerically singular (eig ratio {ew[0] / ew[-1]:.2e})")
-    Wh = (V * np.sqrt(ew)) @ V.T
-    Whi = (V / np.sqrt(ew)) @ V.T
-    return Wh, Whi
+            f"weight matrix is numerically singular (eig ratio {np.min(low / high):.2e})")
+    sq = np.sqrt(ew)[..., None, :]
+    Vt = np.swapaxes(V, -1, -2)
+    return (V * sq) @ Vt, (V / sq) @ Vt
 
 
 def _memory_gamma(mode, blk, u):

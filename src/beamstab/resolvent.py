@@ -55,8 +55,8 @@ import numpy as np
 from . import kernels as kmod
 from . import modal as modal_mod
 from . import model as mmod
-from .errors import (DomainError, FitError, InfeasibleError, SingularWeightError,
-                     SpecError, SpectralPointError)
+from .errors import (DomainError, FitError, InfeasibleError, SpecError,
+                     SpectralPointError)
 
 __all__ = [
     "ResolventSample",
@@ -144,14 +144,7 @@ class SpectralAbscissa:
 
 def _weight_factors(W):
     """Batched Hermitian square roots of stacked weight matrices."""
-    ew, V = np.linalg.eigh(W)
-    if np.any(ew[:, 0] <= 1e-12 * ew[:, -1]):
-        raise SingularWeightError("a mode weight matrix is numerically singular")
-    sq = np.sqrt(ew)
-    Vt = np.swapaxes(V, 1, 2)
-    Wh = (V * sq[:, None, :]) @ Vt
-    Whi = (V / sq[:, None, :]) @ Vt
-    return Wh, Whi
+    return modal_mod.weight_sqrt(W)
 
 
 def _batched_norms(G, Wh, Whi, lam):
@@ -388,8 +381,17 @@ def mn_matrix(spec, n, lam):
     ], dtype=complex)
 
 
+def _chis(report):
+    """(chi_g, chi_h) of a memory law or (chi_sigma, chi_tau) of a relaxed
+    flux law; the second is None for straight beams."""
+    chi_g = report.chi_g if report.chi_g is not None else report.chi_sigma
+    chi_h = report.chi_h if report.chi_h is not None else report.chi_tau
+    return chi_g, chi_h
+
+
 def _construction_constants(spec):
-    """(c0, beta0, cstar, masses) of the lower-bound construction."""
+    """(c0, beta0, cstar, masses, stability report) of the lower-bound
+    construction."""
     c = spec.coeffs
     report = mmod.stability_numbers(spec)
     for name, value, scale in mmod.governing_factors(report, spec.model):
@@ -399,11 +401,10 @@ def _construction_constants(spec):
     kg, kh = _effective_kernels(spec)
     mg = kmod.masses(kg)
     g0, mu0 = mg.g0, mg.mu0
+    chi_g, chi_h = _chis(report)
     if spec.is_bresse:
         mh = kmod.masses(kh)
         h0, nu0 = mh.g0, mh.mu0
-        chi_g = report.chi_g if report.chi_g is not None else report.chi_sigma
-        chi_h = report.chi_h if report.chi_h is not None else report.chi_tau
         sg, sh = report.sigma_g, report.sigma_h
         l = c.l
         c0 = -(1.0 / (chi_g * chi_h)) * (c.rho1 / (c.varpi * c.k)) / (g0 * h0) * (
@@ -415,13 +416,12 @@ def _construction_constants(spec):
             mu0 * h0 * chi_h**2 / g0
             + 4 * l * l * nu0 * g0 * chi_g**2 / h0)
         cstar = (c.k / c.rho1) ** 2 * c.varpi * g0 * h0 * abs(chi_g * chi_h / beta0)
-        return c0, beta0, cstar, (g0, mu0, h0, nu0)
-    chi_g = report.chi_g if report.chi_g is not None else report.chi_sigma
+        return c0, beta0, cstar, (g0, mu0, h0, nu0), report
     sg = report.sigma_g
     c0 = -c.k * c.rho1 * sg / (chi_g * c.varpi * g0)
     beta0 = c.gamma**2 * c.k**2 / (chi_g * c.varpi * g0)
     cstar = (g0 * c.k / (mu0 * c.rho1)) * abs(chi_g / beta0)
-    return c0, beta0, cstar, (g0, mu0, None, None)
+    return c0, beta0, cstar, (g0, mu0, None, None), report
 
 
 def _lambda_n(spec, c0, om):
@@ -440,7 +440,7 @@ def lower_bound(spec, ns):
     The ratio column |A_n|/lam_n approaches the predicted constant cstar.
     """
     c = spec.coeffs
-    c0, beta0, cstar, _ = _construction_constants(spec)
+    c0, beta0, cstar, _, _ = _construction_constants(spec)
     kg, kh = _effective_kernels(spec)
     rows = []
     notes = []
@@ -483,7 +483,8 @@ def det_check(spec, n):
     which is where the subleading corrections come from.
     """
     c = spec.coeffs
-    c0, beta0, _, (g0, mu0, h0, _nu0) = _construction_constants(spec)
+    c0, beta0, _, (g0, mu0, h0, _nu0), report = _construction_constants(spec)
+    chi_g, chi_h = _chis(report)
     om = modal_mod.omega(c.ell, n)
     lam = _lambda_n(spec, c0, om)
     if lam is None:
@@ -497,14 +498,9 @@ def det_check(spec, n):
     det_a = complex(np.linalg.det(Ma))
     if spec.is_bresse:
         pred_m = -1j * c.varpi * np.sqrt(c.rho1 / c.k) * beta0 * om**7
-        report = mmod.stability_numbers(spec)
-        chi_g = report.chi_g if report.chi_g is not None else report.chi_sigma
-        chi_h = report.chi_h if report.chi_h is not None else report.chi_tau
         pred_a = chi_g * chi_h * (c.varpi * c.k / c.rho1) ** 2 * g0 * h0 * om**8
     else:
         pred_m = -1j * c.varpi * mu0 * np.sqrt(c.rho1 / c.k) * beta0 * om**3
-        report = mmod.stability_numbers(spec)
-        chi_g = report.chi_g if report.chi_g is not None else report.chi_sigma
         pred_a = -chi_g * (c.varpi * g0 * c.k / c.rho1) * om**4
     kg, kh = _effective_kernels(spec)
     defect = kmod.rl_defect(kg, lam)
@@ -519,17 +515,13 @@ def det_check(spec, n):
         tol_hint=float(10.0 * defect))
 
 
-def spectral_abscissa(spec, n_max, grid=None, chunk=None):
+def spectral_abscissa(spec, n_max, grid=None):
     """Per-mode max Re of the generator spectrum and the global maximum."""
-    ns = np.arange(1, n_max + 1)
-    per = np.empty(n_max)
-    if chunk is None:
-        probe_dim = len(modal_mod._layout(spec, grid)[0])
-        chunk = max(1, 2_000_000 // (probe_dim * probe_dim))
-    for start in range(0, n_max, chunk):
-        sub = ns[start:start + chunk]
-        G, *_ = modal_mod._mode_arrays(spec, sub, grid=grid)
-        per[start:start + len(sub)] = np.linalg.eigvals(G).real.max(axis=1)
+    parts = []
+    for ns in modal_mod._mode_chunks(spec, n_max, grid):
+        G, *_ = modal_mod._mode_arrays(spec, ns, grid=grid)
+        parts.append(np.linalg.eigvals(G).real.max(axis=1))
+    per = np.concatenate(parts)
     arg = int(np.argmax(per))
-    return SpectralAbscissa(ns=ns, per_mode=per, global_max=float(per[arg]),
-                            argmax_n=int(ns[arg]))
+    return SpectralAbscissa(ns=np.arange(1, n_max + 1), per_mode=per,
+                            global_max=float(per[arg]), argmax_n=arg + 1)

@@ -7,6 +7,7 @@ import pytest
 from beamstab import cli
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep"
+GOLDEN_DECAY = Path(__file__).parent / "data" / "golden_decay"
 
 REF1_BASE = {
     "model": "BGP",
@@ -207,6 +208,27 @@ class TestGoldenSweep:
         assert work["pruning"] == pruning
         assert 0 < work["modes_eigvals"] <= work["modes_in_range"]
         assert 0 < work["norm_evals"] <= 3 * work["modes_in_range"]
+
+
+class TestGoldenDecay:
+    """Decay outputs recorded before the batched propagator; the ``work``
+    object in decay_fit.json is the only addition since."""
+
+    @pytest.mark.parametrize("name", ["bgp_prony", "bmc", "tgp_tabulated"])
+    def test_bytes_unchanged(self, tmp_path, name):
+        src = GOLDEN_DECAY / name
+        out = tmp_path / "out"
+        assert cli.main(["decay", "--config", str(src / "config.json"),
+                         "--out", str(out)]) == 0
+        for csv_name in ("decay.csv", "decay_energy.csv"):
+            assert (out / csv_name).read_bytes() == (src / csv_name).read_bytes()
+        fit = json.loads((out / "decay_fit.json").read_text(encoding="utf-8"))
+        work = fit.pop("work")
+        text = json.dumps(fit, indent=2, sort_keys=True) + "\n"
+        assert text.encode("utf-8") == (src / "decay_fit.json").read_bytes()
+        assert work["modes_propagated"] == fit["n_max"] and work["expm_modes"] == 0
+        assert 0 < work["norm_evals"] < fit["n_max"] * 9
+        assert work["pruning"] == "certified"
 
 
 class TestCheck:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import beamstab as bs
-from conftest import ref1_coeffs, random_states, wnorm
+from beamstab import dynamics as dmod
+from beamstab import modal as modal_mod
+from conftest import admissible_specs, ref1_coeffs, random_states, wnorm
 
 
 class TestPropagate:
@@ -118,6 +122,148 @@ class TestSemiuniform:
         fit = bs.decay_fit(ts, vals, "exponential")
         sa = bs.spectral_abscissa(refexp, 32)
         assert fit.rate == pytest.approx(-sa.global_max, rel=0.1)
+
+
+def _dense_reference(spec, ts, n_max, grid=None):
+    """The per-mode loop of ``semiuniform_series`` before batching; a test
+    oracle only."""
+    import scipy.linalg
+    ts = np.asarray(ts, dtype=float)
+    vals = np.zeros(ts.size)
+    for n in range(1, n_max + 1):
+        mode = modal_mod.assemble(spec, n, grid=grid)
+        G, W = mode.generator, mode.weight
+        Wh, Whi = modal_mod.weight_sqrt(W)
+        try:
+            Ginv = np.linalg.solve(G, np.eye(mode.dim).astype(complex))
+        except np.linalg.LinAlgError:
+            raise bs.SpectralPointError(f"0 is in the spectrum of mode {n}",
+                                        lam=0.0, n=n) from None
+        lam, V = np.linalg.eig(G)
+        cond = np.linalg.cond(V)
+        if np.isfinite(cond) and cond < dmod.EIG_COND_LIMIT:
+            L = Wh @ V
+            R = np.linalg.solve(V, Ginv @ Whi)
+            for j, t in enumerate(ts):
+                M = (L * np.exp(lam * t)) @ R
+                vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
+        else:
+            for j, t in enumerate(ts):
+                M = Wh @ (scipy.linalg.expm(G * t) @ (Ginv @ Whi))
+                vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
+    return vals
+
+
+TS = np.concatenate([[0.0], np.geomspace(0.5, 2e3, 9)])
+ALL_TAGS = ("BGP", "BMC", "TGP", "TMC", "BF", "TF")
+
+
+def assert_series_matches_dense(spec, ts, n_max, grid=None):
+    """The batched series equals the per-mode oracle bit for bit; returns
+    the work counters."""
+    work = {}
+    got = bs.semiuniform_series(spec, ts, n_max, grid=grid, work=work)
+    assert got.tolist() == _dense_reference(spec, ts, n_max, grid=grid).tolist()
+    assert work["modes_propagated"] == n_max and work["pruning"] == "certified"
+    assert 0 < work["norm_evals"] <= n_max * len(ts)
+    return work
+
+
+def _tabulated_exp_kernel():
+    s = np.linspace(0.0, 23.0, 401)
+    return bs.normalized(bs.tabulated_kernel(s, np.exp(-s), delta_tail=1.0, delta=1.0))
+
+
+class TestBatchedSeriesMatchesDense:
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_ref1(self, ref1, tag):
+        work = assert_series_matches_dense(ref1[tag], TS, 24)
+        assert work["expm_modes"] == 0
+
+    def test_exponential_case(self, refexp):
+        assert_series_matches_dense(refexp, TS, 24)
+
+    def test_normalized_two_term_kernel(self):
+        kern = bs.normalized(bs.prony_kernel([(1.0, 1.0), (0.5, 3.0)]))
+        for tag in ("BGP", "TGP"):
+            spec = bs.SystemSpec(tag, ref1_coeffs(), kernel_g=kern,
+                                 kernel_h=kern if tag == "BGP" else None)
+            assert_series_matches_dense(spec, TS, 20)
+
+    def test_tabulated_history_grid(self):
+        kern = _tabulated_exp_kernel()
+        spec = bs.SystemSpec("TGP", ref1_coeffs(), kernel_g=kern)
+        assert_series_matches_dense(spec, TS, 24, grid=bs.make_grid(kern, 16))
+
+    def test_time_zero_alone(self, ref1):
+        for tag in ("BGP", "TF"):
+            assert_series_matches_dense(ref1[tag], [0.0], 16)
+
+    def test_chunk_boundaries(self, ref1, monkeypatch):
+        # 7 modes per chunk at d = 10: n_max 30 spans five chunks
+        monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 7 * 100 + 99)
+        chunks = modal_mod._mode_chunks(ref1["BMC"], 30)
+        assert [len(c) for c in chunks] == [7, 7, 7, 7, 2]
+        assert np.concatenate(chunks).tolist() == list(range(1, 31))
+        for tag in ("BMC", "BGP"):
+            assert_series_matches_dense(ref1[tag], TS, 30)
+
+    def test_mixed_fallback(self, ref1, monkeypatch):
+        # a limit between the modes' eigenvector conditions sends some modes
+        # (and only those) down the expm path
+        spec = ref1["BGP"]
+        G, *_ = modal_mod._mode_arrays(spec, np.arange(1, 17))
+        cond = np.sort(np.linalg.cond(np.linalg.eig(G)[1]))
+        monkeypatch.setattr(dmod, "EIG_COND_LIMIT", float(np.sqrt(cond[5] * cond[6])))
+        monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 5 * 121)
+        work = assert_series_matches_dense(spec, TS, 16)
+        assert work["expm_modes"] == 10
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=admissible_specs(ALL_TAGS), n_max=st.integers(1, 40),
+           t_max=st.floats(1.0, 1e4))
+    def test_random_coefficients(self, spec, n_max, t_max):
+        ts = np.concatenate([[0.0], np.geomspace(1e-2, t_max, 6)])
+        assert_series_matches_dense(spec, ts, n_max)
+
+
+class TestRankOneBound:
+    @settings(max_examples=25, deadline=None)
+    @given(spec=admissible_specs(ALL_TAGS), t=st.floats(0.0, 1e3))
+    def test_bound_covers_the_norm(self, spec, t):
+        ns = np.array([1, 2, 3, 7, 40, 300])
+        G, W, *_ = modal_mod._mode_arrays(spec, ns)
+        Wh, Whi = modal_mod.weight_sqrt(W)
+        lam, V, ok = dmod._eig_guarded(G)
+        stack = dmod._SmoothedPropagators(lam[ok], V[ok], Wh[ok], Whi[ok],
+                                          np.linalg.inv(G[ok]))
+        E = np.exp(stack.lam * t)
+        norms = stack.norms(np.arange(E.shape[0]), E)
+        assert np.all(norms <= stack.bounds(E) * (1 + 1e-12))
+
+    def test_singular_generator_names_its_mode(self, ref1, monkeypatch):
+        arrays = modal_mod._mode_arrays
+
+        def singular_at_9(spec, ns, **kwargs):
+            G, *rest = arrays(spec, ns, **kwargs)
+            G[np.asarray(ns) == 9] = 0.0
+            return (G, *rest)
+
+        monkeypatch.setattr(modal_mod, "_mode_arrays", singular_at_9)
+        monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 4 * 100)
+        with pytest.raises(bs.SpectralPointError) as exc:
+            bs.semiuniform_series(ref1["BMC"], TS, 12)
+        assert exc.value.n == 9 and exc.value.lam == 0.0
+        with pytest.raises(bs.SpectralPointError) as exc:
+            _dense_reference(ref1["BMC"], TS, 12)
+        assert exc.value.n == 9
+
+    def test_pruning_cuts_the_work(self, ref1):
+        work = {}
+        bs.semiuniform_series(ref1["BGP"], np.geomspace(100.0, 1e4, 9), 512, work=work)
+        assert work["modes_propagated"] == 512 and work["expm_modes"] == 0
+        assert work["norm_evals"] <= 512 * 9 // 2
 
 
 class TestDecayFit:

@@ -7,7 +7,7 @@ import beamstab as bs
 from beamstab import modal as modal_mod
 from beamstab import resolvent as rmod
 from beamstab.resolvent import ResolventSample
-from conftest import ref1_coeffs, wnorm
+from conftest import admissible_specs, ref1_coeffs, wnorm
 
 
 def construction_oracle(c, g0, h0, mu0, nu0, chi_g, chi_h):
@@ -348,6 +348,9 @@ def _dense_reference(spec, lam, bin_lo, bin_hi, n_max, grid, peak_refine, full_r
     return ResolventSample(lam=best_lam, value=best_val, argmax_n=best_n)
 
 
+BOUNDED_DAMPING = ("BGP", "BMC", "TGP", "TMC")
+
+
 def _triples(samples):
     return [(s.lam, s.value, s.argmax_n) for s in samples]
 
@@ -360,37 +363,6 @@ def assert_sweep_matches_dense(spec, lams, n_max, **kwargs):
         want = bs.sweep(spec, lams, n_max, **kwargs)
     assert _triples(got) == _triples(want)
     return got
-
-
-def _coeffs(draw, model, fast_rotation=False):
-    """Random admissible coefficients; ``fast_rotation`` makes the rotation
-    wave speed sqrt(b/rho2) exceed the shear one sqrt(k/rho1) by over 16x."""
-    pos = st.floats(0.3, 3.0)
-    kw = {name: draw(pos) for name in ("rho1", "rho2", "rho3", "k", "k0", "b",
-                                       "varpi", "gamma")}
-    if fast_rotation:
-        kw.update(k=draw(st.floats(0.01, 0.03)), rho1=draw(st.floats(1.0, 2.0)),
-                  b=draw(st.floats(8.0, 20.0)), rho2=draw(st.floats(0.2, 0.5)))
-        assert np.sqrt(kw["b"] / kw["rho2"]) > 16 * np.sqrt(kw["k"] / kw["rho1"])
-    kw["l"] = draw(st.floats(0.1, 0.9)) if model[0] == "B" else 0.0
-    kw["sigma"] = draw(pos)
-    kw["tau"] = draw(pos)
-    return bs.BeamCoefficients(ell=np.pi, **kw)
-
-
-def _prony(draw):
-    terms = draw(st.lists(st.tuples(st.floats(0.2, 2.0), st.floats(0.3, 4.0)),
-                          min_size=1, max_size=3))
-    return bs.normalized(bs.prony_kernel(terms))
-
-
-@st.composite
-def bounded_damping_specs(draw):
-    model = draw(st.sampled_from(["BGP", "BMC", "TGP", "TMC"]))
-    c = _coeffs(draw, model, fast_rotation=draw(st.booleans()))
-    kg = _prony(draw) if model.endswith("GP") else None
-    kh = _prony(draw) if model == "BGP" else None
-    return bs.SystemSpec(model, c, kernel_g=kg, kernel_h=kh)
 
 
 class TestPrunedSweepMatchesDense:
@@ -429,7 +401,7 @@ class TestPrunedSweepMatchesDense:
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(spec=bounded_damping_specs(), hi=st.floats(20.0, 80.0))
+    @given(spec=admissible_specs(BOUNDED_DAMPING), hi=st.floats(20.0, 80.0))
     def test_random_coefficients(self, spec, hi):
         out = assert_sweep_matches_dense(spec, np.geomspace(2.0, hi, 7), 8)
         assert all(s.work["modes_eigvals"] <= s.work["modes_in_range"] for s in out)
@@ -446,7 +418,7 @@ class TestCertificate:
     NS = [1, 2, 7, 40, 300, 2500]
 
     @settings(max_examples=25, deadline=None)
-    @given(spec=bounded_damping_specs())
+    @given(spec=admissible_specs(BOUNDED_DAMPING))
     def test_damping_is_the_non_skew_part(self, spec):
         G, W, labels, blocks, scheme = modal_mod._mode_arrays(spec, self.NS)
         D = modal_mod._damping_diagonal(spec, labels, blocks, scheme)
@@ -458,7 +430,7 @@ class TestCertificate:
         assert np.all(np.abs(lhs - rhs) <= 64 * np.finfo(float).eps * scale)
 
     @settings(max_examples=25, deadline=None)
-    @given(spec=bounded_damping_specs(), u=st.floats(0.0, 1.0))
+    @given(spec=admissible_specs(BOUNDED_DAMPING), u=st.floats(0.0, 1.0))
     def test_bounds_enclose_the_exact_norm(self, spec, u):
         G, W, D, Wh, Whi, cert = _certificate(spec, self.NS)
         s_max = cert.s[:, -1]
@@ -471,7 +443,7 @@ class TestCertificate:
             assert np.all(vals >= (1 - rmod.ROUND_REL) / (d + cert.radius))
 
     @settings(max_examples=25, deadline=None)
-    @given(spec=bounded_damping_specs())
+    @given(spec=admissible_specs(BOUNDED_DAMPING))
     def test_eigenvalues_lie_near_the_conservative_spectrum(self, spec):
         ns = self.NS + [8000]
         G, W, D, Wh, Whi, cert = _certificate(spec, ns)

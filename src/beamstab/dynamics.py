@@ -177,7 +177,8 @@ def _inverses(G, ns):
     """G_n^{-1} for a stack; a singular mode raises with its index."""
     eye = np.eye(G.shape[-1], dtype=complex)
     try:
-        return np.linalg.solve(G, eye)
+        # a full-stack right-hand side: NumPy < 2 reads a 2-D one as vectors
+        return np.linalg.solve(G, np.broadcast_to(eye, G.shape))
     except np.linalg.LinAlgError:
         for n, g in zip(ns, G):
             try:
@@ -203,8 +204,9 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     vals = np.zeros(ts.size)
     counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
               "pruning": "certified"}
-    for ns in modal_mod._mode_chunks(spec, n_max, grid):
-        G, W, *_ = modal_mod._mode_arrays(spec, ns, grid=grid)
+    layout, chunks = modal_mod._mode_chunks(spec, n_max, grid)
+    for ns in chunks:
+        G, W, *_ = modal_mod._mode_arrays(spec, ns, grid=grid, layout=layout)
         Wh, Whi = modal_mod.weight_sqrt(W)
         Ginv = _inverses(G, ns)
         lam, V, ok = _eig_guarded(G)

@@ -242,17 +242,21 @@ def _make_block(temp, start, size, scheme, kernel, grid):
 
 
 def _mode_chunks(spec, n_max, grid=None):
-    """Mode indices 1..n_max in consecutive chunks whose stacked (N, d, d)
-    arrays hold at most CHUNK_ELEMENTS entries each (one mode at least)."""
-    d = len(_layout(spec, grid)[0])
+    """The layout and the mode indices 1..n_max in consecutive chunks whose
+    stacked (N, d, d) arrays hold at most CHUNK_ELEMENTS entries each (one
+    mode at least).  Pass the layout on to ``_mode_arrays`` so that it is
+    built once per call, not once per chunk."""
+    layout = _layout(spec, grid)
+    d = len(layout[0])
     size = max(1, CHUNK_ELEMENTS // (d * d))
     ns = np.arange(1, n_max + 1)
-    return [ns[i:i + size] for i in range(0, n_max, size)]
+    return layout, [ns[i:i + size] for i in range(0, n_max, size)]
 
 
-def _mode_arrays(spec, ns, grid=None, check_condition=True):
+def _mode_arrays(spec, ns, grid=None, check_condition=True, layout=None):
     """Stacked (G, W) arrays for the requested mode indices.
 
+    ``layout`` is ``_layout(spec, grid)`` when the caller already has it.
     Returns (G complex (N,d,d), W float (N,d,d), labels, blocks, scheme).
     """
     c = spec.coeffs
@@ -264,7 +268,7 @@ def _mode_arrays(spec, ns, grid=None, check_condition=True):
         if bad:
             raise SingularWeightError(
                 f"energy weight is singular at modes {bad} (l*ell hits a multiple of pi)")
-    labels, blocks, scheme = _layout(spec, grid)
+    labels, blocks, scheme = _layout(spec, grid) if layout is None else layout
     d = len(labels)
     N = ns.size
     om = ns * np.pi / c.ell

@@ -518,8 +518,9 @@ def det_check(spec, n):
 def spectral_abscissa(spec, n_max, grid=None):
     """Per-mode max Re of the generator spectrum and the global maximum."""
     parts = []
-    for ns in modal_mod._mode_chunks(spec, n_max, grid):
-        G, *_ = modal_mod._mode_arrays(spec, ns, grid=grid)
+    layout, chunks = modal_mod._mode_chunks(spec, n_max, grid)
+    for ns in chunks:
+        G, *_ = modal_mod._mode_arrays(spec, ns, grid=grid, layout=layout)
         parts.append(np.linalg.eigvals(G).real.max(axis=1))
     per = np.concatenate(parts)
     arg = int(np.argmax(per))

@@ -202,7 +202,7 @@ class TestBatchedSeriesMatchesDense:
     def test_chunk_boundaries(self, ref1, monkeypatch):
         # 7 modes per chunk at d = 10: n_max 30 spans five chunks
         monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 7 * 100 + 99)
-        chunks = modal_mod._mode_chunks(ref1["BMC"], 30)
+        _, chunks = modal_mod._mode_chunks(ref1["BMC"], 30)
         assert [len(c) for c in chunks] == [7, 7, 7, 7, 2]
         assert np.concatenate(chunks).tolist() == list(range(1, 31))
         for tag in ("BMC", "BGP"):
@@ -241,6 +241,18 @@ class TestRankOneBound:
         E = np.exp(stack.lam * t)
         norms = stack.norms(np.arange(E.shape[0]), E)
         assert np.all(norms <= stack.bounds(E) * (1 + 1e-12))
+
+    def test_inverses_match_per_mode_solves(self, ref1):
+        # chunks of one mode and of exactly d modes are the sizes at which a
+        # 2-D right-hand side would be read as a stack of vectors
+        G, *_ = modal_mod._mode_arrays(ref1["BMC"], np.arange(1, 13))
+        d = G.shape[-1]
+        eye = np.eye(d, dtype=complex)
+        for N in (1, 3, d):
+            Ginv = dmod._inverses(G[:N], np.arange(1, N + 1))
+            assert Ginv.shape == (N, d, d)
+            for g, gi in zip(G[:N], Ginv):
+                assert np.array_equal(gi, np.linalg.solve(g, eye))
 
     def test_singular_generator_names_its_mode(self, ref1, monkeypatch):
         arrays = modal_mod._mode_arrays

@@ -58,8 +58,23 @@ def _need(dct, field, where):
     return dct[field]
 
 
+def _number(value, where):
+    """A finite JSON number (not a boolean); anything else is a SpecError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise SpecError(f"config field {where} must be a number, got {value!r}")
+    return value
+
+
+def _numbers(values, where):
+    """A JSON list of numbers, checked with ``_number``."""
+    if not isinstance(values, list):
+        raise SpecError(f"config field {where} must be a list of numbers, got {values!r}")
+    return [_number(v, where) for v in values]
+
+
 def _positive(value, where):
-    if not (isinstance(value, (int, float)) and np.isfinite(value) and value > 0):
+    if not _number(value, where) > 0:
         raise SpecError(f"config field {where} must be a positive number, got {value!r}")
     return float(value)
 
@@ -77,7 +92,7 @@ def load_config(path, out_override=None):
     csrc = _need(raw, "coefficients", "")
     kwargs = {f: _positive(_need(csrc, f, "coefficients"), f"coefficients.{f}")
               for f in COEFF_FIELDS}
-    kwargs["l"] = float(csrc.get("l", 0.0))
+    kwargs["l"] = float(_number(csrc.get("l", 0.0), "coefficients.l"))
     for opt in ("sigma", "tau"):
         if csrc.get(opt) is not None:
             kwargs[opt] = _positive(csrc[opt], f"coefficients.{opt}")
@@ -95,28 +110,35 @@ def load_config(path, out_override=None):
     spec = model.SystemSpec(model=tag, coeffs=coeffs,
                             kernel_g=kernel_g, kernel_h=kernel_h)
 
-    grid = None
-    mem = raw.get("memory", {})
-    if mem.get("scheme") == "sgrid-upwind":
-        nodes = int(mem.get("nodes", 128))
-        grid = modal.make_grid(kernel_g, nodes, policy=mem.get("policy", "geometric"))
-    elif tag in model.MEMORY_MODELS and kernel_g.kind == "tabulated":
-        grid = modal.make_grid(kernel_g, int(mem.get("nodes", 128)))
-
     def block(name, defaults, checks=()):
         got = dict(defaults)
-        got.update(raw.get(name, {}))
+        given = raw.get(name, {})
+        if not isinstance(given, dict):
+            raise SpecError(f"config block {name} must be an object")
+        got.update(given)
         for check in checks:
             check(got)
         return got
 
+    mem = block("memory", dict(scheme=None, nodes=128, policy="geometric"))
+    if mem["scheme"] is not None and tag not in model.MEMORY_MODELS:
+        raise SpecError(f"memory.scheme applies to memory-law models, not {tag}")
+    if mem["scheme"] not in (None, "prony-reduction", "sgrid-upwind"):
+        raise SpecError(f"unknown memory.scheme {mem['scheme']!r}; "
+                        "expected 'prony-reduction' or 'sgrid-upwind'")
+    grid = None
+    if mem["scheme"] == "sgrid-upwind" or (
+            tag in model.MEMORY_MODELS and kernel_g.kind == "tabulated"):
+        grid = modal.make_grid(kernel_g, int(_number(mem["nodes"], "memory.nodes")),
+                               policy=mem["policy"])
+
     def ordered_range(b, lo_key, hi_key, name):
-        lo, hi = b[lo_key], b[hi_key]
+        lo, hi = (_number(b[key], f"{name}.{key}") for key in (lo_key, hi_key))
         if not (0 <= lo < hi):
             raise SpecError(f"config block {name} needs 0 <= {lo_key} < {hi_key}")
-        if int(b["points"]) < 2:
+        if int(_number(b["points"], f"{name}.points")) < 2:
             raise SpecError(f"config block {name} needs points >= 2")
-        if int(b["n_max"]) < 1:
+        if int(_number(b["n_max"], f"{name}.n_max")) < 1:
             raise SpecError(f"config block {name} needs n_max >= 1")
 
     sweep_blk = block("sweep",
@@ -127,13 +149,16 @@ def load_config(path, out_override=None):
                       dict(t_min=1e2, t_max=1e4, points=9, n_max=128, kind="auto"),
                       [lambda b: ordered_range(b, "t_min", "t_max", "decay")])
     lb_blk = block("lowerbound", dict(n_list=[16, 64, 256]))
-    if not lb_blk["n_list"] or any(int(n) < 1 for n in lb_blk["n_list"]):
+    n_list = _numbers(lb_blk["n_list"], "lowerbound.n_list")
+    if not n_list or any(int(n) < 1 for n in n_list):
         raise SpecError("config block lowerbound.n_list needs positive mode indices")
     spectrum_blk = block("spectrum", dict(n_max=64))
-    if int(spectrum_blk["n_max"]) < 1:
+    if int(_number(spectrum_blk["n_max"], "spectrum.n_max")) < 1:
         raise SpecError("config block spectrum needs n_max >= 1")
     limit_blk = block("limit", dict(eps_list=[1e-1, 1e-2, 1e-3, 1e-4], m=None))
-    eps = [float(e) for e in limit_blk["eps_list"]]
+    if limit_blk["m"] is not None:
+        _number(limit_blk["m"], "limit.m")
+    eps = [float(e) for e in _numbers(limit_blk["eps_list"], "limit.eps_list")]
     if not eps or any(e <= 0 for e in eps) or any(nxt >= prev for prev, nxt in zip(eps, eps[1:])):
         raise SpecError("config block limit.eps_list must be positive and decreasing")
 
@@ -145,7 +170,8 @@ def load_config(path, out_override=None):
     out_dir = Path(out_override or out_blk.get("dir", "out"))
 
     return RunConfig(
-        spec=spec, tolerance=float(raw.get("tolerance", model.DEFAULT_TOL)),
+        spec=spec, tolerance=float(_number(raw.get("tolerance", model.DEFAULT_TOL),
+                                           "tolerance")),
         grid=grid, sweep=sweep_blk, lowerbound=lb_blk, decay=decay_blk,
         spectrum=spectrum_blk, limit=limit_blk, out_dir=out_dir,
         formats=formats, config_hash=cfg_hash)
@@ -251,13 +277,10 @@ def cmd_sweep(cfg, args):
 def cmd_lowerbound(cfg, args):
     ns = [int(n) for n in cfg.lowerbound["n_list"]]
     seq = resolvent.lower_bound(cfg.spec, ns)
-    rows = []
-    for r in seq.rows:
-        dc = resolvent.det_check(cfg.spec, r.n)
-        rows.append((r.n, r.omega, r.lam, r.muhat.real, r.muhat.imag,
-                     r.det_m.real, r.det_m.imag, r.det_a.real, r.det_a.imag,
-                     r.amp, r.amp_cramer, r.ratio, seq.cstar,
-                     dc.gap_m, dc.gap_a, dc.tol_hint))
+    rows = [(r.n, r.omega, r.lam, r.muhat.real, r.muhat.imag,
+             r.det_m.real, r.det_m.imag, r.det_a.real, r.det_a.imag,
+             r.amp, r.amp_cramer, r.ratio, seq.cstar,
+             r.check.gap_m, r.check.gap_a, r.check.tol_hint) for r in seq.rows]
     _write_csv(cfg, "lowerbound", "lowerbound.csv",
                ("n", "omega", "lambda", "muhat_re", "muhat_im",
                 "det_m_re", "det_m_im", "det_a_re", "det_a_im",

@@ -38,7 +38,7 @@ is the modal realization of the known equivalence between the memory law
 with exponential kernel and the relaxed flux law.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from . import modal as modal_mod
 from . import model as mmod
 from .errors import (DomainError, FitError, NumericError, SpecError,
                      SpectralPointError, UnsupportedMapError)
-from .resolvent import ROUND_REL
+from .resolvent import ROUND_REL, _line_fit
 
 __all__ = [
     "ModalState",
@@ -266,9 +266,7 @@ def decay_fit(ts, values, kind):
         x = np.log(ts)
     else:
         raise DomainError(f"unknown fit kind {kind!r}")
-    A = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    residual = float(np.max(np.abs(A @ np.array([slope, intercept]) - y)))
+    slope, intercept, residual = _line_fit(x, y)
     rate = -slope if kind == "exponential" else slope
     return DecayFit(kind=kind, rate=float(rate), constant=float(np.exp(intercept)),
                     residual=residual, window=(float(ts[0]), float(ts[-1])))
@@ -292,16 +290,10 @@ def mc_twin(spec):
     if spec.model == "BGP":
         sigma = _exp_kernel_params(spec.kernel_g, c.varpi, "kernel_g")
         tau = _exp_kernel_params(spec.kernel_h, c.varpi, "kernel_h")
-        coeffs = mmod.BeamCoefficients(
-            rho1=c.rho1, rho2=c.rho2, rho3=c.rho3, k=c.k, k0=c.k0, b=c.b,
-            varpi=c.varpi, gamma=c.gamma, l=c.l, ell=c.ell, sigma=sigma, tau=tau)
-        return mmod.SystemSpec(model="BMC", coeffs=coeffs)
+        return mmod.SystemSpec(model="BMC", coeffs=replace(c, sigma=sigma, tau=tau))
     if spec.model == "TGP":
         sigma = _exp_kernel_params(spec.kernel_g, c.varpi, "kernel_g")
-        coeffs = mmod.BeamCoefficients(
-            rho1=c.rho1, rho2=c.rho2, rho3=c.rho3, k=c.k, k0=c.k0, b=c.b,
-            varpi=c.varpi, gamma=c.gamma, l=c.l, ell=c.ell, sigma=sigma, tau=c.tau)
-        return mmod.SystemSpec(model="TMC", coeffs=coeffs)
+        return mmod.SystemSpec(model="TMC", coeffs=replace(c, sigma=sigma))
     raise UnsupportedMapError("the flux map applies to memory-law systems only")
 
 

@@ -60,7 +60,6 @@ class MemoryGrid:
     s: np.ndarray
     weights: np.ndarray
     s_max: float
-    scheme: str = "sgrid-upwind"
 
     def __post_init__(self):
         if self.s.ndim != 1 or self.s.size < 1:
@@ -159,19 +158,24 @@ def make_grid(kernel, M, policy="geometric"):
         s = s_max * np.arange(1, M + 1) / M
     else:
         raise DomainError(f"unknown grid policy {policy!r}")
-    edges = np.concatenate([[0.0], s])
-    cell = np.array([kmod.mu_integral(kernel, a, b) for a, b in zip(edges[:-1], edges[1:])])
+    cell = _cell_masses(kernel, s)
     mu_nodes = kmod.mu_at(kernel, s)
-    h = np.diff(edges)
+    h = np.diff(np.concatenate([[0.0], s]))
     weights = np.where(mu_nodes > 0, cell / np.where(mu_nodes > 0, mu_nodes, 1.0), h)
     s.flags.writeable = False
     weights.flags.writeable = False
     return MemoryGrid(s=s, weights=weights, s_max=float(s_max))
 
 
+def _cell_masses(kernel, s):
+    """Exact kernel mass over each cell (s_{i-1}, s_i] of the nodes, s_0 = 0."""
+    edges = np.concatenate([[0.0], s])
+    return np.array([kmod.mu_integral(kernel, a, b) for a, b in zip(edges[:-1], edges[1:])])
+
+
 def _memory_scheme(spec, grid):
     if spec.model in mmod.MEMORY_MODELS:
-        if grid is not None and grid.scheme == "sgrid-upwind":
+        if grid is not None:
             return "sgrid-upwind"
         if spec.kernel_g.kind == "prony" and (
                 spec.model != "BGP" or spec.kernel_h.kind == "prony"):
@@ -184,40 +188,25 @@ def _memory_scheme(spec, grid):
 
 def _layout(spec, grid):
     """Label list and memory blocks for the model."""
-    bresse = spec.is_bresse
     scheme = _memory_scheme(spec, grid)
-
-    def mem_labels(tag, size):
-        if scheme == "flux":
-            return [f"flux_{tag}"]
-        return [f"hist_{tag}{i}" for i in range(size)]
-
-    def mem_size(kernel):
-        if scheme == "prony-reduction":
-            return len(kernel.terms)
-        if scheme == "sgrid-upwind":
-            return grid.size
-        if scheme == "flux":
-            return 1
-        return 0
-
     labels = ["defl", "defl_t", "rot", "rot_t"]
-    if bresse:
+    temps = [("b", spec.kernel_g)]
+    if spec.is_bresse:
         labels += ["axial", "axial_t"]
+        temps.append(("a", spec.kernel_h))
     blocks = []
-    labels.append("temp_b")
-    nb = mem_size(spec.kernel_g)
-    start = len(labels)
-    if nb:
-        labels += mem_labels("b", nb)
-        blocks.append(_make_block("temp_b", start, nb, scheme, spec.kernel_g, grid))
-    if bresse:
-        labels.append("temp_a")
-        na = mem_size(spec.kernel_h)
-        start = len(labels)
-        if na:
-            labels += mem_labels("a", na)
-            blocks.append(_make_block("temp_a", start, na, scheme, spec.kernel_h, grid))
+    for tag, kernel in temps:
+        labels.append(f"temp_{tag}")
+        if scheme == "none":
+            continue
+        if scheme == "flux":
+            names = [f"flux_{tag}"]
+        else:
+            size = len(kernel.terms) if scheme == "prony-reduction" else grid.size
+            names = [f"hist_{tag}{i}" for i in range(size)]
+        blocks.append(_make_block(f"temp_{tag}", len(labels), len(names), scheme,
+                                  kernel, grid))
+        labels += names
     return tuple(labels), tuple(blocks), scheme
 
 
@@ -232,9 +221,7 @@ def _make_block(temp, start, size, scheme, kernel, grid):
             raise AdmissibilityError(
                 f"history grid truncates too much of the {temp} kernel; "
                 "build the grid from the slower-decaying kernel")
-        edges = np.concatenate([[0.0], grid.s])
-        node_mass = np.array([kmod.mu_integral(kernel, a, b)
-                              for a, b in zip(edges[:-1], edges[1:])])
+        node_mass = _cell_masses(kernel, grid.s)
         node_mass.flags.writeable = False
         return MemoryBlock(temp=temp, start=start, size=size, scheme=scheme,
                            grid=grid, node_mass=node_mass)
@@ -308,38 +295,6 @@ def _mode_arrays(spec, ns, grid=None, check_condition=True, layout=None):
         G[:, iTa, iXt] = c.gamma * om / c.rho3
         G[:, iTa, iAt] = c.gamma * l / c.rho3
 
-    # heat law per temperature
-    pairs = [(iTb, spec.kernel_g, c.sigma, "temp_b")]
-    if bresse:
-        pairs.append((idx["temp_a"], spec.kernel_h, c.tau, "temp_a"))
-    block_of = {blk.temp: blk for blk in blocks}
-    damping = _damping_diagonal(spec, labels, blocks, scheme)
-    for iT, kernel, relax, temp in pairs:
-        if scheme == "none":
-            G[:, iT, iT] = -c.varpi * om**2 / c.rho3
-            continue
-        blk = block_of[temp]
-        sl = slice(blk.start, blk.start + blk.size)
-        if scheme == "flux":
-            iP = blk.start
-            G[:, iT, iP] = om / c.rho3
-            G[:, iP, iT] = -om / relax
-            G[:, iP, iP] = damping[iP]
-        elif scheme == "prony-reduction":
-            aj = np.array(blk.aj)
-            thj = np.array(blk.thj)
-            G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2
-            rows = np.arange(blk.start, blk.start + blk.size)
-            G[:, rows, rows] = damping[rows]
-            G[:, sl, iT] = aj * thj
-        else:  # sgrid-upwind
-            h = blk.grid.spacing
-            G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2 * blk.node_mass
-            rows = np.arange(blk.start, blk.start + blk.size)
-            G[:, rows, rows] = -1.0 / h
-            G[:, rows[1:], rows[:-1]] = 1.0 / h[1:]
-            G[:, sl, iT] = 1.0
-
     # energy weight
     v = np.zeros((N, d))
     v[:, iA] = om
@@ -359,15 +314,34 @@ def _mode_arrays(spec, ns, grid=None, check_condition=True, layout=None):
     W[:, iRt, iRt] += c.rho2
     W[:, iTb, iTb] += c.rho3
 
+    # heat law: the classical law is a diagonal on each temperature; the
+    # others couple a temperature to its memory/flux block
+    if scheme == "none":
+        temps = [iTb, iTa] if bresse else [iTb]
+        G[:, temps, temps] = (-c.varpi * om**2 / c.rho3)[:, None]
+    damping = _damping_diagonal(spec, labels, blocks, scheme)
     for blk in blocks:
+        iT = idx[blk.temp]
+        sl = slice(blk.start, blk.start + blk.size)
         rows = np.arange(blk.start, blk.start + blk.size)
         if blk.scheme == "flux":
             relax = c.sigma if blk.temp == "temp_b" else c.tau
+            G[:, iT, blk.start] = om / c.rho3
+            G[:, blk.start, iT] = -om / relax
+            G[:, rows, rows] = damping[rows]
             W[:, rows, rows] += relax
         elif blk.scheme == "prony-reduction":
             aj, thj = np.array(blk.aj), np.array(blk.thj)
+            G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2
+            G[:, rows, rows] = damping[rows]
+            G[:, sl, iT] = aj * thj
             W[:, rows, rows] += c.varpi * om[:, None] ** 2 / (aj * thj)
-        else:
+        else:  # sgrid-upwind
+            h = blk.grid.spacing
+            G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2 * blk.node_mass
+            G[:, rows, rows] = -1.0 / h
+            G[:, rows[1:], rows[:-1]] = 1.0 / h[1:]
+            G[:, sl, iT] = 1.0
             W[:, rows, rows] += c.varpi * om[:, None] ** 2 * blk.node_mass
 
     W *= c.ell / 2.0

@@ -196,9 +196,6 @@ class StabilityReport:
     phydef_ok: tuple = (False, False)
     scales: dict = field(default_factory=dict)
 
-    def value(self, name):
-        return getattr(self, name)
-
 
 def _chi_memory(c, heat_mass, chi_factor):
     """chi for a memory/relaxed law: (rho3/x - rho1/k) * chi_factor + gamma^2/x
@@ -259,7 +256,7 @@ def governing_factors(report, model):
     """(name, value, scale) triples for the model's governing product."""
     out = []
     for name in GOVERNING[model]:
-        v = report.value(name)
+        v = getattr(report, name)
         if v is None:
             raise SpecError(f"report lacks {name} required by model {model}")
         out.append((name, v, report.scales.get(name, abs(v) or 1.0)))
@@ -286,11 +283,10 @@ def check_physical(coeffs, report):
     Returns (phydef_ok, exp_condition_compatible).  For the classical-law
     models the constraints force both chi0 and chi1 positive, so the
     exponential condition can never hold alongside them; for the hyperbolic
-    models compatibility is just whether the computed product vanishes.
+    models compatibility is just whether the computed product vanishes, which
+    is the report's classification.
     """
-    phydef = _phydef(coeffs)
-    compatible = classify(report, report.model, report.tol) == EXPONENTIAL
-    return phydef, compatible
+    return _phydef(coeffs), report.classification == EXPONENTIAL
 
 
 def mode_condition(coeffs, n_max, tol=1e-9):

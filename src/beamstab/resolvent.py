@@ -97,6 +97,19 @@ class GrowthFit:
 
 
 @dataclass(frozen=True)
+class DetCheck:
+    n: int
+    lam: float
+    det_m: complex
+    det_m_predicted: complex
+    gap_m: float
+    det_a: complex
+    det_a_predicted: complex
+    gap_a: float
+    tol_hint: float
+
+
+@dataclass(frozen=True)
 class LowerBoundRow:
     n: int
     omega: float
@@ -108,6 +121,7 @@ class LowerBoundRow:
     amp: float          # |A_n| from the direct solve
     amp_cramer: float   # |det A_n / det M_n|
     ratio: float        # |A_n| / lam_n
+    check: DetCheck     # measured vs predicted determinants
 
 
 @dataclass(frozen=True)
@@ -119,19 +133,6 @@ class LowerBoundSequence:
     forcing_norm: float
     rows: tuple
     notes: tuple
-
-
-@dataclass(frozen=True)
-class DetCheck:
-    n: int
-    lam: float
-    det_m: complex
-    det_m_predicted: complex
-    gap_m: float
-    det_a: complex
-    det_a_predicted: complex
-    gap_a: float
-    tol_hint: float
 
 
 @dataclass(frozen=True)
@@ -179,14 +180,17 @@ def mode_resolvent_norm(mode, lam):
     return float(val)
 
 
-def _window_modes(spec, lam, n_max):
+def _window_modes(spec, lam, n_max, full_range=False):
     """Active mode window: omega_n within WINDOW_FACTOR of lam sqrt(rho1/k),
-    always joined with the base range 1..n_max."""
+    always joined with the base range 1..n_max; ``full_range`` keeps every
+    mode from 1 up to the window's upper end."""
     c = spec.coeffs
+    center = lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi
+    if full_range:
+        return np.arange(1, max(n_max, int(np.ceil(WINDOW_FACTOR * center))) + 1)
     base = np.arange(1, n_max + 1)
     if lam <= 0:
         return base
-    center = lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi
     lo = max(1, int(np.floor(center / WINDOW_FACTOR)))
     hi = int(np.ceil(center * WINDOW_FACTOR))
     return np.unique(np.concatenate([base, np.arange(lo, hi + 1)]))
@@ -217,14 +221,11 @@ class _Certificate:
         return np.flatnonzero(d - self.radius <= (1.0 + ROUND_REL) / floor)
 
 
-def _sweep_point(spec, lam, bin_lo, bin_hi, n_max, grid, peak_refine, full_range):
-    if full_range:
-        c = spec.coeffs
-        hi = int(np.ceil(WINDOW_FACTOR * lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi))
-        ns = np.arange(1, max(n_max, hi) + 1)
-    else:
-        ns = _window_modes(spec, lam, n_max)
-    G, W, labels, blocks, scheme = modal_mod._mode_arrays(spec, ns, grid=grid)
+def _sweep_point(spec, lam, bin_lo, bin_hi, n_max, grid, peak_refine, full_range,
+                 layout=None):
+    ns = _window_modes(spec, lam, n_max, full_range)
+    G, W, labels, blocks, scheme = modal_mod._mode_arrays(spec, ns, grid=grid,
+                                                          layout=layout)
     Wh, Whi = _weight_factors(W)
     D = modal_mod._damping_diagonal(spec, labels, blocks, scheme)
     cert = None if D is None else _Certificate(G, Wh, Whi, D)
@@ -297,12 +298,13 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, full_range=False,
         lo = np.concatenate([[2 * logs[0] - mids[0]], mids])
         hi = np.concatenate([mids, [2 * logs[-1] - mids[-1]]])
         edges = {p: (np.exp(a), np.exp(b)) for p, a, b in zip(pos, lo, hi)}
+    layout = modal_mod._layout(spec, grid)
 
     def run(lam):
         blo, bhi = edges.get(lam, (lam, lam))
         try:
             return _sweep_point(spec, lam, blo, bhi, n_max, grid,
-                                peak_refine, full_range)
+                                peak_refine, full_range, layout=layout)
         except SpectralPointError as exc:
             exc.lam = lam
             raise
@@ -314,17 +316,22 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, full_range=False,
     return [run(lam) for lam in lam_grid]
 
 
+def _line_fit(x, y):
+    """Least-squares line y ~ slope * x + intercept: (slope, intercept,
+    max abs residual)."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+    return slope, intercept, float(np.max(np.abs(A @ np.array([slope, intercept]) - y)))
+
+
 def fit_growth(samples, window=None):
     """Least squares of log(value) against log(lambda) over a sample window."""
     pts = [(s.lam, s.value) for s in samples
            if s.lam > 0 and (window is None or window[0] <= s.lam <= window[1])]
     if len(pts) < 8:
         raise FitError(f"growth fit needs at least 8 samples, got {len(pts)}")
-    x = np.log([p[0] for p in pts])
-    y = np.log([p[1] for p in pts])
-    A = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    residual = float(np.max(np.abs(A @ np.array([slope, intercept]) - y)))
+    slope, intercept, residual = _line_fit(np.log([p[0] for p in pts]),
+                                           np.log([p[1] for p in pts]))
     return GrowthFit(exponent=float(slope), intercept=float(intercept),
                      residual=residual, count=len(pts))
 
@@ -381,17 +388,9 @@ def mn_matrix(spec, n, lam):
     ], dtype=complex)
 
 
-def _chis(report):
-    """(chi_g, chi_h) of a memory law or (chi_sigma, chi_tau) of a relaxed
-    flux law; the second is None for straight beams."""
-    chi_g = report.chi_g if report.chi_g is not None else report.chi_sigma
-    chi_h = report.chi_h if report.chi_h is not None else report.chi_tau
-    return chi_g, chi_h
-
-
 def _construction_constants(spec):
-    """(c0, beta0, cstar, masses, stability report) of the lower-bound
-    construction."""
+    """(c0, beta0, cstar, predicted) of the lower-bound construction, where
+    predicted(omega_n) gives the leading-order (det M_n, det A_n)."""
     c = spec.coeffs
     report = mmod.stability_numbers(spec)
     for name, value, scale in mmod.governing_factors(report, spec.model):
@@ -401,7 +400,9 @@ def _construction_constants(spec):
     kg, kh = _effective_kernels(spec)
     mg = kmod.masses(kg)
     g0, mu0 = mg.g0, mg.mu0
-    chi_g, chi_h = _chis(report)
+    # (chi_g, chi_h) of a memory law, (chi_sigma, chi_tau) of a relaxed flux law
+    chi_g = report.chi_g if report.chi_g is not None else report.chi_sigma
+    chi_h = report.chi_h if report.chi_h is not None else report.chi_tau
     if spec.is_bresse:
         mh = kmod.masses(kh)
         h0, nu0 = mh.g0, mh.mu0
@@ -416,12 +417,20 @@ def _construction_constants(spec):
             mu0 * h0 * chi_h**2 / g0
             + 4 * l * l * nu0 * g0 * chi_g**2 / h0)
         cstar = (c.k / c.rho1) ** 2 * c.varpi * g0 * h0 * abs(chi_g * chi_h / beta0)
-        return c0, beta0, cstar, (g0, mu0, h0, nu0), report
+
+        def predicted(om):
+            return (-1j * c.varpi * np.sqrt(c.rho1 / c.k) * beta0 * om**7,
+                    chi_g * chi_h * (c.varpi * c.k / c.rho1) ** 2 * g0 * h0 * om**8)
+        return c0, beta0, cstar, predicted
     sg = report.sigma_g
     c0 = -c.k * c.rho1 * sg / (chi_g * c.varpi * g0)
     beta0 = c.gamma**2 * c.k**2 / (chi_g * c.varpi * g0)
     cstar = (g0 * c.k / (mu0 * c.rho1)) * abs(chi_g / beta0)
-    return c0, beta0, cstar, (g0, mu0, None, None), report
+
+    def predicted(om):
+        return (-1j * c.varpi * mu0 * np.sqrt(c.rho1 / c.k) * beta0 * om**3,
+                -chi_g * (c.varpi * g0 * c.k / c.rho1) * om**4)
+    return c0, beta0, cstar, predicted
 
 
 def _lambda_n(spec, c0, om):
@@ -438,9 +447,13 @@ def lower_bound(spec, ns):
     unit first-row forcing, and the Cramer cross-check of the amplitude.
 
     The ratio column |A_n|/lam_n approaches the predicted constant cstar.
+    Each row's ``check`` holds the measured and leading-order predicted
+    det M_n and det A_n; its ``tol_hint`` scales with the kernels'
+    Riemann-Lebesgue defect at lam_n, where the subleading corrections come
+    from.
     """
     c = spec.coeffs
-    c0, beta0, cstar, _, _ = _construction_constants(spec)
+    c0, beta0, cstar, predicted = _construction_constants(spec)
     kg, kh = _effective_kernels(spec)
     rows = []
     notes = []
@@ -464,12 +477,23 @@ def lower_bound(spec, ns):
             notes.append(
                 f"n={n}: Cramer and direct amplitudes disagree by "
                 f"{abs(amp - amp_cramer) / max(amp, amp_cramer):.2e} (ill-conditioned)")
+        pred_m, pred_a = predicted(om)
+        defect = kmod.rl_defect(kg, lam)
+        if kh is not None:
+            defect = max(defect, kmod.rl_defect(kh, lam))
+        check = DetCheck(
+            n=int(n), lam=float(lam),
+            det_m=det_m, det_m_predicted=complex(pred_m),
+            gap_m=float(abs(det_m - pred_m) / abs(pred_m)),
+            det_a=det_a, det_a_predicted=complex(pred_a),
+            gap_a=float(abs(det_a - pred_a) / abs(pred_a)),
+            tol_hint=float(10.0 * defect))
         nuhat = kmod.fourier_mu(kh, lam) if kh is not None else complex("nan")
         rows.append(LowerBoundRow(
             n=int(n), omega=float(om), lam=float(lam),
             muhat=kmod.fourier_mu(kg, lam), nuhat=nuhat,
             det_m=det_m, det_a=det_a, amp=float(amp),
-            amp_cramer=float(amp_cramer), ratio=float(amp / lam)))
+            amp_cramer=float(amp_cramer), ratio=float(amp / lam), check=check))
     return LowerBoundSequence(
         model=spec.model, c0=float(c0), beta0=float(beta0), cstar=float(cstar),
         forcing_norm=float(np.sqrt(c.ell / (2 * c.rho1))),
@@ -477,42 +501,12 @@ def lower_bound(spec, ns):
 
 
 def det_check(spec, n):
-    """Measured vs predicted leading-order determinants at the resonance.
-
-    ``tol_hint`` scales with the kernel's Riemann-Lebesgue defect at lam_n,
-    which is where the subleading corrections come from.
-    """
-    c = spec.coeffs
-    c0, beta0, _, (g0, mu0, h0, _nu0), report = _construction_constants(spec)
-    chi_g, chi_h = _chis(report)
-    om = modal_mod.omega(c.ell, n)
-    lam = _lambda_n(spec, c0, om)
-    if lam is None:
+    """Measured vs predicted leading-order determinants at the resonance: the
+    ``check`` of row n of ``lower_bound``."""
+    rows = lower_bound(spec, [n]).rows
+    if not rows:
         raise DomainError(f"lambda_n is not real at n={n}")
-    M = mn_matrix(spec, n, lam)
-    det_m = complex(np.linalg.det(M))
-    rhs = np.zeros(M.shape[0], dtype=complex)
-    rhs[0] = 1.0
-    Ma = M.copy()
-    Ma[:, 0] = rhs
-    det_a = complex(np.linalg.det(Ma))
-    if spec.is_bresse:
-        pred_m = -1j * c.varpi * np.sqrt(c.rho1 / c.k) * beta0 * om**7
-        pred_a = chi_g * chi_h * (c.varpi * c.k / c.rho1) ** 2 * g0 * h0 * om**8
-    else:
-        pred_m = -1j * c.varpi * mu0 * np.sqrt(c.rho1 / c.k) * beta0 * om**3
-        pred_a = -chi_g * (c.varpi * g0 * c.k / c.rho1) * om**4
-    kg, kh = _effective_kernels(spec)
-    defect = kmod.rl_defect(kg, lam)
-    if kh is not None:
-        defect = max(defect, kmod.rl_defect(kh, lam))
-    return DetCheck(
-        n=int(n), lam=float(lam),
-        det_m=det_m, det_m_predicted=complex(pred_m),
-        gap_m=float(abs(det_m - pred_m) / abs(pred_m)),
-        det_a=det_a, det_a_predicted=complex(pred_a),
-        gap_a=float(abs(det_a - pred_a) / abs(pred_a)),
-        tol_hint=float(10.0 * defect))
+    return rows[0].check
 
 
 def spectral_abscissa(spec, n_max, grid=None):

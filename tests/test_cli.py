@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamstab import cli
+from beamstab import cli, model, resolvent
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep"
 GOLDEN_DECAY = Path(__file__).parent / "data" / "golden_decay"
+GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli"
 
 REF1_BASE = {
     "model": "BGP",
@@ -59,6 +60,24 @@ class TestConfigErrors:
         path = write_config(tmp_path,
                             sweep={"lambda_min": 10, "lambda_max": 5, "points": 4})
         assert cli.main(["sweep", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"model": "BMC", "coefficients": dict(REF1_BASE["coefficients"],
+                                               sigma=1.5, tau=0.7),
+          "memory": {"scheme": "sgrid-upwind"}}, "memory-law models"),
+        ({"memory": {"scheme": "upwind"}}, "unknown memory.scheme"),
+        ({"memory": {"scheme": "sgrid-upwind", "nodes": "abc"}}, "memory.nodes"),
+        ({"sweep": {"points": "x"}}, "sweep.points"),
+        ({"sweep": {"points": 10**400}}, "sweep.points"),
+        ({"sweep": {"lambda_min": "1"}}, "sweep.lambda_min"),
+        ({"lowerbound": {"n_list": ["a"]}}, "lowerbound.n_list"),
+        ({"limit": {"eps_list": "abc"}}, "limit.eps_list"),
+    ], ids=["bmc-scheme", "unknown-scheme", "nodes", "points", "points-overflow",
+            "lambda-min", "n-list", "eps-list"])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, extra, message):
+        path = write_config(tmp_path, **extra)
+        assert cli.main(["stability", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_no_partial_output_on_config_error(self, tmp_path):
         out = tmp_path / "never"
@@ -229,6 +248,51 @@ class TestGoldenDecay:
         assert work["modes_propagated"] == fit["n_max"] and work["expm_modes"] == 0
         assert 0 < work["norm_evals"] < fit["n_max"] * 9
         assert work["pruning"] == "certified"
+
+
+class TestGoldenCommands:
+    """Outputs of the commands around the lower bound, the classification and
+    the mode assembly, recorded before the resonance solve and the assembly
+    loop were merged; run on the golden sweep configs."""
+
+    FILES = {"stability": ("stability.json",),
+             "lowerbound": ("lowerbound.csv", "lowerbound.json"),
+             "check": ("check.json",),
+             "limit": ("limit.csv",),
+             "spectrum": ("spectrum.csv", "spectrum.json")}
+
+    @pytest.mark.parametrize("name", ["bgp_prony", "bmc", "tgp_tabulated"])
+    @pytest.mark.parametrize("command", sorted(FILES))
+    def test_bytes_unchanged(self, tmp_path, name, command):
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", str(GOLDEN / name / "config.json"),
+                       "--out", str(out)])
+        if name == "bmc" and command == "limit":
+            assert rc == 2  # singular limits need a memory kernel
+            return
+        assert rc == 0
+        for file_name in self.FILES[command]:
+            want = (GOLDEN_CLI / name / file_name).read_bytes()
+            assert (out / file_name).read_bytes() == want
+
+
+def test_lowerbound_solves_the_resonance_once(tmp_path, monkeypatch):
+    calls = {"stability_numbers": 0, "det_check": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model, "stability_numbers",
+                        counted("stability_numbers", model.stability_numbers))
+    monkeypatch.setattr(resolvent, "det_check",
+                        counted("det_check", resolvent.det_check))
+    path = write_config(tmp_path, output={"dir": str(tmp_path / "out")},
+                        lowerbound={"n_list": [16, 64, 256, 1024, 4096]})
+    assert cli.main(["lowerbound", "--config", str(path)]) == 0
+    assert calls == {"stability_numbers": 1, "det_check": 0}
 
 
 class TestCheck:

@@ -230,6 +230,23 @@ class TestLowerBound:
 
 
 class TestDetCheck:
+    @pytest.mark.parametrize("tag", ["BGP", "BMC", "TGP", "TMC"])
+    def test_is_the_lower_bound_row_check(self, ref1, tag):
+        for n in (1, 16, 256):
+            assert bs.det_check(ref1[tag], n) == bs.lower_bound(ref1[tag], [n]).rows[0].check
+
+    def test_classical_law_rejected_like_lower_bound(self, ref1):
+        for tag in ("BF", "TF"):
+            with pytest.raises(bs.SpecError):
+                bs.det_check(ref1[tag], 16)
+
+    def test_skipped_row_raises(self, unit_exp):
+        c = ref1_coeffs(rho2=4.0, b=10.0, k0=1.5, gamma=3.0, l=0.9)
+        spec = bs.SystemSpec("BGP", c, kernel_g=unit_exp, kernel_h=unit_exp)
+        assert "n=1 skipped" in bs.lower_bound(spec, [1]).notes[0]
+        with pytest.raises(bs.DomainError, match="not real at n=1"):
+            bs.det_check(spec, 1)
+
     def test_gap_shrinks_with_mode_index(self, ref1):
         d10 = bs.det_check(ref1["BGP"], 10)
         d100 = bs.det_check(ref1["BGP"], 100)
@@ -307,7 +324,8 @@ class TestSpectralAbscissa:
         assert sa.per_mode[63] > -1e-3
 
 
-def _dense_reference(spec, lam, bin_lo, bin_hi, n_max, grid, peak_refine, full_range):
+def _dense_reference(spec, lam, bin_lo, bin_hi, n_max, grid, peak_refine, full_range,
+                     layout=None):
     """The sweep point evaluated densely over every mode in range (the body
     of ``_sweep_point`` before certified pruning); a test oracle only."""
     if full_range:

@@ -357,7 +357,7 @@ def cmd_limit(cfg, args):
     return 0
 
 
-def _battery(cfg, rng):
+def _battery(cfg, stack, rng):
     """The invariant battery behind ``check``: yields (name, ok, detail)."""
     spec = cfg.spec
     if spec.model in model.MEMORY_MODELS:
@@ -380,7 +380,7 @@ def _battery(cfg, rng):
     worst_gap = 0.0
     contraction = 0.0
     for n in (1, 2, 4, 8, 16):
-        mode = modal.assemble(spec, n, grid=cfg.grid)
+        mode = stack.mode(n)
         for _ in range(20):
             u = rng.normal(size=mode.dim) + 1j * rng.normal(size=mode.dim)
             info = modal.dissipation_rate(mode, u)
@@ -402,34 +402,34 @@ def _battery(cfg, rng):
     yield ("contraction", contraction <= 1.0 + 1e-10,
            f"max ||exp(tG)||_W = {contraction:.12f}")
 
-    if spec.model in model.MEMORY_MODELS and spec.kernel_g.kind == "prony" \
-            and len(spec.kernel_g.terms) == 1:
-        try:
-            twin = dynamics.mc_twin(spec)
-        except UnsupportedMapError:
-            twin = None
-        if twin is not None:
-            err = 0.0
-            for n in (1, 2, 4):
-                mg = modal.assemble(spec, n)
-                mm = modal.assemble(twin, n)
-                u0 = rng.normal(size=mg.dim) + 1j * rng.normal(size=mg.dim)
-                ts = np.linspace(0.0, 10.0, 11)
-                tg = dynamics.propagate(mg, u0, ts)
-                v0 = dynamics.lambda_map(dynamics.ModalState(n, u0), spec)
-                tm = dynamics.propagate(mm, v0.vec, ts)
-                for j in range(ts.size):
-                    mapped = dynamics.lambda_map(
-                        dynamics.ModalState(n, tg.states[j]), spec)
-                    d = mapped.vec - tm.states[j]
-                    err = max(err, float(np.sqrt(np.real(
-                        np.conj(d) @ (mm.weight @ d)))))
-            yield ("flux_map_commutation", err <= 1e-8, f"max gap = {err:.3e}")
+    try:
+        twin = dynamics.mc_twin(spec)  # one-term exponential memory kernels only
+    except UnsupportedMapError:
+        twin = None
+    if twin is not None:
+        # the flux map acts on the prony realization, with or without a grid
+        memory = stack if cfg.grid is None else modal._layout(spec, None)
+        flux = modal._layout(twin, None)
+        err = 0.0
+        for n in (1, 2, 4):
+            mg = memory.mode(n)
+            mm = flux.mode(n)
+            u0 = rng.normal(size=mg.dim) + 1j * rng.normal(size=mg.dim)
+            ts = np.linspace(0.0, 10.0, 11)
+            tg = dynamics.propagate(mg, u0, ts)
+            # row t = 0 of the trajectory is u0 itself
+            mapped = dynamics.lambda_map(dynamics.ModalState(n, tg.states), spec).vec
+            tm = dynamics.propagate(mm, mapped[0], ts)
+            for j in range(ts.size):
+                d = mapped[j] - tm.states[j]
+                err = max(err, float(np.sqrt(np.real(np.conj(d) @ (mm.weight @ d)))))
+        yield ("flux_map_commutation", err <= 1e-8, f"max gap = {err:.3e}")
 
 
 def cmd_check(cfg, args):
     rng = np.random.default_rng(0)
-    results = list(_battery(cfg, rng))
+    stack = modal._layout(cfg.spec, cfg.grid)
+    results = list(_battery(cfg, stack, rng))
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     payload = {"status": "pass" if all(ok for _, ok, _ in results) else "fail",
@@ -440,7 +440,7 @@ def cmd_check(cfg, args):
         dump = Path(args.dump_modes)
         dump.mkdir(parents=True, exist_ok=True)
         for n in (1, 2):
-            mode = modal.assemble(cfg.spec, n, grid=cfg.grid)
+            mode = stack.mode(n)
             (dump / f"mode_{n}.txt").write_text(modal.matrix_text(mode),
                                                 encoding="utf-8")
     return 0

@@ -7,7 +7,7 @@ the n <= N_max truncation; block diagonality makes the truncated operator
 norm equal to the max over modes, so ``semiuniform_series`` is exact there.
 
 Batched smoothed propagator.  ``semiuniform_series`` walks the modes in
-chunks (``modal._mode_chunks``: at most CHUNK_ELEMENTS = 25,600 entries per
+chunks (``ModeStack.chunks``: at most CHUNK_ELEMENTS = 25,600 entries per
 stacked (N, d, d) array, which is 256 modes at d = 10 and 18 at d = 37).  Per
 chunk it assembles the stack once, factors the weights, inverts G_n and
 diagonalizes G_n = V diag(lam) V^{-1}, so that
@@ -204,9 +204,7 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     vals = np.zeros(ts.size)
     counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
               "pruning": "certified"}
-    layout, chunks = modal_mod._mode_chunks(spec, n_max, grid)
-    for ns in chunks:
-        G, W, *_ = modal_mod._mode_arrays(spec, ns, grid=grid, layout=layout)
+    for ns, G, W in modal_mod._layout(spec, grid).chunks(n_max):
         Wh, Whi = modal_mod.weight_sqrt(W)
         Ginv = _inverses(G, ns)
         lam, V, ok = _eig_guarded(G)
@@ -297,30 +295,29 @@ def mc_twin(spec):
     raise UnsupportedMapError("the flux map applies to memory-law systems only")
 
 
-def _check_prony_mode_layout(spec):
-    labels, blocks, scheme = modal_mod._layout(spec, None)
-    if scheme != "prony-reduction" or any(b.size != 1 for b in blocks):
-        raise UnsupportedMapError(
-            "flux map needs one-term prony memory states (prony-reduction)")
-    return labels, blocks
+def _map_memory_rows(state, spec, name, fn):
+    """fn(y, varpi, omega) applied to the prony memory states y of ``state.vec``."""
+    if not isinstance(state, ModalState):
+        raise DomainError(f"{name} expects a ModalState")
+    mc_twin(spec)  # validates the kernels, so the layout is prony-reduction
+    rows = [blk.start for blk in modal_mod._layout(spec, None).blocks]
+    om = modal_mod.omega(spec.coeffs.ell, state.n)
+    vec = np.asarray(state.vec, dtype=complex).copy()
+    vec[..., rows] = fn(vec[..., rows], spec.coeffs.varpi, om)
+    return ModalState(n=state.n, vec=vec)
 
 
 def lambda_map(state, spec):
     """Map a memory-mode state (exponential kernel, prony form) to the state
     of the matching relaxed-flux system: flux = -varpi * omega * y.
 
-    The shared components are untouched; energies agree exactly, so the map
-    is an isometry between the reduced mode spaces.
+    ``state.vec`` is one state or a stack of them along its last axis, such
+    as the (T, d) states of a trajectory.  The shared components are
+    untouched; energies agree exactly, so the map is an isometry between the
+    reduced mode spaces.
     """
-    if not isinstance(state, ModalState):
-        raise DomainError("lambda_map expects a ModalState")
-    mc_twin(spec)  # validates the kernels
-    _, blocks = _check_prony_mode_layout(spec)
-    om = modal_mod.omega(spec.coeffs.ell, state.n)
-    vec = np.asarray(state.vec, dtype=complex).copy()
-    for blk in blocks:
-        vec[blk.start] = -spec.coeffs.varpi * om * vec[blk.start]
-    return ModalState(n=state.n, vec=vec)
+    return _map_memory_rows(state, spec, "lambda_map",
+                            lambda y, varpi, om: -varpi * om * y)
 
 
 def lambda_lift(state, spec):
@@ -329,15 +326,8 @@ def lambda_lift(state, spec):
     Realizes the canonical history lift of a flux datum (the linear-in-s
     history whose flux image is the datum itself).
     """
-    if not isinstance(state, ModalState):
-        raise DomainError("lambda_lift expects a ModalState")
-    mc_twin(spec)
-    _, blocks = _check_prony_mode_layout(spec)
-    om = modal_mod.omega(spec.coeffs.ell, state.n)
-    vec = np.asarray(state.vec, dtype=complex).copy()
-    for blk in blocks:
-        vec[blk.start] = -vec[blk.start] / (spec.coeffs.varpi * om)
-    return ModalState(n=state.n, vec=vec)
+    return _map_memory_rows(state, spec, "lambda_lift",
+                            lambda flux, varpi, om: -flux / (varpi * om))
 
 
 def singular_limit(spec, eps_list, m=None):

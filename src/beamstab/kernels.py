@@ -347,8 +347,12 @@ def rl_defect(kernel, lam):
 
     Tends to zero as lam grows for any admissible kernel.
     """
-    m0 = masses(kernel).mu0
-    return abs(lam * fourier_mu(kernel, lam) + 1j * m0)
+    return _rl_defect(kernel, lam, fourier_mu(kernel, lam))
+
+
+def _rl_defect(kernel, lam, transform):
+    """``rl_defect`` from the transform already evaluated at lam."""
+    return abs(lam * transform + 1j * masses(kernel).mu0)
 
 
 def normalized(kernel):

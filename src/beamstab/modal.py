@@ -22,6 +22,7 @@ states (see ``dissipation_rate``).
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -116,6 +117,49 @@ class ModeSystem:
         return self.labels.index(label)
 
 
+@dataclass(frozen=True, eq=False)
+class ModeStack:
+    """The n-independent part of a system's modes, built once by ``_layout``
+    and read-only, so threads may share it.
+
+    ``damping`` is the diagonal D of G_n = A_n + diag(D) with A_n W_n-skew
+    (W A + A^T W = 0): -1/theta_j on prony memory rows, -1/(relax*varpi) on
+    flux rows, 0 elsewhere; None for the upwind grid and the classical law,
+    whose damping is not bounded uniformly in n.
+    """
+
+    spec: mmod.SystemSpec
+    grid: MemoryGrid
+    labels: tuple
+    blocks: tuple
+    scheme: str
+    index: MappingProxyType
+    damping: np.ndarray
+
+    @property
+    def dim(self):
+        return len(self.labels)
+
+    def chunks(self, n_max):
+        """(ns, G, W) for the modes 1..n_max in consecutive chunks of at most
+        CHUNK_ELEMENTS stacked (N, d, d) entries (one mode at least)."""
+        size = max(1, CHUNK_ELEMENTS // (self.dim * self.dim))
+        for lo in range(1, n_max + 1, size):
+            ns = np.arange(lo, min(lo + size, n_max + 1))
+            yield (ns, *_mode_arrays(self, ns))
+
+    def mode(self, n):
+        """The mode-n system; raises SingularWeightError when the energy form
+        degenerates (curvature resonance l*ell = n*pi)."""
+        G, W = _mode_arrays(self, [n])
+        G.flags.writeable = W.flags.writeable = False
+        c = self.spec.coeffs
+        return ModeSystem(
+            model=self.spec.model, n=int(n), omega=omega(c.ell, n),
+            generator=G[0], weight=W[0], labels=self.labels, scheme=self.scheme,
+            memory=self.blocks, varpi=c.varpi, ell=c.ell)
+
+
 @dataclass(frozen=True)
 class DissipationInfo:
     rate: float
@@ -187,8 +231,10 @@ def _memory_scheme(spec, grid):
 
 
 def _layout(spec, grid):
-    """Label list and memory blocks for the model."""
+    """The system's ``ModeStack``: labels, memory/flux blocks and damping
+    diagonal, built once and shared by every mode of the system."""
     scheme = _memory_scheme(spec, grid)
+    c = spec.coeffs
     labels = ["defl", "defl_t", "rot", "rot_t"]
     temps = [("b", spec.kernel_g)]
     if spec.is_bresse:
@@ -207,7 +253,17 @@ def _layout(spec, grid):
         blocks.append(_make_block(f"temp_{tag}", len(labels), len(names), scheme,
                                   kernel, grid))
         labels += names
-    return tuple(labels), tuple(blocks), scheme
+    damping = None
+    if scheme in ("prony-reduction", "flux"):
+        damping = np.zeros(len(labels))
+        for blk in blocks:
+            damping[blk.start:blk.start + blk.size] = (
+                -1.0 / np.array(blk.thj) if scheme == "prony-reduction"
+                else -1.0 / ((c.sigma if blk.temp == "temp_b" else c.tau) * c.varpi))
+        damping.flags.writeable = False
+    return ModeStack(spec=spec, grid=grid, labels=tuple(labels), blocks=tuple(blocks),
+                     scheme=scheme, damping=damping,
+                     index=MappingProxyType({name: i for i, name in enumerate(labels)}))
 
 
 def _make_block(temp, start, size, scheme, kernel, grid):
@@ -228,41 +284,27 @@ def _make_block(temp, start, size, scheme, kernel, grid):
     return MemoryBlock(temp=temp, start=start, size=size, scheme=scheme)
 
 
-def _mode_chunks(spec, n_max, grid=None):
-    """The layout and the mode indices 1..n_max in consecutive chunks whose
-    stacked (N, d, d) arrays hold at most CHUNK_ELEMENTS entries each (one
-    mode at least).  Pass the layout on to ``_mode_arrays`` so that it is
-    built once per call, not once per chunk."""
-    layout = _layout(spec, grid)
-    d = len(layout[0])
-    size = max(1, CHUNK_ELEMENTS // (d * d))
-    ns = np.arange(1, n_max + 1)
-    return layout, [ns[i:i + size] for i in range(0, n_max, size)]
-
-
-def _mode_arrays(spec, ns, grid=None, check_condition=True, layout=None):
-    """Stacked (G, W) arrays for the requested mode indices.
-
-    ``layout`` is ``_layout(spec, grid)`` when the caller already has it.
-    Returns (G complex (N,d,d), W float (N,d,d), labels, blocks, scheme).
-    """
+def _mode_arrays(stack, ns, check_condition=True):
+    """Stacked (G complex (N,d,d), W float (N,d,d)) of the modes ``ns`` of a
+    ``ModeStack``."""
+    spec = stack.spec
     c = spec.coeffs
     ns = np.asarray(ns, dtype=int)
     if np.any(ns < 1):
         raise DomainError("mode indices must be >= 1")
     if check_condition and spec.is_bresse:
-        bad = [int(n) for n in ns if abs(c.l * c.ell - n * np.pi) < 1e-9]
-        if bad:
+        bad = mmod._resonant_modes(c, ns)
+        if bad.size:
             raise SingularWeightError(
-                f"energy weight is singular at modes {bad} (l*ell hits a multiple of pi)")
-    labels, blocks, scheme = _layout(spec, grid) if layout is None else layout
-    d = len(labels)
+                f"energy weight is singular at modes {bad.tolist()} "
+                "(l*ell hits a multiple of pi)")
+    idx = stack.index
+    d = stack.dim
     N = ns.size
     om = ns * np.pi / c.ell
     l = spec.effective_l
     bresse = spec.is_bresse
 
-    idx = {name: i for i, name in enumerate(labels)}
     iA, iAt = idx["defl"], idx["defl_t"]
     iR, iRt = idx["rot"], idx["rot_t"]
     iTb = idx["temp_b"]
@@ -316,11 +358,10 @@ def _mode_arrays(spec, ns, grid=None, check_condition=True, layout=None):
 
     # heat law: the classical law is a diagonal on each temperature; the
     # others couple a temperature to its memory/flux block
-    if scheme == "none":
+    if stack.scheme == "none":
         temps = [iTb, iTa] if bresse else [iTb]
         G[:, temps, temps] = (-c.varpi * om**2 / c.rho3)[:, None]
-    damping = _damping_diagonal(spec, labels, blocks, scheme)
-    for blk in blocks:
+    for blk in stack.blocks:
         iT = idx[blk.temp]
         sl = slice(blk.start, blk.start + blk.size)
         rows = np.arange(blk.start, blk.start + blk.size)
@@ -328,12 +369,12 @@ def _mode_arrays(spec, ns, grid=None, check_condition=True, layout=None):
             relax = c.sigma if blk.temp == "temp_b" else c.tau
             G[:, iT, blk.start] = om / c.rho3
             G[:, blk.start, iT] = -om / relax
-            G[:, rows, rows] = damping[rows]
+            G[:, rows, rows] = stack.damping[rows]
             W[:, rows, rows] += relax
         elif blk.scheme == "prony-reduction":
             aj, thj = np.array(blk.aj), np.array(blk.thj)
             G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2
-            G[:, rows, rows] = damping[rows]
+            G[:, rows, rows] = stack.damping[rows]
             G[:, sl, iT] = aj * thj
             W[:, rows, rows] += c.varpi * om[:, None] ** 2 / (aj * thj)
         else:  # sgrid-upwind
@@ -345,49 +386,19 @@ def _mode_arrays(spec, ns, grid=None, check_condition=True, layout=None):
             W[:, rows, rows] += c.varpi * om[:, None] ** 2 * blk.node_mass
 
     W *= c.ell / 2.0
-    return G, W, labels, blocks, scheme
-
-
-def _damping_diagonal(spec, labels, blocks, scheme):
-    """The n-independent diagonal D of G_n = A_n + diag(D), or None.
-
-    D is -1/theta_j on prony memory rows and -1/(relax*varpi) on flux rows,
-    zero elsewhere; A_n = G_n - diag(D) is W_n-skew-adjoint (W A + A^T W = 0).
-    Only these two realisations have damping bounded uniformly in n: the
-    upwind history grid and the classical law return None.
-    """
-    if scheme not in ("prony-reduction", "flux"):
-        return None
-    c = spec.coeffs
-    D = np.zeros(len(labels))
-    for blk in blocks:
-        if scheme == "flux":
-            relax = c.sigma if blk.temp == "temp_b" else c.tau
-            D[blk.start] = -1.0 / (relax * c.varpi)
-        else:
-            D[blk.start:blk.start + blk.size] = -1.0 / np.array(blk.thj)
-    return D
+    return G, W
 
 
 def assemble(spec, n, grid=None):
     """Build the mode-n system; raises SingularWeightError when the energy
     form degenerates (curvature resonance l*ell = n*pi)."""
-    G, W, labels, blocks, scheme = _mode_arrays(spec, [n], grid=grid)
-    g = G[0]
-    w = W[0]
-    g.flags.writeable = False
-    w.flags.writeable = False
-    return ModeSystem(
-        model=spec.model, n=int(n), omega=omega(spec.coeffs.ell, n),
-        generator=g, weight=w, labels=labels, scheme=scheme, memory=blocks,
-        varpi=spec.coeffs.varpi, ell=spec.coeffs.ell)
+    return _layout(spec, grid).mode(n)
 
 
 def weight_matrix(spec, n, grid=None):
     """The energy Gram matrix alone; singularity is reported by the caller's
     eigenanalysis, never raised here."""
-    _, W, *_ = _mode_arrays(spec, [n], grid=grid, check_condition=False)
-    return W[0]
+    return _mode_arrays(_layout(spec, grid), [n], check_condition=False)[1][0]
 
 
 def weight_sqrt(W):

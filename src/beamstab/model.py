@@ -293,8 +293,12 @@ def mode_condition(coeffs, n_max, tol=1e-9):
     """All n <= n_max with l*ell within tol of n*pi (degenerate energy weight)."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    x = coeffs.l * coeffs.ell
-    return [n for n in range(1, n_max + 1) if abs(x - n * np.pi) < tol]
+    return _resonant_modes(coeffs, np.arange(1, n_max + 1), tol).tolist()
+
+
+def _resonant_modes(coeffs, ns, tol=1e-9):
+    """The mode indices in the array ``ns`` with l*ell within tol of n*pi."""
+    return ns[np.abs(coeffs.l * coeffs.ell - ns * np.pi) < tol]
 
 
 def tune_chi_zero(coeffs, target):

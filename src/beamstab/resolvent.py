@@ -221,14 +221,11 @@ class _Certificate:
         return np.flatnonzero(d - self.radius <= (1.0 + ROUND_REL) / floor)
 
 
-def _sweep_point(spec, lam, bin_lo, bin_hi, n_max, grid, peak_refine, full_range,
-                 layout=None):
-    ns = _window_modes(spec, lam, n_max, full_range)
-    G, W, labels, blocks, scheme = modal_mod._mode_arrays(spec, ns, grid=grid,
-                                                          layout=layout)
+def _sweep_point(stack, lam, bin_lo, bin_hi, n_max, peak_refine, full_range):
+    ns = _window_modes(stack.spec, lam, n_max, full_range)
+    G, W = modal_mod._mode_arrays(stack, ns)
     Wh, Whi = _weight_factors(W)
-    D = modal_mod._damping_diagonal(spec, labels, blocks, scheme)
-    cert = None if D is None else _Certificate(G, Wh, Whi, D)
+    cert = None if stack.damping is None else _Certificate(G, Wh, Whi, stack.damping)
     work = {"modes_in_range": int(ns.size), "modes_eigvals": 0, "norm_evals": 0,
             "pruning": "none" if cert is None else "certified"}
 
@@ -298,13 +295,12 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, full_range=False,
         lo = np.concatenate([[2 * logs[0] - mids[0]], mids])
         hi = np.concatenate([mids, [2 * logs[-1] - mids[-1]]])
         edges = {p: (np.exp(a), np.exp(b)) for p, a, b in zip(pos, lo, hi)}
-    layout = modal_mod._layout(spec, grid)
+    stack = modal_mod._layout(spec, grid)
 
     def run(lam):
         blo, bhi = edges.get(lam, (lam, lam))
         try:
-            return _sweep_point(spec, lam, blo, bhi, n_max, grid,
-                                peak_refine, full_range, layout=layout)
+            return _sweep_point(stack, lam, blo, bhi, n_max, peak_refine, full_range)
         except SpectralPointError as exc:
             exc.lam = lam
             raise
@@ -355,15 +351,22 @@ def mn_matrix(spec, n, lam):
     5x5 for the curved-beam tags, 3x3 for the straight-beam tags; the heat
     rows carry the half-line Fourier transform of the kernel at lam.
     """
+    kernels = _effective_kernels(spec)
+    om = modal_mod.omega(spec.coeffs.ell, n)
+    hats = (kmod.fourier_mu(kernels[0], lam),
+            kmod.fourier_mu(kernels[1], lam) if spec.is_bresse else None)
+    return _mn_matrix(spec, om, lam, kernels, hats)
+
+
+def _mn_matrix(spec, om, lam, kernels, hats):
+    """``mn_matrix`` at omega_n = om from the kernels and their transforms at lam."""
     c = spec.coeffs
-    kg, kh = _effective_kernels(spec)
-    om = modal_mod.omega(c.ell, n)
-    muhat = kmod.fourier_mu(kg, lam)
+    kg, kh = kernels
+    muhat, nuhat = hats
     g0 = kmod.masses(kg).g0
     lam2 = lam * lam
     if spec.is_bresse:
         l = c.l
-        nuhat = kmod.fourier_mu(kh, lam)
         h0 = kmod.masses(kh).g0
         p1 = -c.rho1 * lam2 + c.k * om**2 + l * l * c.k0
         p2 = -c.rho2 * lam2 + c.b * om**2 + c.k
@@ -454,7 +457,7 @@ def lower_bound(spec, ns):
     """
     c = spec.coeffs
     c0, beta0, cstar, predicted = _construction_constants(spec)
-    kg, kh = _effective_kernels(spec)
+    kernels = _effective_kernels(spec)
     rows = []
     notes = []
     for n in ns:
@@ -463,7 +466,9 @@ def lower_bound(spec, ns):
         if lam is None:
             notes.append(f"n={n} skipped: lambda_n^2 <= 0 at this mode")
             continue
-        M = mn_matrix(spec, n, lam)
+        # one transform per kernel and row: matrix, columns and defect share it
+        hats = [None if k is None else kmod.fourier_mu(k, lam) for k in kernels]
+        M = _mn_matrix(spec, om, lam, kernels, hats)
         rhs = np.zeros(M.shape[0], dtype=complex)
         rhs[0] = 1.0
         sol = np.linalg.solve(M, rhs)
@@ -478,9 +483,8 @@ def lower_bound(spec, ns):
                 f"n={n}: Cramer and direct amplitudes disagree by "
                 f"{abs(amp - amp_cramer) / max(amp, amp_cramer):.2e} (ill-conditioned)")
         pred_m, pred_a = predicted(om)
-        defect = kmod.rl_defect(kg, lam)
-        if kh is not None:
-            defect = max(defect, kmod.rl_defect(kh, lam))
+        defect = max(kmod._rl_defect(k, lam, hat)
+                     for k, hat in zip(kernels, hats) if k is not None)
         check = DetCheck(
             n=int(n), lam=float(lam),
             det_m=det_m, det_m_predicted=complex(pred_m),
@@ -488,10 +492,9 @@ def lower_bound(spec, ns):
             det_a=det_a, det_a_predicted=complex(pred_a),
             gap_a=float(abs(det_a - pred_a) / abs(pred_a)),
             tol_hint=float(10.0 * defect))
-        nuhat = kmod.fourier_mu(kh, lam) if kh is not None else complex("nan")
         rows.append(LowerBoundRow(
-            n=int(n), omega=float(om), lam=float(lam),
-            muhat=kmod.fourier_mu(kg, lam), nuhat=nuhat,
+            n=int(n), omega=float(om), lam=float(lam), muhat=hats[0],
+            nuhat=complex("nan") if hats[1] is None else hats[1],
             det_m=det_m, det_a=det_a, amp=float(amp),
             amp_cramer=float(amp_cramer), ratio=float(amp / lam), check=check))
     return LowerBoundSequence(
@@ -511,12 +514,8 @@ def det_check(spec, n):
 
 def spectral_abscissa(spec, n_max, grid=None):
     """Per-mode max Re of the generator spectrum and the global maximum."""
-    parts = []
-    layout, chunks = modal_mod._mode_chunks(spec, n_max, grid)
-    for ns in chunks:
-        G, *_ = modal_mod._mode_arrays(spec, ns, grid=grid, layout=layout)
-        parts.append(np.linalg.eigvals(G).real.max(axis=1))
-    per = np.concatenate(parts)
+    per = np.concatenate([np.linalg.eigvals(G).real.max(axis=1)
+                          for _, G, _ in modal_mod._layout(spec, grid).chunks(n_max)])
     arg = int(np.argmax(per))
     return SpectralAbscissa(ns=np.arange(1, n_max + 1), per_mode=per,
                             global_max=float(per[arg]), argmax_n=arg + 1)

@@ -295,6 +295,42 @@ def test_lowerbound_solves_the_resonance_once(tmp_path, monkeypatch):
     assert calls == {"stability_numbers": 1, "det_check": 0}
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that calls to it are counted in the returned list."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("config, kernels", [("ref1", 2), ("tgp_tabulated", 1)])
+def test_lowerbound_transforms_each_kernel_once_per_row(tmp_path, monkeypatch,
+                                                        config, kernels):
+    from beamstab import kernels as kmod
+    path = (write_config(tmp_path, lowerbound={"n_list": [16, 64, 256, 1024, 4096]})
+            if config == "ref1" else GOLDEN / config / "config.json")
+    calls = _count_calls(monkeypatch, kmod, "fourier_mu")
+    assert cli.main(["lowerbound", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "lowerbound.csv").read_text().splitlines()[2:]
+    assert len(rows) >= 3 and len(calls) == kernels * len(rows)
+
+
+@pytest.mark.parametrize("config, layouts", [("ref1", 5), ("tgp_tabulated", 1)])
+def test_check_builds_one_mode_stack_per_system(tmp_path, monkeypatch, config, layouts):
+    # ref1: the system's stack, the flux twin's, and one per mapped trajectory
+    from beamstab import modal
+    path = write_config(tmp_path) if config == "ref1" else GOLDEN / config / "config.json"
+    calls = _count_calls(monkeypatch, modal, "_layout")
+    assert cli.main(["check", "--config", str(path), "--out", str(tmp_path),
+                     "--dump-modes", str(tmp_path / "modes")]) == 0
+    assert len(calls) <= layouts
+
+
 class TestCheck:
     def test_all_pass_and_dump(self, tmp_path, capsys):
         out = tmp_path / "out"

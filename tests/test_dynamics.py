@@ -202,7 +202,7 @@ class TestBatchedSeriesMatchesDense:
     def test_chunk_boundaries(self, ref1, monkeypatch):
         # 7 modes per chunk at d = 10: n_max 30 spans five chunks
         monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 7 * 100 + 99)
-        _, chunks = modal_mod._mode_chunks(ref1["BMC"], 30)
+        chunks = [ns for ns, _, _ in modal_mod._layout(ref1["BMC"], None).chunks(30)]
         assert [len(c) for c in chunks] == [7, 7, 7, 7, 2]
         assert np.concatenate(chunks).tolist() == list(range(1, 31))
         for tag in ("BMC", "BGP"):
@@ -212,7 +212,7 @@ class TestBatchedSeriesMatchesDense:
         # a limit between the modes' eigenvector conditions sends some modes
         # (and only those) down the expm path
         spec = ref1["BGP"]
-        G, *_ = modal_mod._mode_arrays(spec, np.arange(1, 17))
+        G, _ = modal_mod._mode_arrays(modal_mod._layout(spec, None), np.arange(1, 17))
         cond = np.sort(np.linalg.cond(np.linalg.eig(G)[1]))
         monkeypatch.setattr(dmod, "EIG_COND_LIMIT", float(np.sqrt(cond[5] * cond[6])))
         monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 5 * 121)
@@ -233,7 +233,7 @@ class TestRankOneBound:
     @given(spec=admissible_specs(ALL_TAGS), t=st.floats(0.0, 1e3))
     def test_bound_covers_the_norm(self, spec, t):
         ns = np.array([1, 2, 3, 7, 40, 300])
-        G, W, *_ = modal_mod._mode_arrays(spec, ns)
+        G, W = modal_mod._mode_arrays(modal_mod._layout(spec, None), ns)
         Wh, Whi = modal_mod.weight_sqrt(W)
         lam, V, ok = dmod._eig_guarded(G)
         stack = dmod._SmoothedPropagators(lam[ok], V[ok], Wh[ok], Whi[ok],
@@ -245,7 +245,8 @@ class TestRankOneBound:
     def test_inverses_match_per_mode_solves(self, ref1):
         # chunks of one mode and of exactly d modes are the sizes at which a
         # 2-D right-hand side would be read as a stack of vectors
-        G, *_ = modal_mod._mode_arrays(ref1["BMC"], np.arange(1, 13))
+        G, _ = modal_mod._mode_arrays(modal_mod._layout(ref1["BMC"], None),
+                                      np.arange(1, 13))
         d = G.shape[-1]
         eye = np.eye(d, dtype=complex)
         for N in (1, 3, d):
@@ -257,10 +258,10 @@ class TestRankOneBound:
     def test_singular_generator_names_its_mode(self, ref1, monkeypatch):
         arrays = modal_mod._mode_arrays
 
-        def singular_at_9(spec, ns, **kwargs):
-            G, *rest = arrays(spec, ns, **kwargs)
+        def singular_at_9(stack, ns, **kwargs):
+            G, W = arrays(stack, ns, **kwargs)
             G[np.asarray(ns) == 9] = 0.0
-            return (G, *rest)
+            return G, W
 
         monkeypatch.setattr(modal_mod, "_mode_arrays", singular_at_9)
         monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 4 * 100)
@@ -361,6 +362,17 @@ class TestFluxMap:
             v = bs.lambda_map(bs.ModalState(5, u), spec)
             assert wnorm(mm.weight, v.vec) == pytest.approx(
                 wnorm(mg.weight, u), rel=1e-12)
+
+    @pytest.mark.parametrize("tag", ["BGP", "TGP"])
+    def test_stacked_states_map_like_single_states(self, ref1, rng, tag):
+        spec = ref1[tag]
+        dim = bs.assemble(spec, 3).dim
+        states = random_states(rng, dim, 7)
+        for fn in (bs.lambda_map, bs.lambda_lift):
+            stacked = fn(bs.ModalState(3, states), spec).vec
+            assert stacked.shape == states.shape
+            for u, got in zip(states, stacked):
+                assert np.all(fn(bs.ModalState(3, u), spec).vec == got)
 
     def test_discrete_flux_bound_on_history_grid(self, ref1, rng):
         # sigma ||flux image||^2 <= varpi ||history||^2 on upwind states

@@ -324,17 +324,17 @@ class TestSpectralAbscissa:
         assert sa.per_mode[63] > -1e-3
 
 
-def _dense_reference(spec, lam, bin_lo, bin_hi, n_max, grid, peak_refine, full_range,
-                     layout=None):
+def _dense_reference(stack, lam, bin_lo, bin_hi, n_max, peak_refine, full_range):
     """The sweep point evaluated densely over every mode in range (the body
     of ``_sweep_point`` before certified pruning); a test oracle only."""
+    spec = stack.spec
     if full_range:
         c = spec.coeffs
         hi = int(np.ceil(rmod.WINDOW_FACTOR * lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi))
         ns = np.arange(1, max(n_max, hi) + 1)
     else:
         ns = rmod._window_modes(spec, lam, n_max)
-    G, W, *_ = modal_mod._mode_arrays(spec, ns, grid=grid)
+    G, W = modal_mod._mode_arrays(stack, ns)
     Wh, Whi = rmod._weight_factors(W)
 
     vals = rmod._batched_norms(G, Wh, Whi, lam)
@@ -426,8 +426,9 @@ class TestPrunedSweepMatchesDense:
 
 
 def _certificate(spec, ns):
-    G, W, labels, blocks, scheme = modal_mod._mode_arrays(spec, ns)
-    D = modal_mod._damping_diagonal(spec, labels, blocks, scheme)
+    stack = modal_mod._layout(spec, None)
+    G, W = modal_mod._mode_arrays(stack, ns)
+    D = stack.damping
     Wh, Whi = rmod._weight_factors(W)
     return G, W, D, Wh, Whi, rmod._Certificate(G, Wh, Whi, D)
 
@@ -438,8 +439,9 @@ class TestCertificate:
     @settings(max_examples=25, deadline=None)
     @given(spec=admissible_specs(BOUNDED_DAMPING))
     def test_damping_is_the_non_skew_part(self, spec):
-        G, W, labels, blocks, scheme = modal_mod._mode_arrays(spec, self.NS)
-        D = modal_mod._damping_diagonal(spec, labels, blocks, scheme)
+        stack = modal_mod._layout(spec, None)
+        G, W = modal_mod._mode_arrays(stack, self.NS)
+        D = stack.damping
         assert np.all(G.imag == 0) and np.all(D <= 0) and np.any(D < 0)
         Gr = G.real
         lhs = W @ Gr + np.swapaxes(Gr, 1, 2) @ W
@@ -476,8 +478,7 @@ class TestCertificate:
         grid = bs.make_grid(ref1["BGP"].kernel_g, 10)
         for spec, g in ((ref1["BGP"], grid), (ref1["TGP"], grid),
                         (ref1["BF"], None), (ref1["TF"], None)):
-            _, _, labels, blocks, scheme = modal_mod._mode_arrays(spec, [1], grid=g)
-            assert modal_mod._damping_diagonal(spec, labels, blocks, scheme) is None
+            assert modal_mod._layout(spec, g).damping is None
 
     def test_pruning_cuts_the_work(self, ref1):
         # the reference sweep of the benchmark: 13 bins on [1e2, 1e3]

@@ -23,6 +23,7 @@ from . import __version__, dynamics, kernels, modal, model, resolvent, svg
 from .errors import (AdmissibilityError, BeamstabError, DomainError, FitError,
                      InfeasibleError, NumericError, SpecError,
                      SpectralPointError, UnsupportedMapError)
+from .kernels import _number, _numbers
 
 CONFIG_ERRORS = (SpecError, DomainError, AdmissibilityError, InfeasibleError,
                  UnsupportedMapError)
@@ -58,21 +59,6 @@ def _need(dct, field, where):
     return dct[field]
 
 
-def _number(value, where):
-    """A finite JSON number (not a boolean); anything else is a SpecError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
-        raise SpecError(f"config field {where} must be a number, got {value!r}")
-    return value
-
-
-def _numbers(values, where):
-    """A JSON list of numbers, checked with ``_number``."""
-    if not isinstance(values, list):
-        raise SpecError(f"config field {where} must be a list of numbers, got {values!r}")
-    return [_number(v, where) for v in values]
-
-
 def _positive(value, where):
     if not _number(value, where) > 0:
         raise SpecError(f"config field {where} must be a positive number, got {value!r}")
@@ -87,9 +73,15 @@ def load_config(path, out_override=None):
     except json.JSONDecodeError as exc:
         raise SpecError(f"config is not valid JSON: {exc}") from None
     cfg_hash = hashlib.sha256(raw_text.encode("utf-8")).hexdigest()[:12]
+    if not isinstance(raw, dict):
+        raise SpecError("config must be a JSON object")
 
     tag = _need(raw, "model", "")
+    if not isinstance(tag, str):
+        raise SpecError(f"config field model must be a string, got {tag!r}")
     csrc = _need(raw, "coefficients", "")
+    if not isinstance(csrc, dict):
+        raise SpecError("config field coefficients must be an object")
     kwargs = {f: _positive(_need(csrc, f, "coefficients"), f"coefficients.{f}")
               for f in COEFF_FIELDS}
     kwargs["l"] = float(_number(csrc.get("l", 0.0), "coefficients.l"))
@@ -134,8 +126,8 @@ def load_config(path, out_override=None):
 
     def ordered_range(b, lo_key, hi_key, name):
         lo, hi = (_number(b[key], f"{name}.{key}") for key in (lo_key, hi_key))
-        if not (0 <= lo < hi):
-            raise SpecError(f"config block {name} needs 0 <= {lo_key} < {hi_key}")
+        if not (0 < lo < hi):  # the grids are geometric
+            raise SpecError(f"config block {name} needs 0 < {lo_key} < {hi_key}")
         if int(_number(b["points"], f"{name}.points")) < 2:
             raise SpecError(f"config block {name} needs points >= 2")
         if int(_number(b["n_max"], f"{name}.n_max")) < 1:
@@ -143,7 +135,7 @@ def load_config(path, out_override=None):
 
     sweep_blk = block("sweep",
                       dict(lambda_min=1e2, lambda_max=1e4, points=13, n_max=64,
-                           peak_refine=True, full_range=False),
+                           peak_refine=True),
                       [lambda b: ordered_range(b, "lambda_min", "lambda_max", "sweep")])
     decay_blk = block("decay",
                       dict(t_min=1e2, t_max=1e4, points=9, n_max=128, kind="auto"),
@@ -162,19 +154,24 @@ def load_config(path, out_override=None):
     if not eps or any(e <= 0 for e in eps) or any(nxt >= prev for prev, nxt in zip(eps, eps[1:])):
         raise SpecError("config block limit.eps_list must be positive and decreasing")
 
-    out_blk = raw.get("output", {})
-    formats = tuple(out_blk.get("formats", ["csv"]))
+    out_blk = block("output", dict(formats=["csv"], dir="out"))
+    formats, out_dir = out_blk["formats"], out_blk["dir"]
+    if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
+        raise SpecError(f"config field output.formats must be a list of strings, "
+                        f"got {formats!r}")
     bad = set(formats) - {"csv", "svg"}
     if bad:
         raise SpecError(f"unknown output formats: {sorted(bad)}")
-    out_dir = Path(out_override or out_blk.get("dir", "out"))
+    if not isinstance(out_dir, str):
+        raise SpecError(f"config field output.dir must be a string, got {out_dir!r}")
+    out_dir = Path(out_override or out_dir)
 
     return RunConfig(
         spec=spec, tolerance=float(_number(raw.get("tolerance", model.DEFAULT_TOL),
                                            "tolerance")),
         grid=grid, sweep=sweep_blk, lowerbound=lb_blk, decay=decay_blk,
         spectrum=spectrum_blk, limit=limit_blk, out_dir=out_dir,
-        formats=formats, config_hash=cfg_hash)
+        formats=tuple(formats), config_hash=cfg_hash)
 
 
 def _header(cfg, command):
@@ -248,8 +245,7 @@ def cmd_sweep(cfg, args):
     lams = np.geomspace(blk["lambda_min"], blk["lambda_max"], int(blk["points"]))
     samples = resolvent.sweep(
         cfg.spec, lams, int(blk["n_max"]), grid=cfg.grid,
-        peak_refine=bool(blk["peak_refine"]), full_range=bool(blk["full_range"]),
-        threads=args.threads)
+        peak_refine=bool(blk["peak_refine"]), threads=args.threads)
     rows = [(s.lam, s.value, s.argmax_n) for s in samples]
     _write_csv(cfg, "sweep", "sweep.csv", ("lambda", "value", "argmax_n"), rows)
     counts = ("modes_in_range", "modes_eigvals", "norm_evals")
@@ -390,9 +386,9 @@ def _battery(cfg, stack, rng):
                 scale = max(abs(info.rate), 1e-30)
                 worst_gap = max(worst_gap, info.identity_gap / scale)
         Wh, Whi = modal.weight_sqrt(mode.weight)
-        U = dynamics._propagator(mode)
+        *_, U = dynamics._propagator(mode.generator[None])
         for t in (0.5, 5.0, 50.0):
-            traj_mat = Wh @ (U(t) @ Whi)
+            traj_mat = Wh @ (U(0, t) @ Whi)
             contraction = max(contraction,
                               float(np.linalg.svd(traj_mat, compute_uv=False)[0]))
     yield ("dissipativity", worst <= 1e-10, f"max Re<Gu,u>/|u|^2 = {worst:.3e}")

@@ -1,8 +1,9 @@
 """Time propagation, decay measurement, and the history-to-flux equivalence.
 
-Per-mode propagators are dense matrix exponentials: an eigendecomposition is
-used when the eigenvector basis is well conditioned, otherwise the
-scaling-and-squaring routine takes over.  All decay statements are made on
+Per-mode propagators are dense matrix exponentials, and ``_propagator`` is
+the one evaluator of exp(t G_n): over a stack of generators it uses an
+eigendecomposition where the eigenvector basis is well conditioned, otherwise
+the scaling-and-squaring routine takes over.  All decay statements are made on
 the n <= N_max truncation; block diagonality makes the truncated operator
 norm equal to the max over modes, so ``semiuniform_series`` is exact there.
 
@@ -27,9 +28,10 @@ componentwise error is bounded by |L| diag|exp(lam t)| |R|, whose norm is at
 most b_n), and the computed SVD and b_n carry relative errors of order d*eps.
 A pruned mode's computed norm therefore lies strictly below ``known``, so it
 cannot change the max; per-mode LAPACK results do not depend on the batch,
-and the values are bit-identical to the per-mode loop.  Modes whose
-eigenvector condition number is not below EIG_COND_LIMIT take ``expm`` at
-every time point, without pruning.
+and the values are bit-identical to the per-mode loop.  The chunk's
+eigendecomposition comes from ``_propagator``; modes whose eigenvector
+condition number is not below EIG_COND_LIMIT take its ``expm`` at every time
+point, without pruning.
 
 For a one-term exponential kernel the auxiliary prony state y of a memory
 mode maps linearly onto the relaxed-flux variable, flux = -varpi*omega*y.
@@ -38,6 +40,7 @@ is the modal realization of the known equivalence between the memory law
 with exponential kernel and the relaxed flux law.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,30 +104,25 @@ class LimitRow:
     gap_h: float
 
 
-def _eig_guarded(G):
-    """Eigendecomposition of one generator or of a stack, and whether each
-    eigenvector basis is conditioned below EIG_COND_LIMIT; modes failing the
-    guard take the scaling-and-squaring ``expm`` instead."""
+def _propagator(G):
+    """exp(t G_n) for a stack G of generators, the package's one evaluator.
+
+    Returns (lam, V, ok, U): the eigendecompositions G_n = V diag(lam) V^{-1},
+    whether each eigenvector basis is conditioned below EIG_COND_LIMIT, and
+    U(i, t) = exp(t G_i) for stack entry i, from the eigendecomposition where
+    ``ok`` and from the scaling-and-squaring ``expm`` elsewhere.
+    """
     lam, V = np.linalg.eig(G)
     cond = np.linalg.cond(V)
-    return lam, V, np.isfinite(cond) & (cond < EIG_COND_LIMIT)
+    ok = np.isfinite(cond) & (cond < EIG_COND_LIMIT)
+    inverse = functools.cache(lambda i: np.linalg.inv(V[i]))
 
-
-def _propagator(mode):
-    """exp(t G) evaluator; eigendecomposition with a conditioning guard."""
-    G = mode.generator
-    lam, V, ok = _eig_guarded(G)
-    if ok:
-        Vi = np.linalg.inv(V)
-
-        def U(t):
-            return (V * np.exp(lam * t)) @ Vi
-    else:
-        import scipy.linalg  # lazy: only this fallback needs scipy
-
-        def U(t):
-            return scipy.linalg.expm(G * t)
-    return U
+    def U(i, t):
+        if not ok[i]:
+            import scipy.linalg  # lazy: only this fallback needs scipy
+            return scipy.linalg.expm(G[i] * t)
+        return (V[i] * np.exp(lam[i] * t)) @ inverse(i)
+    return lam, V, ok, U
 
 
 def propagate(mode, u0, ts):
@@ -139,12 +137,12 @@ def propagate(mode, u0, ts):
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0) or np.any(np.diff(ts) < 0):
         raise DomainError("time grid must be nondecreasing and nonnegative")
-    U = _propagator(mode)
+    *_, U = _propagator(mode.generator[None])
     states = np.empty((ts.size, mode.dim), dtype=complex)
     energy = np.empty(ts.size)
     W = mode.weight
     for j, t in enumerate(ts):
-        u = U(t) @ u0 if t > 0 else u0.copy()
+        u = U(0, t) @ u0 if t > 0 else u0.copy()
         if not np.all(np.isfinite(u)):
             raise NumericError(f"non-finite state at mode n={mode.n}, t={t}")
         states[j] = u
@@ -207,13 +205,12 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     for ns, G, W in modal_mod._layout(spec, grid).chunks(n_max):
         Wh, Whi = modal_mod.weight_sqrt(W)
         Ginv = _inverses(G, ns)
-        lam, V, ok = _eig_guarded(G)
+        lam, V, ok, U = _propagator(G)
         counts["modes_propagated"] += ns.size
         for i in np.flatnonzero(~ok):
-            import scipy.linalg  # lazy: only this fallback needs scipy
             GW = Ginv[i] @ Whi[i]
             for j, t in enumerate(ts):
-                M = Wh[i] @ (scipy.linalg.expm(G[i] * t) @ GW)
+                M = Wh[i] @ (U(i, t) @ GW)
                 vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
             counts["expm_modes"] += 1
             counts["norm_evals"] += ts.size

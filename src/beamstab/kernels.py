@@ -15,6 +15,7 @@ truncation of history integrals.  Kernels are immutable and all operations
 here are pure functions.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,18 +138,46 @@ def exponential_kernel(varpi, sigma):
     return prony_kernel([(1.0 / th**2, th)], delta=1.0 / th)
 
 
+def _number(value, where):
+    """A finite JSON number (not a boolean); anything else is a SpecError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise SpecError(f"config field {where} must be a number, got {value!r}")
+    return value
+
+
+def _numbers(values, where):
+    """A JSON list of numbers, checked with ``_number``."""
+    if not isinstance(values, list):
+        raise SpecError(f"config field {where} must be a list of numbers, got {values!r}")
+    return [_number(v, where) for v in values]
+
+
 def kernel_from_config(cfg):
-    """Build a kernel from its JSON/dict description."""
+    """Build a kernel from its JSON/dict description; a missing or malformed
+    field is a SpecError."""
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise SpecError("kernel config must be a dict with a 'type' field")
     kind = cfg["type"]
+
+    def number(key):
+        return _number(cfg[key], f"kernel.{key}")
+
     try:
         if kind == "prony":
-            return prony_kernel(cfg["terms"], delta=cfg.get("delta"))
+            terms = cfg["terms"]
+            if not isinstance(terms, list) or not all(
+                    isinstance(t, list) and len(t) == 2 for t in terms):
+                raise SpecError("config field kernel.terms must be a list of "
+                                f"[a, theta] pairs, got {terms!r}")
+            delta = None if cfg.get("delta") is None else number("delta")
+            return prony_kernel([_numbers(t, "kernel.terms") for t in terms], delta=delta)
         if kind == "tabulated":
-            return tabulated_kernel(cfg["s"], cfg["mu"], cfg["delta_tail"], cfg["delta"])
+            return tabulated_kernel(_numbers(cfg["s"], "kernel.s"),
+                                    _numbers(cfg["mu"], "kernel.mu"),
+                                    number("delta_tail"), number("delta"))
         if kind == "exponential":
-            return exponential_kernel(cfg["varpi"], cfg["sigma"])
+            return exponential_kernel(number("varpi"), number("sigma"))
     except KeyError as exc:
         raise SpecError(f"kernel config is missing field {exc.args[0]!r}") from None
     raise SpecError(f"unknown kernel type {kind!r}")
@@ -231,18 +260,12 @@ def first_moment(kernel):
 
 def masses(kernel):
     """Total masses (int g, g(0) = int mu, mu(0)) of the kernel."""
-    _tail_checked(kernel)
+    g_total = first_moment(kernel)
     if kernel.kind == "prony":
-        return Masses(
-            g_total=sum(a * th**2 for a, th in kernel.terms),
-            g0=sum(a * th for a, th in kernel.terms),
-            mu0=sum(a for a, _ in kernel.terms),
-        )
-    return Masses(
-        g_total=first_moment(kernel),
-        g0=mu_integral(kernel, 0.0, np.inf),
-        mu0=float(kernel.mu[0]),
-    )
+        return Masses(g_total=g_total, g0=sum(a * th for a, th in kernel.terms),
+                      mu0=sum(a for a, _ in kernel.terms))
+    return Masses(g_total=g_total, g0=mu_integral(kernel, 0.0, np.inf),
+                  mu0=float(kernel.mu[0]))
 
 
 def check_admissibility(kernel):

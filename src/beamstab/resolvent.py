@@ -45,7 +45,9 @@ forming S, and the backward error of the computed eigenvalues of G_n tested
 against the bin.  Computed norms are trusted to a relative ROUND_REL on
 either side of the bounds.  The upwind history grid and the classical law have
 no uniform bound on D and keep every mode.  Either way the sup is taken over
-the ``_window_modes`` set (or the ``full_range`` set), not over all n.
+the modes 1..N(lam), N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with
+c = lam sqrt(rho1/k) ell/pi the index at which omega_n sqrt(k/rho1) = lam,
+not over all n.
 """
 
 from dataclasses import dataclass, field
@@ -180,20 +182,11 @@ def mode_resolvent_norm(mode, lam):
     return float(val)
 
 
-def _window_modes(spec, lam, n_max, full_range=False):
-    """Active mode window: omega_n within WINDOW_FACTOR of lam sqrt(rho1/k),
-    always joined with the base range 1..n_max; ``full_range`` keeps every
-    mode from 1 up to the window's upper end."""
+def _sweep_modes(spec, lam, n_max):
+    """The modes 1..N(lam) a sweep sample takes its sup over (module docstring)."""
     c = spec.coeffs
     center = lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi
-    if full_range:
-        return np.arange(1, max(n_max, int(np.ceil(WINDOW_FACTOR * center))) + 1)
-    base = np.arange(1, n_max + 1)
-    if lam <= 0:
-        return base
-    lo = max(1, int(np.floor(center / WINDOW_FACTOR)))
-    hi = int(np.ceil(center * WINDOW_FACTOR))
-    return np.unique(np.concatenate([base, np.arange(lo, hi + 1)]))
+    return np.arange(1, max(n_max, int(np.ceil(WINDOW_FACTOR * center))) + 1)
 
 
 class _Certificate:
@@ -221,8 +214,8 @@ class _Certificate:
         return np.flatnonzero(d - self.radius <= (1.0 + ROUND_REL) / floor)
 
 
-def _sweep_point(stack, lam, bin_lo, bin_hi, n_max, peak_refine, full_range):
-    ns = _window_modes(stack.spec, lam, n_max, full_range)
+def _sweep_point(stack, lam, bin_lo, bin_hi, n_max, peak_refine):
+    ns = _sweep_modes(stack.spec, lam, n_max)
     G, W = modal_mod._mode_arrays(stack, ns)
     Wh, Whi = _weight_factors(W)
     cert = None if stack.damping is None else _Certificate(G, Wh, Whi, stack.damping)
@@ -274,15 +267,15 @@ def _sweep_point(stack, lam, bin_lo, bin_hi, n_max, peak_refine, full_range):
     return ResolventSample(lam=best_lam, value=value, argmax_n=n, work=work)
 
 
-def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, full_range=False,
-          threads=None):
+def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     """Resolvent samples sup_n ||(i lam - G_n)^{-1}||_W over a lambda grid.
 
-    The grid is treated as bins on the log axis; within each bin the sample
-    may move to a resonance (see module docstring).  Each sample's ``work``
-    counts the modes in range, the modes given to ``eigvals`` and the
-    resolvent norms evaluated.  Raises with (lambda, n) context when a sample
-    hits the spectrum exactly.
+    The sup runs over the modes 1..N(lam), N(lam) = max(n_max,
+    ceil(WINDOW_FACTOR * lam sqrt(rho1/k) ell/pi)).  The grid is treated as
+    bins on the log axis; within each bin the sample may move to a resonance
+    (see module docstring).  Each sample's ``work`` counts the modes in range,
+    the modes given to ``eigvals`` and the resolvent norms evaluated.  Raises
+    with (lambda, n) context when a sample hits the spectrum exactly.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if np.any(lam_grid < 0):
@@ -300,7 +293,7 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, full_range=False,
     def run(lam):
         blo, bhi = edges.get(lam, (lam, lam))
         try:
-            return _sweep_point(stack, lam, blo, bhi, n_max, peak_refine, full_range)
+            return _sweep_point(stack, lam, blo, bhi, n_max, peak_refine)
         except SpectralPointError as exc:
             exc.lam = lam
             raise

@@ -70,12 +70,31 @@ class TestConfigErrors:
         ({"sweep": {"points": "x"}}, "sweep.points"),
         ({"sweep": {"points": 10**400}}, "sweep.points"),
         ({"sweep": {"lambda_min": "1"}}, "sweep.lambda_min"),
+        ({"decay": {"t_min": 0}}, "decay needs 0 < t_min < t_max"),
         ({"lowerbound": {"n_list": ["a"]}}, "lowerbound.n_list"),
         ({"limit": {"eps_list": "abc"}}, "limit.eps_list"),
+        ({"output": []}, "block output must be an object"),
+        ({"output": {"formats": [["csv"]]}}, "output.formats"),
+        ({"coefficients": 5}, "coefficients must be an object"),
+        (5, "config must be a JSON object"),
+        ({"kernel_g": {"type": "prony", "terms": 5}}, "kernel.terms"),
+        ({"kernel_g": {"type": "prony", "terms": [[1.0]]}}, "kernel.terms"),
+        ({"kernel_g": {"type": "prony", "terms": [["a", 1.0]]}}, "kernel.terms"),
+        ({"kernel_g": {"type": "prony", "terms": [[1.0, 1.0]], "delta": "x"}},
+         "kernel.delta"),
+        ({"kernel_h": {"type": "exponential", "varpi": "a", "sigma": 1}},
+         "kernel.varpi"),
     ], ids=["bmc-scheme", "unknown-scheme", "nodes", "points", "points-overflow",
-            "lambda-min", "n-list", "eps-list"])
+            "lambda-min", "t-min-zero", "n-list", "eps-list", "output-list",
+            "formats-nested", "coefficients-number", "top-level-number",
+            "terms-number", "terms-short", "terms-string", "prony-delta",
+            "exponential-varpi"])
     def test_malformed_field_exits_2(self, tmp_path, capsys, extra, message):
-        path = write_config(tmp_path, **extra)
+        if isinstance(extra, dict):
+            path = write_config(tmp_path, **extra)
+        else:  # the whole config
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(extra))
         assert cli.main(["stability", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
@@ -85,6 +104,47 @@ class TestConfigErrors:
                             limit={"eps_list": [0.1, 0.2]})
         assert cli.main(["limit", "--config", str(path)]) == 2
         assert not out.exists()
+
+
+def _singular_mode_9(monkeypatch):
+    """Zero the generator of mode 9, so that 0 is in its spectrum."""
+    from beamstab import modal
+    arrays = modal._mode_arrays
+
+    def patched(stack, ns, **kwargs):
+        G, W = arrays(stack, ns, **kwargs)
+        G[np.asarray(ns) == 9] = 0.0
+        return G, W
+
+    monkeypatch.setattr(modal, "_mode_arrays", patched)
+
+
+TABULATED_UNIFORM = {"memory": {"nodes": 16, "policy": "uniform"}}
+SMALL_DECAY = {"decay": {"t_min": 1, "t_max": 50, "points": 8, "n_max": 16}}
+
+
+@pytest.mark.parametrize("base, extra, argv, patch, rc, message", [
+    ("ref1", {"decay": {"points": 5}}, ["decay"], None, 3,
+     "numeric error: decay fit needs at least 8 points"),
+    ("ref1", SMALL_DECAY, ["decay"], _singular_mode_9, 3, "(lambda=0.0, n=9)"),
+    ("ref1", {}, ["stability", "--threads", "0"], None, 2, "--threads must be >= 1"),
+    ("tgp_tabulated", TABULATED_UNIFORM, ["check"], None, 0, ""),
+    ("tgp_tabulated", TABULATED_UNIFORM, ["spectrum"], None, 0, ""),
+    ("tgp_tabulated", dict(TABULATED_UNIFORM, **SMALL_DECAY), ["decay"], None, 0, ""),
+    ("tgp_tabulated", {"limit": {"m": 0.5}}, ["limit"], None, 0, ""),
+], ids=["fit-error", "spectral-point", "threads-0", "uniform-grid-check",
+        "uniform-grid-spectrum", "uniform-grid-decay", "tabulated-mixture"])
+def test_exit_code(tmp_path, capsys, monkeypatch, base, extra, argv, patch, rc, message):
+    cfg = (dict(REF1_BASE) if base == "ref1"
+           else json.loads((GOLDEN / base / "config.json").read_text()))
+    cfg.update(extra, output={"dir": str(tmp_path / "out")})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    if patch is not None:
+        patch(monkeypatch)
+    assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == rc
+    err = capsys.readouterr().err
+    assert (message in err) if rc else not err
 
 
 class TestStability:

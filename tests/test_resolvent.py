@@ -324,16 +324,12 @@ class TestSpectralAbscissa:
         assert sa.per_mode[63] > -1e-3
 
 
-def _dense_reference(stack, lam, bin_lo, bin_hi, n_max, peak_refine, full_range):
-    """The sweep point evaluated densely over every mode in range (the body
+def _dense_reference(stack, lam, bin_lo, bin_hi, n_max, peak_refine):
+    """The sweep point evaluated densely over every mode 1..N(lam) (the body
     of ``_sweep_point`` before certified pruning); a test oracle only."""
-    spec = stack.spec
-    if full_range:
-        c = spec.coeffs
-        hi = int(np.ceil(rmod.WINDOW_FACTOR * lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi))
-        ns = np.arange(1, max(n_max, hi) + 1)
-    else:
-        ns = rmod._window_modes(spec, lam, n_max)
+    c = stack.spec.coeffs
+    hi = int(np.ceil(rmod.WINDOW_FACTOR * lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi))
+    ns = np.arange(1, max(n_max, hi) + 1)
     G, W = modal_mod._mode_arrays(stack, ns)
     Wh, Whi = rmod._weight_factors(W)
 
@@ -396,9 +392,7 @@ class TestPrunedSweepMatchesDense:
                                  kernel_h=kern if tag == "BGP" else None)
             assert_sweep_matches_dense(spec, np.geomspace(3.0, 300.0, 10), 16)
 
-    @pytest.mark.parametrize("kwargs", [dict(peak_refine=False),
-                                        dict(full_range=True),
-                                        dict(threads=2)])
+    @pytest.mark.parametrize("kwargs", [dict(peak_refine=False), dict(threads=2)])
     def test_options(self, ref1, kwargs):
         lams = np.concatenate([[0.0], np.geomspace(2.0, 150.0, 9)])
         for tag in ("BGP", "TMC"):
@@ -485,5 +479,5 @@ class TestCertificate:
         out = bs.sweep(ref1["BGP"], np.geomspace(100.0, 1000.0, 13), 64)
         work = {key: sum(s.work[key] for s in out)
                 for key in ("modes_in_range", "modes_eigvals", "norm_evals")}
-        assert work["modes_in_range"] == 20425
+        assert work["modes_in_range"] == 21025
         assert work["modes_eigvals"] <= 5000 and work["norm_evals"] <= 5000

@@ -392,7 +392,9 @@ class TestPrunedSweepMatchesDense:
                                  kernel_h=kern if tag == "BGP" else None)
             assert_sweep_matches_dense(spec, np.geomspace(3.0, 300.0, 10), 16)
 
-    @pytest.mark.parametrize("kwargs", [dict(peak_refine=False), dict(threads=2)])
+    @pytest.mark.parametrize("kwargs", [dict(peak_refine=False),
+                                        dict(peak_refine=False, threads=2),
+                                        dict(threads=2)])
     def test_options(self, ref1, kwargs):
         lams = np.concatenate([[0.0], np.geomspace(2.0, 150.0, 9)])
         for tag in ("BGP", "TMC"):

@@ -143,9 +143,8 @@ class ModeStack:
     def chunks(self, n_max):
         """(ns, G, W) for the modes 1..n_max in consecutive chunks of at most
         CHUNK_ELEMENTS stacked (N, d, d) entries (one mode at least)."""
-        size = max(1, CHUNK_ELEMENTS // (self.dim * self.dim))
-        for lo in range(1, n_max + 1, size):
-            ns = np.arange(lo, min(lo + size, n_max + 1))
+        for sl in _chunk_slices(n_max, self.dim):
+            ns = np.arange(sl.start + 1, sl.stop + 1)
             yield (ns, *_mode_arrays(self, ns))
 
     def mode(self, n):
@@ -158,6 +157,13 @@ class ModeStack:
             model=self.spec.model, n=int(n), omega=omega(c.ell, n),
             generator=G[0], weight=W[0], labels=self.labels, scheme=self.scheme,
             memory=self.blocks, varpi=c.varpi, ell=c.ell)
+
+
+def _chunk_slices(N, d):
+    """Consecutive slices of the rows 0..N-1 of an (N, d, d) stack, each of at
+    most CHUNK_ELEMENTS entries (one mode at least)."""
+    size = max(1, CHUNK_ELEMENTS // (d * d))
+    return [slice(lo, min(lo + size, N)) for lo in range(0, N, size)]
 
 
 @dataclass(frozen=True)

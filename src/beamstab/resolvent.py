@@ -48,8 +48,25 @@ no uniform bound on D and keep every mode.  Either way the sup is taken over
 the modes 1..N(lam), N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with
 c = lam sqrt(rho1/k) ell/pi the index at which omega_n sqrt(k/rho1) = lam,
 not over all n.
+
+Mode cache.  Every range 1..N(lam) starts at mode 1, and G_n, the weight
+factors, the certificate frequencies and the eigenvalues of G_n do not
+depend on lam.  ``sweep`` therefore builds one read-only ``_ModeCache`` of
+the modes 1..N_max, N_max the largest N(lam) on the grid, once per sweep;
+its samples and threads share it.  Before any sample runs or worker thread
+starts, it assembles the modes in one ``_mode_arrays`` call and factors the
+weights (and drops them).  The first sample to run then computes, under a
+lock, the certificate and runs ``eigvals`` once on exactly the rows some
+sample reads: every row 1..N(lam) without a certificate, the rows that
+``may_hold_eigenvalue`` keeps in the sample's bin with one.  A sample reads
+the first N(lam) rows of the cache; per-mode LAPACK results do not depend on
+the batch, so the samples are bit-identical to assembling each range anew.
+Eigenvalues and resolvent norms run in chunks of at most
+``modal.CHUNK_ELEMENTS`` stacked entries, which bounds their complex
+temporaries.
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,12 +174,16 @@ def _batched_norms(G, Wh, Whi, lam):
     """
     N, d, _ = G.shape
     lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (N,))
-    A = 1j * lam_arr[:, None, None] * np.eye(d) - G
-    try:
-        X = np.linalg.solve(A, Whi.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise SpectralPointError(f"i*lambda lies in a mode spectrum: {exc}") from None
-    return np.linalg.svd(Wh @ X, compute_uv=False)[:, 0]
+    eye = np.eye(d)
+    out = np.empty(N)
+    for sl in modal_mod._chunk_slices(N, d):
+        A = 1j * lam_arr[sl, None, None] * eye - G[sl]
+        try:
+            X = np.linalg.solve(A, Whi[sl].astype(complex))
+        except np.linalg.LinAlgError as exc:
+            raise SpectralPointError(f"i*lambda lies in a mode spectrum: {exc}") from None
+        out[sl] = np.linalg.svd(Wh[sl] @ X, compute_uv=False)[:, 0]
+    return out
 
 
 def mode_resolvent_norm(mode, lam):
@@ -182,11 +203,12 @@ def mode_resolvent_norm(mode, lam):
     return float(val)
 
 
-def _sweep_modes(spec, lam, n_max):
-    """The modes 1..N(lam) a sweep sample takes its sup over (module docstring)."""
+def _sweep_count(spec, lam, n_max):
+    """N(lam): a sweep sample takes its sup over the modes 1..N(lam) (module
+    docstring)."""
     c = spec.coeffs
     center = lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi
-    return np.arange(1, max(n_max, int(np.ceil(WINDOW_FACTOR * center))) + 1)
+    return max(n_max, int(np.ceil(WINDOW_FACTOR * center)))
 
 
 class _Certificate:
@@ -198,6 +220,12 @@ class _Certificate:
         # singular values of S as square roots of the eigenvalues of S^T S
         self.s = np.sqrt(np.maximum(np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S), 0.0))
         self.radius = np.max(np.abs(D)) + ROUND_REL * self.s[:, -1]
+
+    def head(self, count):
+        """The certificate of the first ``count`` modes alone."""
+        part = object.__new__(_Certificate)
+        part.s, part.radius = self.s[:count], self.radius[:count]
+        return part
 
     def _dist(self, lo, hi):
         """Per mode: distance from the interval [lo, hi] to the nearest s_k."""
@@ -214,12 +242,67 @@ class _Certificate:
         return np.flatnonzero(d - self.radius <= (1.0 + ROUND_REL) / floor)
 
 
-def _sweep_point(stack, lam, bin_lo, bin_hi, n_max, peak_refine):
-    ns = _sweep_modes(stack.spec, lam, n_max)
-    G, W = modal_mod._mode_arrays(stack, ns)
-    Wh, Whi = _weight_factors(W)
-    cert = None if stack.damping is None else _Certificate(G, Wh, Whi, stack.damping)
-    work = {"modes_in_range": int(ns.size), "modes_eigvals": 0, "norm_evals": 0,
+class _ModeCache:
+    """The lambda-independent arrays of a sweep's modes 1..N_max (module
+    docstring), read-only and shared by the sweep's samples and threads.
+
+    G and the weight factors Wh/Whi are built with the cache.  The spectral
+    part (``spectra``) is solved once, by the first sample that reads it,
+    under a lock, so that a traced run counts its time in the resolvent
+    layer (inside ``_sweep_point``), not in the command.
+    """
+
+    def __init__(self, stack, lam_grid, counts, bins, peak_refine):
+        self.stack = stack
+        self.ns = np.arange(1, max(counts) + 1)
+        self.G, W = modal_mod._mode_arrays(stack, self.ns)
+        self.Wh, self.Whi = _weight_factors(W)
+        del W
+        for arr in (self.G, self.Wh, self.Whi):
+            arr.flags.writeable = False
+        self._points = (lam_grid, counts, bins, peak_refine)
+        self._lock = threading.Lock()
+        self._spectra = None
+
+    def spectra(self):
+        """(cert, ev, first_use): the certificate (None without a damping
+        bound), the eigenvalues ``ev`` of the rows some sample reads, and per
+        grid point k, ``first_use[k]``, the modes assembled and the modes
+        given to ``eigvals`` that no earlier grid point needed."""
+        with self._lock:
+            if self._spectra is None:
+                self._spectra = self._solve_spectra()
+        return self._spectra
+
+    def _solve_spectra(self):
+        lam_grid, counts, bins, peak_refine = self._points
+        damping = self.stack.damping
+        cert = None if damping is None else _Certificate(self.G, self.Wh, self.Whi, damping)
+        first_use = []
+        assembled, read = 0, np.zeros(self.ns.size, dtype=bool)
+        for lam, count, (blo, bhi) in zip(lam_grid, counts, bins):
+            rows = np.arange(0)
+            if peak_refine and lam > 0:
+                rows = (np.arange(count) if cert is None
+                        else cert.head(count).may_hold_eigenvalue(blo, bhi))
+            first_use.append({"modes_assembled": max(0, count - assembled),
+                              "eigvals_computed": int(np.count_nonzero(~read[rows]))})
+            assembled = max(assembled, count)
+            read[rows] = True
+        ev = np.full((self.ns.size, self.stack.dim), np.nan, dtype=complex)
+        rows = np.flatnonzero(read)
+        for sl in modal_mod._chunk_slices(rows.size, self.stack.dim):
+            ev[rows[sl]] = np.linalg.eigvals(self.G[rows[sl]])
+        ev.flags.writeable = False
+        return cert, ev, first_use
+
+
+def _sweep_point(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
+    count = _sweep_count(cache.stack.spec, lam, n_max)
+    ns, G, Wh, Whi = (a[:count] for a in (cache.ns, cache.G, cache.Wh, cache.Whi))
+    cert, ev_all, _ = cache.spectra()
+    cert = None if cert is None else cert.head(count)
+    work = {"modes_in_range": count, "modes_eigvals": 0, "norm_evals": 0,
             "pruning": "none" if cert is None else "certified"}
 
     def max_norm(rows, at):
@@ -237,7 +320,7 @@ def _sweep_point(stack, lam, bin_lo, bin_hi, n_max, peak_refine):
     if peak_refine and lam > 0:
         rows = None if cert is None else cert.may_hold_eigenvalue(bin_lo, bin_hi)
         if rows is None or rows.size:
-            ev = np.linalg.eigvals(G if rows is None else G[rows])
+            ev = ev_all[:count] if rows is None else ev_all[rows]
             work["modes_eigvals"] += len(ev)
             im = ev.imag
             re_masked = np.where((im > bin_lo) & (im <= bin_hi), ev.real, -np.inf)
@@ -273,9 +356,13 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     The sup runs over the modes 1..N(lam), N(lam) = max(n_max,
     ceil(WINDOW_FACTOR * lam sqrt(rho1/k) ell/pi)).  The grid is treated as
     bins on the log axis; within each bin the sample may move to a resonance
-    (see module docstring).  Each sample's ``work`` counts the modes in range,
-    the modes given to ``eigvals`` and the resolvent norms evaluated.  Raises
-    with (lambda, n) context when a sample hits the spectrum exactly.
+    (see module docstring).  The modes 1..max N(lam) are assembled, factored
+    and eigen-solved once, into a read-only cache that the samples and
+    ``threads`` workers share.  Each sample's ``work`` counts the modes in
+    range, the modes given to ``eigvals``, the resolvent norms evaluated, and
+    the modes assembled and eigen-solved first for it (``modes_assembled``,
+    ``eigvals_computed``).  Raises with (lambda, n) context when a sample hits
+    the spectrum exactly.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if np.any(lam_grid < 0):
@@ -289,20 +376,28 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
         hi = np.concatenate([mids, [2 * logs[-1] - mids[-1]]])
         edges = {p: (np.exp(a), np.exp(b)) for p, a, b in zip(pos, lo, hi)}
     stack = modal_mod._layout(spec, grid)
+    if lam_grid.size == 0:
+        return []
+    bins = [edges.get(lam, (lam, lam)) for lam in lam_grid]
+    counts = [_sweep_count(spec, lam, n_max) for lam in lam_grid]
+    cache = _ModeCache(stack, lam_grid, counts, bins, peak_refine)
 
-    def run(lam):
-        blo, bhi = edges.get(lam, (lam, lam))
+    def run(k):
+        lam = lam_grid[k]
         try:
-            return _sweep_point(stack, lam, blo, bhi, n_max, peak_refine)
+            sample = _sweep_point(cache, lam, *bins[k], n_max, peak_refine)
         except SpectralPointError as exc:
             exc.lam = lam
             raise
+        _, _, first_use = cache.spectra()
+        sample.work.update(first_use[k])
+        return sample
 
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, lam_grid))
-    return [run(lam) for lam in lam_grid]
+            return list(pool.map(run, range(lam_grid.size)))
+    return [run(k) for k in range(lam_grid.size)]
 
 
 def _line_fit(x, y):

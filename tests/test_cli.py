@@ -286,6 +286,8 @@ class TestGoldenSweep:
         assert text.encode("utf-8") == (src / "sweep_fit.json").read_bytes()
         assert work["pruning"] == pruning
         assert 0 < work["modes_eigvals"] <= work["modes_in_range"]
+        assert 0 < work["modes_assembled"] <= work["modes_in_range"]
+        assert 0 < work["eigvals_computed"] <= work["modes_eigvals"]
         assert 0 < work["norm_evals"] <= 3 * work["modes_in_range"]
 
 

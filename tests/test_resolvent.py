@@ -1,3 +1,6 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -280,11 +283,19 @@ class TestSweep:
         assert np.isfinite(out[0].value) and out[0].value > 0
 
     def test_threads_deterministic(self, ref1):
+        # more workers than cores and frequent switches: the threads share one
+        # read-only mode cache, so every interleaving gives the serial samples
         lams = np.geomspace(5.0, 100.0, 6)
         a = bs.sweep(ref1["BMC"], lams, 16, threads=None)
-        b = bs.sweep(ref1["BMC"], lams, 16, threads=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = bs.sweep(ref1["BMC"], lams, 16, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
         assert [(s.lam, s.value, s.argmax_n) for s in a] == \
                [(s.lam, s.value, s.argmax_n) for s in b]
+        assert [s.work for s in a] == [s.work for s in b]
 
 
 class TestFitGrowth:
@@ -324,9 +335,12 @@ class TestSpectralAbscissa:
         assert sa.per_mode[63] > -1e-3
 
 
-def _dense_reference(stack, lam, bin_lo, bin_hi, n_max, peak_refine):
+def _dense_reference(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
     """The sweep point evaluated densely over every mode 1..N(lam) (the body
-    of ``_sweep_point`` before certified pruning); a test oracle only."""
+    of ``_sweep_point`` before certified pruning and the mode cache); a test
+    oracle only.  It assembles and factors its own modes from the cache's
+    layout, so it does not read the cache's arrays."""
+    stack = cache.stack
     c = stack.spec.coeffs
     hi = int(np.ceil(rmod.WINDOW_FACTOR * lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi))
     ns = np.arange(1, max(n_max, hi) + 1)
@@ -359,7 +373,7 @@ def _dense_reference(stack, lam, bin_lo, bin_hi, n_max, peak_refine):
             vals2 = rmod._batched_norms(G, Wh, Whi, best_lam)
             b2 = int(np.argmax(vals2))
             best_val, best_n = float(vals2[b2]), int(ns[b2])
-    return ResolventSample(lam=best_lam, value=best_val, argmax_n=best_n)
+    return ResolventSample(lam=best_lam, value=best_val, argmax_n=best_n, work={})
 
 
 BOUNDED_DAMPING = ("BGP", "BMC", "TGP", "TMC")
@@ -382,8 +396,10 @@ def assert_sweep_matches_dense(spec, lams, n_max, **kwargs):
 class TestPrunedSweepMatchesDense:
     @pytest.mark.parametrize("tag", ["BGP", "BMC", "TGP", "TMC"])
     def test_ref1(self, ref1, tag):
-        out = assert_sweep_matches_dense(ref1[tag], np.geomspace(5.0, 400.0, 12), 16)
-        assert {s.work["pruning"] for s in out} == {"certified"}
+        lams = np.geomspace(5.0, 400.0, 12)
+        for grid in (lams, lams[::-1]):
+            out = assert_sweep_matches_dense(ref1[tag], grid, 16)
+            assert {s.work["pruning"] for s in out} == {"certified"}
 
     def test_normalized_two_term_kernel(self):
         kern = bs.normalized(bs.prony_kernel([(1.0, 1.0), (0.5, 3.0)]))
@@ -403,12 +419,14 @@ class TestPrunedSweepMatchesDense:
     def test_single_point_and_zero(self, ref1):
         assert_sweep_matches_dense(ref1["BMC"], [0.0], 16)
         assert_sweep_matches_dense(ref1["BGP"], [37.0], 16)
+        assert bs.sweep(ref1["BGP"], [], 16) == []
 
     def test_unpruned_schemes(self, ref1):
         grid = bs.make_grid(ref1["TGP"].kernel_g, 12)
-        for spec, g in ((ref1["TGP"], grid), (ref1["TF"], None)):
+        for (spec, g), threads in itertools.product(
+                ((ref1["TGP"], grid), (ref1["TF"], None)), (None, 2)):
             out = assert_sweep_matches_dense(spec, np.geomspace(3.0, 40.0, 6), 8,
-                                             grid=g)
+                                             grid=g, threads=threads)
             assert {s.work["pruning"] for s in out} == {"none"}
             assert all(s.work["modes_eigvals"] == s.work["modes_in_range"]
                        for s in out)
@@ -419,6 +437,36 @@ class TestPrunedSweepMatchesDense:
     def test_random_coefficients(self, spec, hi):
         out = assert_sweep_matches_dense(spec, np.geomspace(2.0, hi, 7), 8)
         assert all(s.work["modes_eigvals"] <= s.work["modes_in_range"] for s in out)
+
+
+class TestModeCache:
+    def test_each_mode_assembled_and_eigen_solved_once(self, ref1, monkeypatch):
+        mode_arrays, eigvals = modal_mod._mode_arrays, np.linalg.eigvals
+        assembled, solved = [], []
+
+        def counting_mode_arrays(stack, ns, *args, **kwargs):
+            assembled.append(len(ns))
+            return mode_arrays(stack, ns, *args, **kwargs)
+
+        def counting_eigvals(a):
+            solved.extend(m.tobytes() for m in a)
+            return eigvals(a)
+
+        monkeypatch.setattr(modal_mod, "_mode_arrays", counting_mode_arrays)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        grid = bs.make_grid(ref1["TGP"].kernel_g, 12)
+        for spec, g, pruning in ((ref1["BGP"], None, "certified"),
+                                 (ref1["TGP"], grid, "none")):
+            assembled.clear()
+            solved.clear()
+            out = bs.sweep(spec, np.geomspace(5.0, 400.0, 12), 16, grid=g)
+            n_total = max(s.work["modes_in_range"] for s in out)
+            assert assembled == [n_total]
+            assert sum(s.work["modes_assembled"] for s in out) == n_total
+            # distinct modes have distinct generators: no mode is solved twice
+            assert len(solved) == len(set(solved)) > 0
+            assert sum(s.work["eigvals_computed"] for s in out) == len(solved)
+            assert {s.work["pruning"] for s in out} == {pruning}
 
 
 def _certificate(spec, ns):
@@ -480,6 +528,8 @@ class TestCertificate:
         # the reference sweep of the benchmark: 13 bins on [1e2, 1e3]
         out = bs.sweep(ref1["BGP"], np.geomspace(100.0, 1000.0, 13), 64)
         work = {key: sum(s.work[key] for s in out)
-                for key in ("modes_in_range", "modes_eigvals", "norm_evals")}
+                for key in ("modes_in_range", "modes_assembled", "modes_eigvals",
+                            "eigvals_computed", "norm_evals")}
         assert work["modes_in_range"] == 21025
+        assert work["modes_assembled"] == 4000 and work["eigvals_computed"] == 1391
         assert work["modes_eigvals"] <= 5000 and work["norm_evals"] <= 5000

@@ -297,15 +297,15 @@ def cmd_decay(cfg, args):
     blk = cfg.decay
     ts = np.geomspace(blk["t_min"], blk["t_max"], int(blk["points"]))
     work = {}
-    vals = dynamics.semiuniform_series(cfg.spec, ts, int(blk["n_max"]), grid=cfg.grid,
-                                       work=work)
+    stack = modal._layout(cfg.spec, cfg.grid)
+    vals = dynamics.semiuniform_series(stack, ts, int(blk["n_max"]), work=work)
     kind = blk["kind"]
     if kind == "auto":
         rep = model.stability_numbers(cfg.spec, tol=cfg.tolerance)
         kind = "exponential" if rep.classification == model.EXPONENTIAL else "algebraic"
     fit = dynamics.decay_fit(ts, vals, kind)
     _write_csv(cfg, "decay", "decay.csv", ("t", "value"), list(zip(ts, vals)))
-    mode1 = modal.assemble(cfg.spec, 1, grid=cfg.grid)
+    mode1 = stack.mode(1)
     u0 = np.zeros(mode1.dim, dtype=complex)
     u0[mode1.index("defl_t")] = 1.0
     traj = dynamics.propagate(mode1, u0, np.linspace(0.0, float(blk["t_max"]) ** 0.5, 64))
@@ -386,12 +386,10 @@ def _battery(cfg, stack, rng):
             if info.identity_gap is not None:
                 scale = max(abs(info.rate), 1e-30)
                 worst_gap = max(worst_gap, info.identity_gap / scale)
-        Wh, Whi = modal.weight_sqrt(mode.weight)
-        *_, U = dynamics._propagator(mode.generator[None])
-        for t in (0.5, 5.0, 50.0):
-            traj_mat = Wh @ (U(0, t) @ Whi)
-            contraction = max(contraction,
-                              float(np.linalg.svd(traj_mat, compute_uv=False)[0]))
+        *_, U = dynamics._propagator(
+            resolvent._weight_factors(mode.generator[None], mode.weight[None]))
+        for t in (0.5, 5.0, 50.0):  # ||exp(tG)||_W is the 2-norm in energy coordinates
+            contraction = max(contraction, float(np.linalg.svd(U(0, t), compute_uv=False)[0]))
     yield ("dissipativity", worst <= 1e-10, f"max Re<Gu,u>/|u|^2 = {worst:.3e}")
     if spec.model in model.MEMORY_MODELS:
         yield ("dissipation_identity", worst_gap <= 1e-8,

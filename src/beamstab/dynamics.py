@@ -10,11 +10,11 @@ norm equal to the max over modes, so ``semiuniform_series`` is exact there.
 Batched smoothed propagator.  ``semiuniform_series`` walks the modes in
 chunks (``ModeStack.chunks``: at most CHUNK_ELEMENTS = 25,600 entries per
 stacked (N, d, d) array, which is 256 modes at d = 10 and 18 at d = 37).  Per
-chunk it assembles the stack once, factors the weights, inverts G_n and
-diagonalizes G_n = V diag(lam) V^{-1}, so that
+chunk it assembles the stack once, moves it to the energy coordinates of
+``resolvent._weight_factors`` (there the W-norm is the 2-norm), inverts
+Gh_n and diagonalizes Gh_n = V diag(lam) V^{-1}, so that
 
-    W^{1/2} exp(t G_n) G_n^{-1} W^{-1/2} = L diag(exp(lam t)) R,
-    L = W^{1/2} V,  R = V^{-1} G_n^{-1} W^{-1/2}.
+    exp(t Gh_n) Gh_n^{-1} = L diag(exp(lam t)) R,  L = V,  R = V^{-1} Gh_n^{-1}.
 
 The product is the sum of the rank-one terms exp(lam_k t) (L e_k)(e_k^T R),
 so by the triangle inequality its 2-norm is at most
@@ -50,7 +50,7 @@ from . import modal as modal_mod
 from . import model as mmod
 from .errors import (DomainError, FitError, NumericError, SpecError,
                      SpectralPointError, UnsupportedMapError)
-from .resolvent import ROUND_REL, _line_fit
+from .resolvent import ROUND_REL, _line_fit, _weight_factors
 
 __all__ = [
     "ModalState",
@@ -151,13 +151,11 @@ def propagate(mode, u0, ts):
 
 
 class _SmoothedPropagators:
-    """W^{1/2} exp(t G_n) G_n^{-1} W^{-1/2} = L diag(exp(lam t)) R for a stack
-    of diagonalizable modes, with L = W^{1/2} V and R = V^{-1} G^{-1} W^{-1/2}."""
+    """exp(t Gh_n) Gh_n^{-1} = L diag(exp(lam t)) R for a stack of
+    diagonalizable modes, with L = V and R = V^{-1} Gh_n^{-1}."""
 
-    def __init__(self, lam, V, Wh, Whi, Ginv):
-        self.lam = lam
-        self.L = Wh @ V
-        self.R = np.linalg.solve(V, Ginv @ Whi)
+    def __init__(self, lam, V, Ginv):
+        self.lam, self.L, self.R = lam, V, np.linalg.solve(V, Ginv)
         # ||L e_k|| ||e_k^T R||: the norm of each rank-one term at exp(lam t) = 1
         self.terms = np.linalg.norm(self.L, axis=1) * np.linalg.norm(self.R, axis=2)
 
@@ -173,7 +171,7 @@ class _SmoothedPropagators:
 
 def _inverses(G, ns):
     """G_n^{-1} for a stack; a singular mode raises with its index."""
-    eye = np.eye(G.shape[-1], dtype=complex)
+    eye = np.eye(G.shape[-1], dtype=G.dtype)
     try:
         # a full-stack right-hand side: NumPy < 2 reads a 2-D one as vectors
         return np.linalg.solve(G, np.broadcast_to(eye, G.shape))
@@ -194,40 +192,40 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     certified pruning (see the module docstring); the truncation level must
     be reported with any decay claim derived from this.  A ``work`` dict, when
     given, receives the counters modes_propagated, norm_evals (SVDs run),
-    expm_modes and pruning.
+    expm_modes and pruning.  ``spec`` may be the system's ``ModeStack``.
     """
+    stack = spec if isinstance(spec, modal_mod.ModeStack) else modal_mod._layout(spec, grid)
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise DomainError("times must be nonnegative")
     vals = np.zeros(ts.size)
     counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
               "pruning": "certified"}
-    for ns, G, W in modal_mod._layout(spec, grid).chunks(n_max):
-        Wh, Whi = modal_mod.weight_sqrt(W)
+    for ns, G, W in stack.chunks(n_max):
+        G = _weight_factors(G, W)
         Ginv = _inverses(G, ns)
         lam, V, ok, U = _propagator(G)
         counts["modes_propagated"] += ns.size
         for i in np.flatnonzero(~ok):
-            GW = Ginv[i] @ Whi[i]
             for j, t in enumerate(ts):
-                M = Wh[i] @ (U(i, t) @ GW)
+                M = U(i, t) @ Ginv[i]
                 vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
             counts["expm_modes"] += 1
             counts["norm_evals"] += ts.size
         if not np.any(ok):
             continue
-        stack = _SmoothedPropagators(lam[ok], V[ok], Wh[ok], Whi[ok], Ginv[ok])
+        prop = _SmoothedPropagators(lam[ok], V[ok], Ginv[ok])
         for j, t in enumerate(ts):
-            E = np.exp(stack.lam * t)
-            bound = stack.bounds(E)
+            E = np.exp(prop.lam * t)
+            bound = prop.bounds(E)
             first = int(np.argmax(bound))
-            vals[j] = max(vals[j], stack.norms([first], E)[0])
+            vals[j] = max(vals[j], prop.norms([first], E)[0])
             # NaN bounds are kept: a mode is pruned only when provably below
             rows = np.flatnonzero(~(bound * (1.0 + ROUND_REL) < vals[j] * (1.0 - ROUND_REL)))
             rows = rows[rows != first]
             if rows.size:
                 # fmax skips NaN norms like the per-mode max() does
-                vals[j] = max(vals[j], np.fmax.reduce(stack.norms(rows, E)))
+                vals[j] = max(vals[j], np.fmax.reduce(prop.norms(rows, E)))
             counts["norm_evals"] += 1 + rows.size
     if not np.all(np.isfinite(vals)):
         raise NumericError("semiuniform norm overflowed")

@@ -402,14 +402,14 @@ def assemble(spec, n, grid=None):
 
 
 def weight_matrix(spec, n, grid=None):
-    """The energy Gram matrix alone; singularity is reported by the caller's
-    eigenanalysis, never raised here."""
+    """The energy Gram matrix alone, without the resonance check; a singular
+    weight is reported by the caller's factorization, never raised here."""
     return _mode_arrays(_layout(spec, grid), [n], check_condition=False)[1][0]
 
 
 def weight_sqrt(W):
-    """Hermitian square root and inverse square root of a weight matrix, or
-    of each matrix of a stack (N, d, d)."""
+    """Hermitian square root and inverse square root of a weight matrix or a
+    stack (N, d, d) of them: a test oracle for ``resolvent._weight_factors``."""
     ew, V = np.linalg.eigh(W)
     low, high = ew[..., 0], ew[..., -1]
     if np.any(low <= 1e-12 * high):

@@ -2,8 +2,10 @@
 
 The truncated operator is block diagonal over modes, so its weighted
 resolvent norm at i*lambda is the max over modes of the per-mode norms
-||(i lam - G_n)^{-1}||_{W_n}, each computed as the largest singular value of
-W^{1/2} (i lam - G_n)^{-1} W^{-1/2}.
+||(i lam - G_n)^{-1}||_{W_n}.  With the Cholesky factor W_n = L L^T, the
+energy coordinates v = L^T u turn W-norms into 2-norms, so each is the
+largest singular value of (i lam - Gh_n)^{-1}, Gh_n = L^T G_n L^{-T}
+(``_weight_factors``; SingularWeightError if W_n is not positive definite).
 
 Resonance peaks of the polynomially stable models are extremely narrow (their
 width shrinks like lam^{-2}), so a blind lambda grid reads only the O(1)
@@ -16,11 +18,11 @@ fixed-lambda evaluation.
 Certified mode pruning.  For prony memory (``prony-reduction``) and relaxed
 flux (``flux``) modes, G_n = A_n + D with D = diag(-1/theta_j) on the memory
 rows (-1/(relax*varpi) on the flux rows) independent of n, and
-W A_n + A_n^T W = 0.  D commutes with W, so it is W-self-adjoint with
-W-norm delta = max|D|, and S_n = W^{1/2} A_n W^{-1/2} is real skew, hence
-normal with spectrum +-i s_k (s_k its singular values, computed as square
-roots of the eigenvalues of S_n^T S_n).  Writing
-i lam - G_n ~ (i lam - S_n)(I - (i lam - S_n)^{-1} D) and d = dist(lam, {s_k}):
+W A_n + A_n^T W = 0.  W is diagonal on the rows where D is nonzero, so L is
+too and Gh_n = S_n + D with S_n = L^T A_n L^{-T} real skew, hence normal
+with spectrum +-i s_k (s_k its singular values, computed as square roots of
+the eigenvalues of S_n^T S_n), and delta = max|D| = ||D||.  Writing
+i lam - Gh_n = (i lam - S_n)(I - (i lam - S_n)^{-1} D) and d = dist(lam, {s_k}):
 
 * ||(i lam - G_n)^{-1}||_W <= 1/(d - delta) when d > delta (Neumann series);
 * every eigenvalue mu of G_n has |Im mu - (+-s_k)| <= delta for some k
@@ -40,30 +42,28 @@ are bit-identical to evaluating every mode.
 
 Rounding allowance ROUND_REL = 2^-20 (about 1e-6): each s_k is widened by
 ROUND_REL * max_k s_k.  That covers the sqrt(d*eps) relative error of square
-roots of computed eigenvalues of S^T S, the O(eps sqrt(cond W)) error of
-forming S, and the backward error of the computed eigenvalues of G_n tested
-against the bin.  Computed norms are trusted to a relative ROUND_REL on
-either side of the bounds.  The upwind history grid and the classical law have
-no uniform bound on D and keep every mode.  Either way the sup is taken over
-the modes 1..N(lam), N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with
-c = lam sqrt(rho1/k) ell/pi the index at which omega_n sqrt(k/rho1) = lam,
-not over all n.
+roots of computed eigenvalues of S^T S, the rounding of Gh_n, and the
+backward error of its computed eigenvalues tested against the bin.  Computed
+norms are trusted to a relative ROUND_REL on either side of the bounds.  The
+upwind history grid and the classical law have no uniform bound on D and
+keep every mode.  Either way the sup is taken over the modes 1..N(lam),
+N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with c = lam sqrt(rho1/k) ell/pi
+the index at which omega_n sqrt(k/rho1) = lam, not over all n.
 
-Mode cache.  Every range 1..N(lam) starts at mode 1, and G_n, the weight
-factors, the certificate frequencies and the eigenvalues of G_n do not
-depend on lam.  ``sweep`` therefore builds one read-only ``_ModeCache`` of
-the modes 1..N_max, N_max the largest N(lam) on the grid, once per sweep;
-its samples and threads share it.  Before any sample runs or worker thread
-starts, it assembles the modes in one ``_mode_arrays`` call and factors the
-weights (and drops them).  The first sample to run then computes, under a
-lock, the certificate and runs ``eigvals`` once on exactly the rows some
-sample reads: every row 1..N(lam) without a certificate, the rows that
-``may_hold_eigenvalue`` keeps in the sample's bin with one.  A sample reads
-the first N(lam) rows of the cache; per-mode LAPACK results do not depend on
-the batch, so the samples are bit-identical to assembling each range anew.
-Eigenvalues and resolvent norms run in chunks of at most
-``modal.CHUNK_ELEMENTS`` stacked entries, which bounds their complex
-temporaries.
+Mode cache.  Every range 1..N(lam) starts at mode 1, and Gh_n, the
+certificate frequencies and the eigenvalues of Gh_n do not depend on lam.
+``sweep`` therefore builds one read-only ``_ModeCache`` of the modes
+1..N_max, N_max the largest N(lam) on the grid, once per sweep; its samples
+and threads share it.  Before any sample runs or worker thread starts, it
+assembles the modes in one ``_mode_arrays`` call and keeps only the real
+Gh_n.  The first sample to run then computes, under a lock, the certificate
+and runs ``eigvals`` once on exactly the rows some sample reads: every row
+1..N(lam) without a certificate, the rows that ``may_hold_eigenvalue`` keeps
+in the sample's bin with one.  A sample reads the first N(lam) rows of the
+cache; per-mode LAPACK results do not depend on the batch, so the samples
+are bit-identical to assembling each range anew.  The conjugation,
+eigenvalues and norms run in chunks of at most ``modal.CHUNK_ELEMENTS``
+stacked entries, which bounds their temporaries.
 """
 
 import threading
@@ -74,8 +74,8 @@ import numpy as np
 from . import kernels as kmod
 from . import modal as modal_mod
 from . import model as mmod
-from .errors import (DomainError, FitError, InfeasibleError, SpecError,
-                     SpectralPointError)
+from .errors import (DomainError, FitError, InfeasibleError, SingularWeightError,
+                     SpecError, SpectralPointError)
 
 __all__ = [
     "ResolventSample",
@@ -162,35 +162,43 @@ class SpectralAbscissa:
     argmax_n: int
 
 
-def _weight_factors(W):
-    """Batched Hermitian square roots of stacked weight matrices."""
-    return modal_mod.weight_sqrt(W)
+def _weight_factors(G, W):
+    """Real energy-coordinate generators Gh = L^T G L^{-T}, W = L L^T, of
+    stacked modes, in chunks of at most CHUNK_ELEMENTS entries."""
+    out = np.empty(G.shape)
+    for sl in modal_mod._chunk_slices(G.shape[0], G.shape[-1]):
+        try:
+            L = np.linalg.cholesky(W[sl])
+        except np.linalg.LinAlgError:
+            raise SingularWeightError("weight matrix is not positive definite") from None
+        # L^{-1} G^T with a full-stack right-hand side; (X L)^T = L^T G L^{-T}
+        X = np.linalg.solve(L, np.swapaxes(G[sl].real, 1, 2))
+        out[sl] = np.swapaxes(X @ L, 1, 2)
+    return out
 
 
-def _batched_norms(G, Wh, Whi, lam):
-    """||(i lam - G)^{-1}|| in the weighted norm, per stacked mode.
-
-    ``lam`` may be a scalar or one value per mode.
+def _batched_norms(G, lam):
+    """||(i lam - G)^{-1}||_2 per stacked energy-coordinate generator: the
+    weighted resolvent norm.  ``lam`` may be a scalar or one value per mode.
     """
     N, d, _ = G.shape
     lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (N,))
     eye = np.eye(d)
     out = np.empty(N)
     for sl in modal_mod._chunk_slices(N, d):
-        A = 1j * lam_arr[sl, None, None] * eye - G[sl]
         try:
-            X = np.linalg.solve(A, Whi[sl].astype(complex))
+            X = np.linalg.inv(1j * lam_arr[sl, None, None] * eye - G[sl])
         except np.linalg.LinAlgError as exc:
             raise SpectralPointError(f"i*lambda lies in a mode spectrum: {exc}") from None
-        out[sl] = np.linalg.svd(Wh[sl] @ X, compute_uv=False)[:, 0]
+        out[sl] = np.linalg.svd(X, compute_uv=False)[:, 0]
     return out
 
 
 def mode_resolvent_norm(mode, lam):
     """Weighted resolvent norm of a single mode at i*lam."""
-    Wh, Whi = _weight_factors(mode.weight[None])
+    G = _weight_factors(mode.generator[None], mode.weight[None])
     try:
-        val = _batched_norms(mode.generator[None], Wh, Whi, float(lam))[0]
+        val = _batched_norms(G, lam=float(lam))[0]
     except SpectralPointError:
         ev = np.linalg.eigvals(mode.generator)
         hit = ev[np.argmin(np.abs(ev - 1j * lam))]
@@ -215,8 +223,8 @@ class _Certificate:
     """Per-mode frequencies s_k of the conservative part and the radius
     delta + allowance around them (see the module docstring)."""
 
-    def __init__(self, G, Wh, Whi, D):
-        S = Wh @ (G.real - np.diag(D)) @ Whi
+    def __init__(self, G, D):
+        S = G - np.diag(D)   # G in energy coordinates
         # singular values of S as square roots of the eigenvalues of S^T S
         self.s = np.sqrt(np.maximum(np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S), 0.0))
         self.radius = np.max(np.abs(D)) + ROUND_REL * self.s[:, -1]
@@ -246,7 +254,7 @@ class _ModeCache:
     """The lambda-independent arrays of a sweep's modes 1..N_max (module
     docstring), read-only and shared by the sweep's samples and threads.
 
-    G and the weight factors Wh/Whi are built with the cache.  The spectral
+    The energy-coordinate generators G are built with the cache.  The spectral
     part (``spectra``) is solved once, by the first sample that reads it,
     under a lock, so that a traced run counts its time in the resolvent
     layer (inside ``_sweep_point``), not in the command.
@@ -255,11 +263,8 @@ class _ModeCache:
     def __init__(self, stack, lam_grid, counts, bins, peak_refine):
         self.stack = stack
         self.ns = np.arange(1, max(counts) + 1)
-        self.G, W = modal_mod._mode_arrays(stack, self.ns)
-        self.Wh, self.Whi = _weight_factors(W)
-        del W
-        for arr in (self.G, self.Wh, self.Whi):
-            arr.flags.writeable = False
+        self.G = _weight_factors(*modal_mod._mode_arrays(stack, self.ns))
+        self.G.flags.writeable = False
         self._points = (lam_grid, counts, bins, peak_refine)
         self._lock = threading.Lock()
         self._spectra = None
@@ -277,7 +282,7 @@ class _ModeCache:
     def _solve_spectra(self):
         lam_grid, counts, bins, peak_refine = self._points
         damping = self.stack.damping
-        cert = None if damping is None else _Certificate(self.G, self.Wh, self.Whi, damping)
+        cert = None if damping is None else _Certificate(self.G, damping)
         first_use = []
         assembled, read = 0, np.zeros(self.ns.size, dtype=bool)
         for lam, count, (blo, bhi) in zip(lam_grid, counts, bins):
@@ -299,7 +304,7 @@ class _ModeCache:
 
 def _sweep_point(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
     count = _sweep_count(cache.stack.spec, lam, n_max)
-    ns, G, Wh, Whi = (a[:count] for a in (cache.ns, cache.G, cache.Wh, cache.Whi))
+    ns, G = cache.ns[:count], cache.G[:count]
     cert, ev_all, _ = cache.spectra()
     cert = None if cert is None else cert.head(count)
     work = {"modes_in_range": count, "modes_eigvals": 0, "norm_evals": 0,
@@ -307,20 +312,18 @@ def _sweep_point(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
 
     def max_norm(rows, at):
         """(value, n) of the max over the modes ``rows`` (None: all, no copy)."""
-        if rows is None:
-            vals, sel = _batched_norms(G, Wh, Whi, at), ns
-        else:
-            vals, sel = _batched_norms(G[rows], Wh[rows], Whi[rows], at), ns[rows]
+        sel = slice(None) if rows is None else rows
+        vals = _batched_norms(G[sel], lam=at)
         work["norm_evals"] += vals.size
         b = int(np.argmax(vals))
-        return float(vals[b]), int(sel[b])
+        return float(vals[b]), int(ns[sel][b])
 
     # 1. best peak candidate: the least-damped eigenvalue in the bin, per mode
     cand = None
     if peak_refine and lam > 0:
-        rows = None if cert is None else cert.may_hold_eigenvalue(bin_lo, bin_hi)
-        if rows is None or rows.size:
-            ev = ev_all[:count] if rows is None else ev_all[rows]
+        rows = np.arange(count) if cert is None else cert.may_hold_eigenvalue(bin_lo, bin_hi)
+        if rows.size:
+            ev = ev_all[rows]
             work["modes_eigvals"] += len(ev)
             im = ev.imag
             re_masked = np.where((im > bin_lo) & (im <= bin_hi), ev.real, -np.inf)
@@ -328,9 +331,9 @@ def _sweep_point(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
             idx = np.arange(len(ev))
             has = np.isfinite(re_masked[idx, pick])
             if np.any(has):
-                sub = (idx if rows is None else rows)[has]
+                sub = rows[has]
                 cand_lam = im[idx, pick][has]
-                cvals = _batched_norms(G[sub], Wh[sub], Whi[sub], cand_lam)
+                cvals = _batched_norms(G[sub], lam=cand_lam)
                 work["norm_evals"] += cvals.size
                 j = int(np.argmax(cvals))
                 cand = (float(cvals[j]), float(cand_lam[j]), int(ns[sub[j]]))
@@ -367,7 +370,7 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     lam_grid = np.asarray(lam_grid, dtype=float)
     if np.any(lam_grid < 0):
         raise DomainError("lambda grid must be nonnegative")
-    pos = lam_grid[lam_grid > 0]
+    pos = np.sort(lam_grid[lam_grid > 0])  # the bins follow the log axis, not the grid order
     edges = {}
     if pos.size >= 2:
         logs = np.log(pos)

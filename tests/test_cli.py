@@ -120,6 +120,9 @@ def _singular_mode_9(monkeypatch):
 
 
 TABULATED_UNIFORM = {"memory": {"nodes": 16, "policy": "uniform"}}
+# the faster kernel_h has cell masses down to 5e-18 on the grid of kernel_g:
+# W is positive definite but spans 18 decades
+UPWIND_16 = {"memory": {"scheme": "sgrid-upwind", "nodes": 16}}
 SMALL_DECAY = {"decay": {"t_min": 1, "t_max": 50, "points": 8, "n_max": 16}}
 
 
@@ -132,8 +135,14 @@ SMALL_DECAY = {"decay": {"t_min": 1, "t_max": 50, "points": 8, "n_max": 16}}
     ("tgp_tabulated", TABULATED_UNIFORM, ["spectrum"], None, 0, ""),
     ("tgp_tabulated", dict(TABULATED_UNIFORM, **SMALL_DECAY), ["decay"], None, 0, ""),
     ("tgp_tabulated", {"limit": {"m": 0.5}}, ["limit"], None, 0, ""),
+    ("bgp_prony", UPWIND_16, ["sweep"], None, 0, ""),
+    ("bgp_prony", UPWIND_16, ["decay"], None, 0, ""),
+    ("bgp_prony", UPWIND_16, ["check"], None, 0, ""),
+    ("bgp_prony", UPWIND_16, ["spectrum"], None, 0, ""),
 ], ids=["fit-error", "spectral-point", "threads-0", "uniform-grid-check",
-        "uniform-grid-spectrum", "uniform-grid-decay", "tabulated-mixture"])
+        "uniform-grid-spectrum", "uniform-grid-decay", "tabulated-mixture",
+        "upwind-bgp-sweep", "upwind-bgp-decay", "upwind-bgp-check",
+        "upwind-bgp-spectrum"])
 def test_exit_code(tmp_path, capsys, monkeypatch, base, extra, argv, patch, rc, message):
     cfg = (dict(REF1_BASE) if base == "ref1"
            else json.loads((GOLDEN / base / "config.json").read_text()))
@@ -384,13 +393,17 @@ def test_lowerbound_transforms_each_kernel_once_per_row(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("config, layouts", [("ref1", 5), ("tgp_tabulated", 1)])
 def test_check_builds_one_mode_stack_per_system(tmp_path, monkeypatch, config, layouts):
-    # ref1: the system's stack, the flux twin's, and one per mapped trajectory
+    # ref1: the system's stack, the flux twin's, and one per mapped trajectory;
+    # decay shares one stack between the series and the mode-1 trajectory
     from beamstab import modal
     path = write_config(tmp_path) if config == "ref1" else GOLDEN / config / "config.json"
     calls = _count_calls(monkeypatch, modal, "_layout")
     assert cli.main(["check", "--config", str(path), "--out", str(tmp_path),
                      "--dump-modes", str(tmp_path / "modes")]) == 0
     assert len(calls) <= layouts
+    calls.clear()
+    assert cli.main(["decay", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 class TestCheck:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import beamstab as bs
 from beamstab import dynamics as dmod
 from beamstab import modal as modal_mod
+from beamstab import resolvent as rmod
 from conftest import admissible_specs, ref1_coeffs, random_states, wnorm
 
 
@@ -132,24 +133,23 @@ def _dense_reference(spec, ts, n_max, grid=None):
     vals = np.zeros(ts.size)
     for n in range(1, n_max + 1):
         mode = modal_mod.assemble(spec, n, grid=grid)
-        G, W = mode.generator, mode.weight
-        Wh, Whi = modal_mod.weight_sqrt(W)
+        # the energy-coordinate generator: the weighted norm is the 2-norm
+        G = rmod._weight_factors(mode.generator[None], mode.weight[None])[0]
         try:
-            Ginv = np.linalg.solve(G, np.eye(mode.dim).astype(complex))
+            Ginv = np.linalg.solve(G, np.eye(mode.dim))
         except np.linalg.LinAlgError:
             raise bs.SpectralPointError(f"0 is in the spectrum of mode {n}",
                                         lam=0.0, n=n) from None
         lam, V = np.linalg.eig(G)
         cond = np.linalg.cond(V)
         if np.isfinite(cond) and cond < dmod.EIG_COND_LIMIT:
-            L = Wh @ V
-            R = np.linalg.solve(V, Ginv @ Whi)
+            R = np.linalg.solve(V, Ginv)
             for j, t in enumerate(ts):
-                M = (L * np.exp(lam * t)) @ R
+                M = (V * np.exp(lam * t)) @ R
                 vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
         else:
             for j, t in enumerate(ts):
-                M = Wh @ (scipy.linalg.expm(G * t) @ (Ginv @ Whi))
+                M = scipy.linalg.expm(G * t) @ Ginv
                 vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
     return vals
 
@@ -212,7 +212,8 @@ class TestBatchedSeriesMatchesDense:
         # a limit between the modes' eigenvector conditions sends some modes
         # (and only those) down the expm path
         spec = ref1["BGP"]
-        G, _ = modal_mod._mode_arrays(modal_mod._layout(spec, None), np.arange(1, 17))
+        G = rmod._weight_factors(*modal_mod._mode_arrays(modal_mod._layout(spec, None),
+                                                         np.arange(1, 17)))
         cond = np.sort(np.linalg.cond(np.linalg.eig(G)[1]))
         monkeypatch.setattr(dmod, "EIG_COND_LIMIT", float(np.sqrt(cond[5] * cond[6])))
         monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 5 * 121)
@@ -233,11 +234,9 @@ class TestRankOneBound:
     @given(spec=admissible_specs(ALL_TAGS), t=st.floats(0.0, 1e3))
     def test_bound_covers_the_norm(self, spec, t):
         ns = np.array([1, 2, 3, 7, 40, 300])
-        G, W = modal_mod._mode_arrays(modal_mod._layout(spec, None), ns)
-        Wh, Whi = modal_mod.weight_sqrt(W)
+        G = rmod._weight_factors(*modal_mod._mode_arrays(modal_mod._layout(spec, None), ns))
         lam, V, ok, _ = dmod._propagator(G)
-        stack = dmod._SmoothedPropagators(lam[ok], V[ok], Wh[ok], Whi[ok],
-                                          np.linalg.inv(G[ok]))
+        stack = dmod._SmoothedPropagators(lam[ok], V[ok], np.linalg.inv(G[ok]))
         E = np.exp(stack.lam * t)
         norms = stack.norms(np.arange(E.shape[0]), E)
         assert np.all(norms <= stack.bounds(E) * (1 + 1e-12))

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import beamstab as bs
@@ -297,6 +297,74 @@ class TestSweep:
                [(s.lam, s.value, s.argmax_n) for s in b]
         assert [s.work for s in a] == [s.work for s in b]
 
+    def test_descending_grid_reverses_the_samples(self, ref1):
+        # the bins follow the log axis whatever order the grid is given in
+        g = np.geomspace(5.0, 400.0, 12)
+        up = bs.sweep(ref1["BMC"], g, 16)
+        assert _triples(bs.sweep(ref1["BMC"], g[::-1], 16)) == _triples(up)[::-1]
+
+    def test_large_mode_index_weight(self):
+        # at lam = 3e4 the sweep reaches n = 1.2e5, where the eigenvalues of
+        # the weight of a b = 300 beam span 12.6 decades; its Cholesky factor
+        # exists, so the sweep runs, and its sample is at least the inverse
+        # distance from i*lam to the argmax mode's spectrum
+        kern = bs.normalized(bs.prony_kernel([(1.0, 1.0), (0.5, 3.0)]))
+        spec = bs.SystemSpec("TGP", ref1_coeffs(b=300.0), kernel_g=kern)
+        (s,) = bs.sweep(spec, [3e4], 16)
+        m = bs.assemble(spec, s.argmax_n)
+        dist = np.min(np.abs(np.linalg.eigvals(m.generator) - 1j * s.lam))
+        assert np.isfinite(s.value) and s.value >= (1 - 1e-6) / dist
+
+
+class TestWeightFactors:
+    def test_batch_equals_per_mode(self, ref1):
+        # stacks of one mode and of exactly d modes are the sizes at which a
+        # 2-D right-hand side would be read as a stack of vectors (NumPy < 2)
+        for tag in ("BGP", "TMC"):
+            G, W = modal_mod._mode_arrays(modal_mod._layout(ref1[tag], None),
+                                          np.arange(1, 13))
+            d = G.shape[-1]
+            for N in (1, 3, d):
+                Gh = rmod._weight_factors(G[:N], W[:N])
+                assert Gh.shape == (N, d, d) and Gh.dtype == float
+                for g, w, gh in zip(G[:N], W[:N], Gh):
+                    L = np.linalg.cholesky(w)
+                    assert np.array_equal(gh, (np.linalg.solve(L, g.real.T) @ L).T)
+
+    def test_not_positive_definite_raises(self, ref1):
+        G, W = modal_mod._mode_arrays(modal_mod._layout(ref1["BMC"], None), [1, 2])
+        W[1, 0, 0] = -1.0
+        with pytest.raises(bs.SingularWeightError):
+            rmod._weight_factors(G, W)
+
+    @staticmethod
+    def assert_norms_match_oracle(spec):
+        """Energy-coordinate norms against the Hermitian square-root oracle,
+        within rounding scaled by the conditioning of both routes."""
+        ns = np.array([1, 2, 3, 7, 40, 300, 2500])
+        G, W = modal_mod._mode_arrays(modal_mod._layout(spec, None), ns)
+        Gh = rmod._weight_factors(G, W)
+        Wh, Whi = modal_mod.weight_sqrt(W)
+        ew = np.linalg.eigvalsh(W)
+        d = G.shape[-1]
+        eye = np.eye(d)
+        for lam in (0.0, 2.7, 30.0, 300.0, 2500.0):
+            got = rmod._batched_norms(Gh, lam=lam)
+            want = np.linalg.svd(Wh @ np.linalg.solve(1j * lam * eye - G, Whi.astype(complex)),
+                                 compute_uv=False)[:, 0]
+            kappa = np.linalg.norm(1j * lam * eye - Gh, ord=2, axis=(1, 2)) * got
+            scale = kappa + np.sqrt(ew[:, -1] / ew[:, 0])
+            assert np.all(np.abs(got - want) <= 256 * d * np.finfo(float).eps * scale * want)
+
+    @pytest.mark.parametrize("tag", ["BGP", "BMC", "TGP", "TMC", "BF", "TF"])
+    def test_norms_match_the_eigh_oracle(self, ref1, tag):
+        self.assert_norms_match_oracle(ref1[tag])
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=admissible_specs(("BGP", "BMC", "TGP", "TMC", "BF", "TF")))
+    def test_norms_match_the_eigh_oracle_random(self, spec):
+        self.assert_norms_match_oracle(spec)
+
 
 class TestFitGrowth:
     def test_exact_power_law(self):
@@ -344,10 +412,9 @@ def _dense_reference(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
     c = stack.spec.coeffs
     hi = int(np.ceil(rmod.WINDOW_FACTOR * lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi))
     ns = np.arange(1, max(n_max, hi) + 1)
-    G, W = modal_mod._mode_arrays(stack, ns)
-    Wh, Whi = rmod._weight_factors(W)
+    G = rmod._weight_factors(*modal_mod._mode_arrays(stack, ns))
 
-    vals = rmod._batched_norms(G, Wh, Whi, lam)
+    vals = rmod._batched_norms(G, lam=lam)
     best = int(np.argmax(vals))
     best_val, best_lam, best_n = float(vals[best]), float(lam), int(ns[best])
 
@@ -363,14 +430,14 @@ def _dense_reference(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
         has = np.isfinite(re_masked[rows, pick])
         if np.any(has):
             sub = rows[has]
-            cvals = rmod._batched_norms(G[sub], Wh[sub], Whi[sub], cand_lam[sub])
+            cvals = rmod._batched_norms(G[sub], lam=cand_lam[sub])
             j = int(np.argmax(cvals))
             if cvals[j] > best_val:
                 best_val = float(cvals[j])
                 best_lam = float(cand_lam[sub][j])
                 best_n = int(ns[sub][j])
         if best_lam != lam:
-            vals2 = rmod._batched_norms(G, Wh, Whi, best_lam)
+            vals2 = rmod._batched_norms(G, lam=best_lam)
             b2 = int(np.argmax(vals2))
             best_val, best_n = float(vals2[b2]), int(ns[b2])
     return ResolventSample(lam=best_lam, value=best_val, argmax_n=best_n, work={})
@@ -470,18 +537,24 @@ class TestModeCache:
 
 
 def _certificate(spec, ns):
+    """(energy-coordinate generators, damping diagonal, certificate)."""
     stack = modal_mod._layout(spec, None)
-    G, W = modal_mod._mode_arrays(stack, ns)
-    D = stack.damping
-    Wh, Whi = rmod._weight_factors(W)
-    return G, W, D, Wh, Whi, rmod._Certificate(G, Wh, Whi, D)
+    G = rmod._weight_factors(*modal_mod._mode_arrays(stack, ns))
+    return G, stack.damping, rmod._Certificate(G, stack.damping)
+
+
+# b = 3000: at n = 3e4 the eigenvalues of the weight span 12.4 decades
+STIFF_ROTATION = bs.SystemSpec(
+    "TGP", ref1_coeffs(b=3000.0),
+    kernel_g=bs.normalized(bs.prony_kernel([(1.0, 1.0), (0.5, 3.0)])))
 
 
 class TestCertificate:
-    NS = [1, 2, 7, 40, 300, 2500]
+    NS = [1, 2, 7, 40, 300, 2500, 30000]
 
     @settings(max_examples=25, deadline=None)
     @given(spec=admissible_specs(BOUNDED_DAMPING))
+    @example(spec=STIFF_ROTATION)
     def test_damping_is_the_non_skew_part(self, spec):
         stack = modal_mod._layout(spec, None)
         G, W = modal_mod._mode_arrays(stack, self.NS)
@@ -495,11 +568,12 @@ class TestCertificate:
 
     @settings(max_examples=25, deadline=None)
     @given(spec=admissible_specs(BOUNDED_DAMPING), u=st.floats(0.0, 1.0))
+    @example(spec=STIFF_ROTATION, u=0.5)
     def test_bounds_enclose_the_exact_norm(self, spec, u):
-        G, W, D, Wh, Whi, cert = _certificate(spec, self.NS)
+        G, D, cert = _certificate(spec, self.NS)
         s_max = cert.s[:, -1]
         for lam in (u * s_max[0], u * s_max[-1], cert.s[-1, 4] + 1.5 * cert.radius[-1]):
-            vals = rmod._batched_norms(G, Wh, Whi, lam)
+            vals = rmod._batched_norms(G, lam=lam)
             d = cert._dist(lam, lam)
             upper = np.where(d > cert.radius, 1.0 / np.maximum(d - cert.radius, 1e-300),
                              np.inf)
@@ -508,9 +582,10 @@ class TestCertificate:
 
     @settings(max_examples=25, deadline=None)
     @given(spec=admissible_specs(BOUNDED_DAMPING))
+    @example(spec=STIFF_ROTATION)
     def test_eigenvalues_lie_near_the_conservative_spectrum(self, spec):
         ns = self.NS + [8000]
-        G, W, D, Wh, Whi, cert = _certificate(spec, ns)
+        G, D, cert = _certificate(spec, ns)
         ev = np.linalg.eigvals(G)
         s = np.concatenate([cert.s, -cert.s], axis=1)
         gap = np.min(np.abs(ev[:, :, None] - 1j * s[:, None, :]), axis=2)

@@ -31,6 +31,11 @@ NUMERIC_ERRORS = (NumericError, SpectralPointError, FitError,
                   np.linalg.LinAlgError)
 
 COEFF_FIELDS = ("rho1", "rho2", "rho3", "k", "k0", "b", "varpi", "gamma", "ell")
+# Request caps, checked before any work: one mode's d x d generator (here
+# 16 MiB complex; curved beams on the history grid reach it at 508 nodes) and
+# the points of a sweep or decay grid.
+MAX_MODE_ENTRIES = 1 << 20
+MAX_POINTS = 10_000
 
 
 def _fmt(x):
@@ -121,15 +126,25 @@ def load_config(path, out_override=None):
     grid = None
     if mem["scheme"] == "sgrid-upwind" or (
             tag in model.MEMORY_MODELS and kernel_g.kind == "tabulated"):
-        grid = modal.make_grid(kernel_g, int(_number(mem["nodes"], "memory.nodes")),
-                               policy=mem["policy"])
+        nodes = int(_number(mem["nodes"], "memory.nodes"))
+        # the layout: 4 (6) beam states plus one temperature and its history
+        # nodes per kernel on a straight (curved) beam
+        d = 8 + 2 * nodes if spec.is_bresse else 5 + nodes
+        if d * d > MAX_MODE_ENTRIES:
+            raise SpecError(f"config field memory.nodes = {nodes} gives {d} x {d} mode "
+                            f"matrices, above the cap of {MAX_MODE_ENTRIES} entries")
+        grid = modal.make_grid(kernel_g, nodes, policy=mem["policy"])
 
     def ordered_range(b, lo_key, hi_key, name):
         lo, hi = (_number(b[key], f"{name}.{key}") for key in (lo_key, hi_key))
         if not (0 < lo < hi):  # the grids are geometric
             raise SpecError(f"config block {name} needs 0 < {lo_key} < {hi_key}")
-        if int(_number(b["points"], f"{name}.points")) < 2:
+        points = int(_number(b["points"], f"{name}.points"))
+        if points < 2:
             raise SpecError(f"config block {name} needs points >= 2")
+        if points > MAX_POINTS:
+            raise SpecError(f"config field {name}.points = {points} is above the cap "
+                            f"of {MAX_POINTS}")
         if int(_number(b["n_max"], f"{name}.n_max")) < 1:
             raise SpecError(f"config block {name} needs n_max >= 1")
 
@@ -249,7 +264,7 @@ def cmd_sweep(cfg, args):
     rows = [(s.lam, s.value, s.argmax_n) for s in samples]
     _write_csv(cfg, "sweep", "sweep.csv", ("lambda", "value", "argmax_n"), rows)
     counts = ("modes_in_range", "modes_assembled", "modes_eigvals", "eigvals_computed",
-              "norm_evals")
+              "norm_evals", "svds")
     work = {key: sum(s.work[key] for s in samples) for key in counts}
     work["pruning"] = samples[0].work["pruning"]
     payload = {"samples": len(samples),

@@ -48,9 +48,10 @@ import numpy as np
 from . import kernels as kmod
 from . import modal as modal_mod
 from . import model as mmod
+from . import resolvent as rmod
 from .errors import (DomainError, FitError, NumericError, SpecError,
                      SpectralPointError, UnsupportedMapError)
-from .resolvent import ROUND_REL, _line_fit, _weight_factors
+from .resolvent import ROUND_REL, _line_fit
 
 __all__ = [
     "ModalState",
@@ -202,7 +203,7 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
               "pruning": "certified"}
     for ns, G, W in stack.chunks(n_max):
-        G = _weight_factors(G, W)
+        G = rmod._weight_factors(G, W)
         Ginv = _inverses(G, ns)
         lam, V, ok, U = _propagator(G)
         counts["modes_propagated"] += ns.size

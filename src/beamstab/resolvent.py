@@ -40,15 +40,40 @@ modes lie strictly below the maximum, so they cannot be its argmax, and
 per-mode LAPACK results do not depend on the batch they share: the samples
 are bit-identical to evaluating every mode.
 
+Two more gates, certified for every scheme, skip the SVD or the resolvent
+itself for modes that provably lie below a known lower bound of the max
+(Trefethen & Embree, Spectra and Pseudospectra, 2005):
+
+* Frobenius gate (``_batched_norms`` given ``known``): every mode's
+  X = (i lam - Gh_n)^{-1} is formed, and ||X||_2 <= ||X||_F.  The SVD runs
+  first on the largest ||X||_F of each chunk, raising the running bound,
+  then only on the modes with ||X||_F (1 + ROUND_REL) >= bound
+  (1 - ROUND_REL); a NaN is never pruned.  The other modes report ||X||_F,
+  an upper bound strictly below the max.  The candidates (step 1) are gated
+  from no bound, the value at lam (step 2) from the best candidate value,
+  the achieved lambda (step 3) from the candidate value itself.
+* Resolvent-identity gate (step 3): R(lam') = (I + i(lam' - lam)
+  R(lam))^{-1} R(lam), so ||R(lam')|| <= r / (1 - |lam' - lam| r) whenever
+  |lam' - lam| r < 1, for any r >= ||R(lam)||.  With r the mode's step-2
+  value (exact, or ||X||_F where gated) widened by ROUND_REL, and the bound
+  widened once more, a mode is formed again at lam' only if that bound
+  reaches the candidate value.  This intersects ``may_reach``; the
+  candidate's own mode is always kept.
+
+The SVD runs on the same computed X, so every reported value keeps its
+bits, and a gated mode cannot be the argmax.
+
 Rounding allowance ROUND_REL = 2^-20 (about 1e-6): each s_k is widened by
 ROUND_REL * max_k s_k.  That covers the sqrt(d*eps) relative error of square
 roots of computed eigenvalues of S^T S, the rounding of Gh_n, and the
 backward error of its computed eigenvalues tested against the bin.  Computed
-norms are trusted to a relative ROUND_REL on either side of the bounds.  The
-upwind history grid and the classical law have no uniform bound on D and
-keep every mode.  Either way the sup is taken over the modes 1..N(lam),
-N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with c = lam sqrt(rho1/k) ell/pi
-the index at which omega_n sqrt(k/rho1) = lam, not over all n.
+norms are trusted to a relative ROUND_REL on either side of the bounds; the
+computed ||X||_F and largest singular value of X carry relative errors of
+about d^2 eps.  The upwind history grid and the classical law have no
+uniform bound on D and keep every mode from ``may_reach``.  Either way the
+sup is taken over the modes 1..N(lam), N(lam) = max(n_max,
+ceil(WINDOW_FACTOR * c)) with c = lam sqrt(rho1/k) ell/pi the index at which
+omega_n sqrt(k/rho1) = lam, not over all n.
 
 Mode cache.  Every range 1..N(lam) starts at mode 1, and Gh_n, the
 certificate frequencies and the eigenvalues of Gh_n do not depend on lam.
@@ -103,7 +128,7 @@ class ResolventSample:
     lam: float
     value: float
     argmax_n: int
-    # modes_in_range, modes_eigvals, norm_evals and pruning of this point
+    # modes_in_range, modes_eigvals, norm_evals, svds and pruning of this point
     work: dict = field(default=None, compare=False, repr=False)
 
 
@@ -177,20 +202,51 @@ def _weight_factors(G, W):
     return out
 
 
-def _batched_norms(G, lam):
+def _batched_norms(G, lam, known=None, work=None):
     """||(i lam - G)^{-1}||_2 per stacked energy-coordinate generator: the
     weighted resolvent norm.  ``lam`` may be a scalar or one value per mode.
+
+    With ``known=None`` every value is exact.  Given a lower bound ``known``
+    of the max (-inf for none), the Frobenius gate (module docstring) runs
+    the SVD only on the modes whose ||X||_F may reach the running bound; the
+    others report ||X||_F, an upper bound strictly below the max, so the max
+    and its first index are exact.  A ``work`` dict counts the resolvents
+    formed (``norm_evals``) and the SVDs run (``svds``).
     """
     N, d, _ = G.shape
     lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (N,))
     eye = np.eye(d)
     out = np.empty(N)
+    bound, svds = known, 0
+
+    def below(v):   # provably below the running bound; NaN never is
+        return v * (1.0 + ROUND_REL) < bound * (1.0 - ROUND_REL)
+
     for sl in modal_mod._chunk_slices(N, d):
         try:
             X = np.linalg.inv(1j * lam_arr[sl, None, None] * eye - G[sl])
         except np.linalg.LinAlgError as exc:
             raise SpectralPointError(f"i*lambda lies in a mode spectrum: {exc}") from None
-        out[sl] = np.linalg.svd(X, compute_uv=False)[:, 0]
+        if known is None:
+            out[sl] = np.linalg.svd(X, compute_uv=False)[:, 0]
+            svds += X.shape[0]
+            continue
+        vals = np.linalg.norm(X, axis=(1, 2))    # ||X||_2 <= ||X||_F
+        top = int(np.argmax(vals))   # the largest ||X||_F, or the first NaN
+        if not below(vals[top]):
+            # its exact norm raises the bound before the rest is gated
+            vals[top] = np.linalg.svd(X[top], compute_uv=False)[0]
+            bound = max(bound, float(vals[top]))
+            rows = np.flatnonzero(~below(vals))
+            rows = rows[rows != top]
+            if rows.size:
+                vals[rows] = np.linalg.svd(X[rows], compute_uv=False)[:, 0]
+                bound = max(bound, float(np.max(vals[rows])))
+            svds += 1 + rows.size
+        out[sl] = vals
+    if work is not None:
+        work["norm_evals"] += N
+        work["svds"] += svds
     return out
 
 
@@ -307,16 +363,15 @@ def _sweep_point(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
     ns, G = cache.ns[:count], cache.G[:count]
     cert, ev_all, _ = cache.spectra()
     cert = None if cert is None else cert.head(count)
-    work = {"modes_in_range": count, "modes_eigvals": 0, "norm_evals": 0,
+    work = {"modes_in_range": count, "modes_eigvals": 0, "norm_evals": 0, "svds": 0,
             "pruning": "none" if cert is None else "certified"}
 
-    def max_norm(rows, at):
-        """(value, n) of the max over the modes ``rows`` (None: all, no copy)."""
-        sel = slice(None) if rows is None else rows
-        vals = _batched_norms(G[sel], lam=at)
-        work["norm_evals"] += vals.size
+    def max_norm(sel, at, known):
+        """(value, n, per-mode values) of the max over the modes ``sel`` (an
+        index array or a slice), Frobenius-gated by a lower bound ``known``."""
+        vals = _batched_norms(G[sel], lam=at, known=known, work=work)
         b = int(np.argmax(vals))
-        return float(vals[b]), int(ns[sel][b])
+        return float(vals[b]), int(ns[sel][b]), vals
 
     # 1. best peak candidate: the least-damped eigenvalue in the bin, per mode
     cand = None
@@ -333,23 +388,31 @@ def _sweep_point(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
             if np.any(has):
                 sub = rows[has]
                 cand_lam = im[idx, pick][has]
-                cvals = _batched_norms(G[sub], lam=cand_lam)
-                work["norm_evals"] += cvals.size
+                cvals = _batched_norms(G[sub], lam=cand_lam, known=-np.inf, work=work)
                 j = int(np.argmax(cvals))
                 cand = (float(cvals[j]), float(cand_lam[j]), int(ns[sub[j]]))
     known = -np.inf if cand is None else cand[0]
 
     # 2. the value at lam; a candidate wins only by exceeding it
-    rows = None if cert is None else cert.may_reach(lam, known)
-    at_lam = max_norm(rows, lam) if rows is None or rows.size else None
+    rows = slice(None) if cert is None else cert.may_reach(lam, known)
+    upper = np.full(count, np.inf)   # per mode at lam: exact, or ||X||_F where gated
+    at_lam = None
+    if cert is None or rows.size:
+        value, n, upper[rows] = max_norm(rows, lam, known)
+        at_lam = (value, n)
     if cand is None or (at_lam is not None and not cand[0] > at_lam[0]):
         value, n = at_lam
         return ResolventSample(lam=float(lam), value=value, argmax_n=n, work=work)
     value, best_lam, n = cand
     if best_lam != lam:
-        # 3. certify the sup over all candidate modes at the achieved lambda
-        rows = None if cert is None else cert.may_reach(best_lam, value)
-        value, n = max_norm(rows, best_lam)
+        # 3. certify the sup over all candidate modes at the achieved lambda.
+        # Resolvent identity: ||R(lam')|| <= r / (1 - |lam' - lam| r) for
+        # r >= ||R(lam)||, with the computed r and result trusted to ROUND_REL
+        rows = np.arange(count) if cert is None else cert.may_reach(best_lam, value)
+        r = upper[rows] * (1.0 + ROUND_REL)
+        gap = 1.0 - abs(best_lam - lam) * r
+        rows = rows[~(r * (1.0 + ROUND_REL) < value * gap) | (ns[rows] == n)]
+        value, n, _ = max_norm(rows, best_lam, value)
     return ResolventSample(lam=best_lam, value=value, argmax_n=n, work=work)
 
 
@@ -362,8 +425,9 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     (see module docstring).  The modes 1..max N(lam) are assembled, factored
     and eigen-solved once, into a read-only cache that the samples and
     ``threads`` workers share.  Each sample's ``work`` counts the modes in
-    range, the modes given to ``eigvals``, the resolvent norms evaluated, and
-    the modes assembled and eigen-solved first for it (``modes_assembled``,
+    range, the modes given to ``eigvals``, the resolvents formed
+    (``norm_evals``) and the SVDs run on them (``svds``), and the modes
+    assembled and eigen-solved first for it (``modes_assembled``,
     ``eigvals_computed``).  Raises with (lambda, n) context when a sample hits
     the spectrum exactly.
     """

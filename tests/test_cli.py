@@ -98,6 +98,51 @@ class TestConfigErrors:
         assert cli.main(["stability", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Grid building and mode assembly fail if a request reaches them."""
+        from beamstab import modal
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a capped request reached the computation")
+
+        monkeypatch.setattr(modal, "make_grid", unreachable)
+        monkeypatch.setattr(modal, "_mode_arrays", unreachable)
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"memory": {"scheme": "sgrid-upwind", "nodes": 10**6}}, "memory.nodes"),
+        ({"sweep": {"points": 10**9}}, "sweep.points"),
+        ({"decay": {"points": 10**9}}, "decay.points"),
+    ], ids=["nodes", "sweep-points", "decay-points"])
+    def test_capped_request_exits_2(self, tmp_path, capsys, no_work, extra, message):
+        # every command validates the whole config; ``stability`` builds no
+        # lambda or time grid, so an uncapped run allocates nothing either
+        path = write_config(tmp_path, output={"dir": str(tmp_path / "out")}, **extra)
+        assert cli.main(["stability", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tag, largest", [("BGP", 508), ("TGP", 1019)])
+    def test_node_cap_follows_the_layout(self, tmp_path, monkeypatch, tag, largest):
+        from beamstab import modal
+        # the rule load_config applies: d = 8 + 2M curved, 5 + M straight
+        for nodes in (8, 12):
+            cfg = cli.load_config(write_config(
+                tmp_path, model=tag, memory={"scheme": "sgrid-upwind", "nodes": nodes}))
+            d = modal._layout(cfg.spec, cfg.grid).dim
+            assert d == (8 + 2 * nodes if tag == "BGP" else 5 + nodes)
+        built = []
+        monkeypatch.setattr(modal, "make_grid", lambda kernel, M, policy: built.append(M))
+        for nodes in (largest, largest + 1):
+            path = write_config(tmp_path, model=tag,
+                                memory={"scheme": "sgrid-upwind", "nodes": nodes})
+            if nodes == largest:
+                cli.load_config(path)
+            else:
+                with pytest.raises(cli.SpecError, match="memory.nodes"):
+                    cli.load_config(path)
+        assert built == [largest]
+
     def test_no_partial_output_on_config_error(self, tmp_path):
         out = tmp_path / "never"
         path = write_config(tmp_path, output={"dir": str(out)},
@@ -298,6 +343,7 @@ class TestGoldenSweep:
         assert 0 < work["modes_assembled"] <= work["modes_in_range"]
         assert 0 < work["eigvals_computed"] <= work["modes_eigvals"]
         assert 0 < work["norm_evals"] <= 3 * work["modes_in_range"]
+        assert 0 < work["svds"] <= work["norm_evals"]
 
 
 class TestGoldenDecay:

@@ -208,6 +208,20 @@ class TestBatchedSeriesMatchesDense:
         for tag in ("BMC", "BGP"):
             assert_series_matches_dense(ref1[tag], TS, 30)
 
+    def test_weight_factors_called_through_the_module(self, ref1, monkeypatch):
+        # one conjugation per chunk, looked up on the resolvent module at call
+        # time, so that a wrapper on resolvent._weight_factors sees it
+        factors, calls = rmod._weight_factors, []
+
+        def counted(G, W):
+            calls.append(G.shape[0])
+            return factors(G, W)
+
+        monkeypatch.setattr(rmod, "_weight_factors", counted)
+        monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 7 * 100 + 99)
+        bs.semiuniform_series(ref1["BMC"], TS, 30)
+        assert calls == [7, 7, 7, 7, 2]
+
     def test_mixed_fallback(self, ref1, monkeypatch):
         # a limit between the modes' eigenvector conditions sends some modes
         # (and only those) down the expm path

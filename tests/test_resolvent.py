@@ -506,6 +506,65 @@ class TestPrunedSweepMatchesDense:
         assert all(s.work["modes_eigvals"] <= s.work["modes_in_range"] for s in out)
 
 
+def _tabulated_history(nodes):
+    """(spec, grid): TGP with a normalized exp(-s) table on the upwind grid,
+    the system of the tabulated-history benchmark."""
+    s = np.linspace(0.0, 23.0, 401)
+    kern = bs.normalized(bs.tabulated_kernel(s, np.exp(-s), delta_tail=1.0, delta=1.0))
+    return bs.SystemSpec("TGP", ref1_coeffs(), kernel_g=kern), bs.make_grid(kern, nodes)
+
+
+def _near_rank_one(seed, d=4):
+    """A generator whose resolvent at 0 is 1e6 u v^T + 1e-3 I: its Frobenius
+    and spectral norms agree to rounding."""
+    rng = np.random.default_rng(seed)
+    X = 1e6 * np.outer(rng.standard_normal(d), rng.standard_normal(d)) + 1e-3 * np.eye(d)
+    return -np.linalg.inv(X)[None]
+
+
+class TestGates:
+    def test_tabulated_history_matches_dense(self):
+        spec, grid = _tabulated_history(32)
+        lams = np.geomspace(10 ** 1.25, 10 ** 1.75, 8)   # [17.8, 56.2]
+        for threads in (None, 2):
+            out = assert_sweep_matches_dense(spec, lams, 64, grid=grid, threads=threads)
+            work = {key: sum(s.work[key] for s in out)
+                    for key in ("modes_in_range", "norm_evals", "svds")}
+            # ungated: 2,304 resolvents formed, each with its SVD
+            assert work == {"modes_in_range": 1088, "norm_evals": 1339, "svds": 16}
+
+    def test_frobenius_gate_keeps_the_max(self, ref1):
+        ns = np.arange(1, 41)
+        G = rmod._weight_factors(*modal_mod._mode_arrays(modal_mod._layout(ref1["BGP"], None),
+                                                         ns))
+        for lam in (0.0, 7.3, 55.0):
+            exact = rmod._batched_norms(G, lam=lam)
+            top = float(np.max(exact))
+            for known in (-np.inf, 0.5 * top, top, 2.0 * top):
+                work = {"norm_evals": 0, "svds": 0}
+                got = rmod._batched_norms(G, lam=lam, known=known, work=work)
+                assert work["norm_evals"] == ns.size and work["svds"] < ns.size
+                assert (work["svds"] > 0) == (known <= top)
+                exact_rows = got == exact
+                assert np.all(got[~exact_rows] > exact[~exact_rows])   # ||X||_F
+                assert np.all(got[~exact_rows] < max(known, top))
+                if known <= top:
+                    assert got.max() == top and np.argmax(got) == np.argmax(exact)
+
+    def test_frobenius_gate_margin(self):
+        # near rank one, the computed ||X||_F falls below the computed ||X||_2
+        # about a third of the time; the gate must still run the SVD when the
+        # lower bound is that very norm, as for the candidate mode in step 3
+        below = 0
+        for seed in range(24):
+            G = _near_rank_one(seed)
+            exact = rmod._batched_norms(G, lam=0.0)
+            X = np.linalg.inv(-G)
+            below += np.linalg.norm(X, axis=(1, 2))[0] < exact[0]
+            assert rmod._batched_norms(G, lam=0.0, known=exact[0]).tolist() == exact.tolist()
+        assert below > 0
+
+
 class TestModeCache:
     def test_each_mode_assembled_and_eigen_solved_once(self, ref1, monkeypatch):
         mode_arrays, eigvals = modal_mod._mode_arrays, np.linalg.eigvals

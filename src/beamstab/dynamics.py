@@ -18,20 +18,20 @@ Gh_n and diagonalizes Gh_n = V diag(lam) V^{-1}, so that
 
 The product is the sum of the rank-one terms exp(lam_k t) (L e_k)(e_k^T R),
 so by the triangle inequality its 2-norm is at most
-b_n(t) = sum_k |exp(lam_k t)| ||L e_k|| ||e_k^T R||.  At each t the SVD runs
-first on the mode with the largest b_n; its value, with the maximum of the
-earlier chunks, is a computed lower bound ``known`` of the sup.  The SVD then
-runs only on the modes with b_n (1 + ROUND_REL) >= known (1 - ROUND_REL).
-Rounding allowance ROUND_REL = 2^-20, the sweep's: the computed product
-differs from L diag(exp(lam t)) R by at most about d*eps*b_n in norm (its
-componentwise error is bounded by |L| diag|exp(lam t)| |R|, whose norm is at
-most b_n), and the computed SVD and b_n carry relative errors of order d*eps.
-A pruned mode's computed norm therefore lies strictly below ``known``, so it
-cannot change the max; per-mode LAPACK results do not depend on the batch,
-and the values are bit-identical to the per-mode loop.  The chunk's
-eigendecomposition comes from ``_propagator``; modes whose eigenvector
-condition number is not below EIG_COND_LIMIT take its ``expm`` at every time
-point, without pruning.
+b_n(t) = sum_k |exp(lam_k t)| ||L e_k|| ||e_k^T R||.  At each t the chunk's
+max is the resolvent module's gated max (``resolvent._gated_max``) of the
+bounds b_n and their SVDs, from the maximum of the earlier chunks: an SVD
+runs only where the pruning rule (``resolvent._below``) cannot show b_n
+below the running max.  The rule's rounding allowance covers this bound:
+the computed product differs from L diag(exp(lam t)) R by at most about
+d*eps*b_n in norm (its componentwise error is bounded by
+|L| diag|exp(lam t)| |R|, whose norm is at most b_n), and the computed SVD
+and b_n carry relative errors of order d*eps.  A pruned mode's computed norm
+therefore lies strictly below the max, so it cannot change it; per-mode
+LAPACK results do not depend on the batch, and the values are bit-identical
+to the per-mode loop.  The chunk's eigendecomposition comes from
+``_propagator``; modes whose eigenvector condition number is not below
+EIG_COND_LIMIT take its ``expm`` at every time point, without pruning.
 
 For a one-term exponential kernel the auxiliary prony state y of a memory
 mode maps linearly onto the relaxed-flux variable, flux = -varpi*omega*y.
@@ -51,7 +51,7 @@ from . import model as mmod
 from . import resolvent as rmod
 from .errors import (DomainError, FitError, NumericError, SpecError,
                      SpectralPointError, UnsupportedMapError)
-from .resolvent import ROUND_REL, _line_fit
+from .resolvent import _line_fit
 
 __all__ = [
     "ModalState",
@@ -218,16 +218,11 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
         prop = _SmoothedPropagators(lam[ok], V[ok], Ginv[ok])
         for j, t in enumerate(ts):
             E = np.exp(prop.lam * t)
-            bound = prop.bounds(E)
-            first = int(np.argmax(bound))
-            vals[j] = max(vals[j], prop.norms([first], E)[0])
-            # NaN bounds are kept: a mode is pruned only when provably below
-            rows = np.flatnonzero(~(bound * (1.0 + ROUND_REL) < vals[j] * (1.0 - ROUND_REL)))
-            rows = rows[rows != first]
-            if rows.size:
-                # fmax skips NaN norms like the per-mode max() does
-                vals[j] = max(vals[j], np.fmax.reduce(prop.norms(rows, E)))
-            counts["norm_evals"] += 1 + rows.size
+            norms, svds = rmod._gated_max(prop.bounds(E), lambda rows: prop.norms(rows, E),
+                                          vals[j])
+            # fmax skips NaN norms like the per-mode max() does; gated rows lie below
+            vals[j] = max(vals[j], np.fmax.reduce(norms))
+            counts["norm_evals"] += svds
     if not np.all(np.isfinite(vals)):
         raise NumericError("semiuniform norm overflowed")
     if work is not None:

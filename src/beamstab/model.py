@@ -207,6 +207,20 @@ def _chi_memory(c, heat_mass, chi_factor):
     return t1 - t2 + t3, abs(t1) + abs(t2) + abs(t3)
 
 
+def _chi_relaxed(c, relax, chi_factor):
+    """chi for a relaxed flux law: (relax*rho3 - rho1/k) * chi_factor +
+    gamma^2*relax; returns (value, scale-of-terms)."""
+    t1 = relax * c.rho3 * chi_factor
+    t2 = (c.rho1 / c.k) * chi_factor
+    t3 = c.gamma**2 * relax
+    return t1 - t2 + t3, abs(t1) + abs(t2) + abs(t3)
+
+
+def _chi_elastic(c):
+    """(chi0, chi1): the stability numbers of the elastic constants."""
+    return c.b - c.k * c.rho2 / c.rho1, c.k0 - c.k
+
+
 def stability_numbers(spec, tol=DEFAULT_TOL):
     """Compute every stability number defined for the model and classify.
 
@@ -215,9 +229,8 @@ def stability_numbers(spec, tol=DEFAULT_TOL):
     """
     c = spec.coeffs
     scales = {}
-    chi0 = c.b - c.k * c.rho2 / c.rho1
+    chi0, chi1 = _chi_elastic(c)
     scales["chi0"] = c.b + c.k * c.rho2 / c.rho1
-    chi1 = c.k0 - c.k
     scales["chi1"] = c.k0 + c.k
 
     kwargs = {}
@@ -225,25 +238,16 @@ def stability_numbers(spec, tol=DEFAULT_TOL):
         (mass_g, _), mh = spec.heat_masses()
         kwargs["sigma_g"] = mass_g - c.rho3 * c.k / c.rho1
         if spec.model in ("BGP", "TGP"):
-            val, sc = _chi_memory(c, mass_g, chi0)
-            kwargs["chi_g"] = val
-            scales["chi_g"] = sc
+            kwargs["chi_g"], scales["chi_g"] = _chi_memory(c, mass_g, chi0)
         else:
-            # relaxed flux: chi_sigma = (sigma rho3 - rho1/k) chi0 + gamma^2 sigma
-            t1, t2, t3 = c.sigma * c.rho3 * chi0, (c.rho1 / c.k) * chi0, c.gamma**2 * c.sigma
-            kwargs["chi_sigma"] = t1 - t2 + t3
-            scales["chi_sigma"] = abs(t1) + abs(t2) + abs(t3)
+            kwargs["chi_sigma"], scales["chi_sigma"] = _chi_relaxed(c, c.sigma, chi0)
         if mh is not None:
             mass_h = mh[0]
             kwargs["sigma_h"] = mass_h - c.rho3 * c.k / c.rho1
             if spec.model == "BGP":
-                val, sc = _chi_memory(c, mass_h, chi1)
-                kwargs["chi_h"] = val
-                scales["chi_h"] = sc
+                kwargs["chi_h"], scales["chi_h"] = _chi_memory(c, mass_h, chi1)
             else:
-                t1, t2, t3 = c.tau * c.rho3 * chi1, (c.rho1 / c.k) * chi1, c.gamma**2 * c.tau
-                kwargs["chi_tau"] = t1 - t2 + t3
-                scales["chi_tau"] = abs(t1) + abs(t2) + abs(t3)
+                kwargs["chi_tau"], scales["chi_tau"] = _chi_relaxed(c, c.tau, chi1)
 
     report = StabilityReport(
         model=spec.model, chi0=chi0, chi1=chi1, tol=tol,
@@ -309,10 +313,8 @@ def tune_chi_zero(coeffs, target):
     time itself.  Raises if no strictly positive solution exists.
     """
     c = coeffs
-    factor = {"chi_g": c.b - c.k * c.rho2 / c.rho1,
-              "chi_h": c.k0 - c.k,
-              "chi_sigma": c.b - c.k * c.rho2 / c.rho1,
-              "chi_tau": c.k0 - c.k}.get(target)
+    chi0, chi1 = _chi_elastic(c)
+    factor = {"chi_g": chi0, "chi_h": chi1, "chi_sigma": chi0, "chi_tau": chi1}.get(target)
     if factor is None:
         raise DomainError(f"unknown tuning target {target!r}")
     num = c.rho3 * factor + c.gamma**2

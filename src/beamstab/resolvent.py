@@ -30,68 +30,74 @@ i lam - Gh_n = (i lam - S_n)(I - (i lam - S_n)^{-1} D) and d = dist(lam, {s_k}):
 * ||(i lam - G_n)^{-1}||_W >= 1/(d + delta) (Weyl: singular values move by
   at most ||D||).
 
+The pruning rule.  Every decision to skip a mode, here and in the decay
+series of ``dynamics``, is one test, ``_below(upper, known)``: a computed
+upper bound of a mode's norm against a computed lower bound ``known`` of the
+max, each trusted to a relative ROUND_REL,
+
+    upper (1 + ROUND_REL) < known (1 - ROUND_REL),
+
+and a NaN is never below.  A mode that passes lies strictly below the max,
+so it cannot be its argmax.  Maxima with a per-mode bound and a costly exact
+value go through one gated max, ``_gated_max(upper, exact, known)``: the
+exact value runs first on the largest bound, unless even that is below
+``known``, which its value raises; then only on the modes not below the
+raised bound.  Gated modes report their bound.  The max and its first index
+are therefore those of the all-exact values, and per-mode LAPACK results do
+not depend on the batch they share, so every reported value keeps its bits.
+
 A sweep point takes three maxima: the best peak candidate, the value at lam
 (which a candidate must exceed), and the value at the achieved lambda.
 Candidates come first.  Only modes whose bin lies within delta of some s_k
 can hold an eigenvalue there, so only they go to ``eigvals``.  The other two
-maxima are taken over the modes whose upper bound reaches a known lower bound
-of the maximum: the best candidate value or the largest Weyl bound.  Pruned
-modes lie strictly below the maximum, so they cannot be its argmax, and
-per-mode LAPACK results do not depend on the batch they share: the samples
-are bit-identical to evaluating every mode.
-
-Two more gates, certified for every scheme, skip the SVD or the resolvent
-itself for modes that provably lie below a known lower bound of the max
-(Trefethen & Embree, Spectra and Pseudospectra, 2005):
+maxima skip the modes whose Neumann bound is below the larger of a known
+lower bound of the max (the best candidate value) and the largest Weyl
+bound (``may_reach``).  Two more bounds, valid for every scheme, gate the
+SVD or the resolvent itself (Trefethen & Embree, Spectra and Pseudospectra,
+2005):
 
 * Frobenius gate (``_batched_norms`` given ``known``): every mode's
-  X = (i lam - Gh_n)^{-1} is formed, and ||X||_2 <= ||X||_F.  The SVD runs
-  first on the largest ||X||_F of each chunk, raising the running bound,
-  then only on the modes with ||X||_F (1 + ROUND_REL) >= bound
-  (1 - ROUND_REL); a NaN is never pruned.  The other modes report ||X||_F,
-  an upper bound strictly below the max.  The candidates (step 1) are gated
-  from no bound, the value at lam (step 2) from the best candidate value,
-  the achieved lambda (step 3) from the candidate value itself.
+  X = (i lam - Gh_n)^{-1} is formed, and ||X||_2 <= ||X||_F is the bound of
+  a gated max per chunk, from the running max.  The candidates (step 1) are
+  gated from no bound, the value at lam (step 2) from the best candidate
+  value, the achieved lambda (step 3) from the candidate value itself.
 * Resolvent-identity gate (step 3): R(lam') = (I + i(lam' - lam)
   R(lam))^{-1} R(lam), so ||R(lam')|| <= r / (1 - |lam' - lam| r) whenever
   |lam' - lam| r < 1, for any r >= ||R(lam)||.  With r the mode's step-2
-  value (exact, or ||X||_F where gated) widened by ROUND_REL, and the bound
-  widened once more, a mode is formed again at lam' only if that bound
-  reaches the candidate value.  This intersects ``may_reach``; the
-  candidate's own mode is always kept.
-
-The SVD runs on the same computed X, so every reported value keeps its
-bits, and a gated mode cannot be the argmax.
+  value (exact, or ||X||_F where gated) widened by ROUND_REL, a mode is
+  formed again at lam' only if that bound is not below the candidate value;
+  the candidate's own mode is always kept.
 
 Rounding allowance ROUND_REL = 2^-20 (about 1e-6): each s_k is widened by
 ROUND_REL * max_k s_k.  That covers the sqrt(d*eps) relative error of square
 roots of computed eigenvalues of S^T S, the rounding of Gh_n, and the
-backward error of its computed eigenvalues tested against the bin.  Computed
-norms are trusted to a relative ROUND_REL on either side of the bounds; the
+backward error of its computed eigenvalues tested against the bin.  The
 computed ||X||_F and largest singular value of X carry relative errors of
-about d^2 eps.  The upwind history grid and the classical law have no
-uniform bound on D and keep every mode from ``may_reach``.  Either way the
-sup is taken over the modes 1..N(lam), N(lam) = max(n_max,
-ceil(WINDOW_FACTOR * c)) with c = lam sqrt(rho1/k) ell/pi the index at which
-omega_n sqrt(k/rho1) = lam, not over all n.
+about d^2 eps, well inside the rule's margins.  The upwind history grid and
+the classical law have no uniform bound on D and keep every mode from
+``may_reach``.  Either way the sup is taken over the modes 1..N(lam),
+N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with c = lam sqrt(rho1/k)
+ell/pi the index at which omega_n sqrt(k/rho1) = lam, not over all n.
 
 Mode cache.  Every range 1..N(lam) starts at mode 1, and Gh_n, the
 certificate frequencies and the eigenvalues of Gh_n do not depend on lam.
 ``sweep`` therefore builds one read-only ``_ModeCache`` of the modes
 1..N_max, N_max the largest N(lam) on the grid, once per sweep; its samples
-and threads share it.  Before any sample runs or worker thread starts, it
-assembles the modes in one ``_mode_arrays`` call and keeps only the real
-Gh_n.  The first sample to run then computes, under a lock, the certificate
-and runs ``eigvals`` once on exactly the rows some sample reads: every row
-1..N(lam) without a certificate, the rows that ``may_hold_eigenvalue`` keeps
-in the sample's bin with one.  A sample reads the first N(lam) rows of the
-cache; per-mode LAPACK results do not depend on the batch, so the samples
-are bit-identical to assembling each range anew.  The conjugation,
-eigenvalues and norms run in chunks of at most ``modal.CHUNK_ELEMENTS``
-stacked entries, which bounds their temporaries.
+and threads share it.  The cache plans every point once: its log bin, its
+range N(lam) and, with the spectra, the rows it gives to ``eigvals`` and the
+work it does first.  It assembles the modes in one ``_mode_arrays`` call and
+keeps only the real Gh_n; a request past SWEEP_MAX_ENTRIES stacked entries
+raises DomainError before any assembly.  The spectra (the certificate and
+one ``eigvals`` on exactly the rows some point reads: every row 1..N(lam)
+without a certificate, the rows that ``may_hold_eigenvalue`` keeps in the
+point's bin with one) are solved by the first point, which runs before any
+worker thread starts.  A sample reads the first N(lam) rows of the cache;
+per-mode LAPACK results do not depend on the batch, so the samples are
+bit-identical to assembling each range anew.  The conjugation, eigenvalues
+and norms run in chunks of at most ``modal.CHUNK_ELEMENTS`` stacked
+entries, which bounds their temporaries.
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +127,7 @@ __all__ = [
 WINDOW_FACTOR = 4.0
 CRAMER_TOL = 1e-8
 ROUND_REL = 2.0 ** -20   # rounding allowance of the pruning certificate
+SWEEP_MAX_ENTRIES = 2 ** 26   # stacked d x d entries of one sweep's mode cache
 
 
 @dataclass(frozen=True)
@@ -128,7 +135,7 @@ class ResolventSample:
     lam: float
     value: float
     argmax_n: int
-    # modes_in_range, modes_eigvals, norm_evals, svds and pruning of this point
+    # the work counters and pruning of this point (see ``sweep``)
     work: dict = field(default=None, compare=False, repr=False)
 
 
@@ -202,48 +209,65 @@ def _weight_factors(G, W):
     return out
 
 
+def _below(upper, known):
+    """The one pruning rule (module docstring): the computed upper bound
+    ``upper`` lies provably below the computed lower bound ``known`` of the
+    max.  Elementwise; a NaN is never below."""
+    return upper * (1.0 + ROUND_REL) < known * (1.0 - ROUND_REL)
+
+
+def _gated_max(upper, exact, known):
+    """(values, exact evaluations run) of a max over modes with per-mode
+    upper bounds ``upper``, given a lower bound ``known`` of the max (-inf
+    for none).  ``exact(rows)`` returns the exact values of the modes at
+    the index array ``rows``.  The largest bound (or the first NaN) is
+    evaluated first, unless it is below ``known``; its value raises
+    ``known``, and only the modes not below that are evaluated.  The others
+    keep their bound, so the max and its first index are exact."""
+    vals = np.array(upper, dtype=float)
+    top = int(np.argmax(vals))
+    if _below(vals[top], known):
+        return vals, 0
+    vals[top] = exact(np.array([top]))[0]
+    rows = np.flatnonzero(~_below(vals, max(known, float(vals[top]))))
+    rows = rows[rows != top]
+    if rows.size:
+        vals[rows] = exact(rows)
+    return vals, 1 + rows.size
+
+
 def _batched_norms(G, lam, known=None, work=None):
     """||(i lam - G)^{-1}||_2 per stacked energy-coordinate generator: the
     weighted resolvent norm.  ``lam`` may be a scalar or one value per mode.
 
     With ``known=None`` every value is exact.  Given a lower bound ``known``
-    of the max (-inf for none), the Frobenius gate (module docstring) runs
-    the SVD only on the modes whose ||X||_F may reach the running bound; the
-    others report ||X||_F, an upper bound strictly below the max, so the max
-    and its first index are exact.  A ``work`` dict counts the resolvents
-    formed (``norm_evals``) and the SVDs run (``svds``).
+    of the max (-inf for none), each chunk is a gated max (module docstring)
+    with the bound ||X||_F >= ||X||_2 and the running max; gated modes
+    report ||X||_F, so the max and its first index are exact.  A ``work``
+    dict counts the resolvents formed (``norm_evals``) and the SVDs run
+    (``svds``).
     """
     N, d, _ = G.shape
     lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (N,))
     eye = np.eye(d)
     out = np.empty(N)
     bound, svds = known, 0
-
-    def below(v):   # provably below the running bound; NaN never is
-        return v * (1.0 + ROUND_REL) < bound * (1.0 - ROUND_REL)
-
     for sl in modal_mod._chunk_slices(N, d):
         try:
             X = np.linalg.inv(1j * lam_arr[sl, None, None] * eye - G[sl])
         except np.linalg.LinAlgError as exc:
             raise SpectralPointError(f"i*lambda lies in a mode spectrum: {exc}") from None
+
+        def exact(rows):
+            return np.linalg.svd(X[rows], compute_uv=False)[:, 0]
+
         if known is None:
-            out[sl] = np.linalg.svd(X, compute_uv=False)[:, 0]
+            out[sl] = exact(slice(None))
             svds += X.shape[0]
             continue
-        vals = np.linalg.norm(X, axis=(1, 2))    # ||X||_2 <= ||X||_F
-        top = int(np.argmax(vals))   # the largest ||X||_F, or the first NaN
-        if not below(vals[top]):
-            # its exact norm raises the bound before the rest is gated
-            vals[top] = np.linalg.svd(X[top], compute_uv=False)[0]
-            bound = max(bound, float(vals[top]))
-            rows = np.flatnonzero(~below(vals))
-            rows = rows[rows != top]
-            if rows.size:
-                vals[rows] = np.linalg.svd(X[rows], compute_uv=False)[:, 0]
-                bound = max(bound, float(np.max(vals[rows])))
-            svds += 1 + rows.size
-        out[sl] = vals
+        out[sl], n = _gated_max(np.linalg.norm(X, axis=(1, 2)), exact, bound)
+        bound = max(bound, float(np.max(out[sl])))   # gated rows lie below it
+        svds += n
     if work is not None:
         work["norm_evals"] += N
         work["svds"] += svds
@@ -275,9 +299,25 @@ def _sweep_count(spec, lam, n_max):
     return max(n_max, int(np.ceil(WINDOW_FACTOR * center)))
 
 
+def _log_bins(lam_grid):
+    """Per grid point, the (lo, hi) bin of the log axis it stands for: cut at
+    the log midpoints of the sorted positive points, mirrored at the ends.
+    A single positive point, and lam = 0, get the bin (lam, lam)."""
+    pos = np.sort(lam_grid[lam_grid > 0])  # the bins follow the log axis, not the grid order
+    edges = {}
+    if pos.size >= 2:
+        logs = np.log(pos)
+        mids = 0.5 * (logs[1:] + logs[:-1])
+        lo = np.concatenate([[2 * logs[0] - mids[0]], mids])
+        hi = np.concatenate([mids, [2 * logs[-1] - mids[-1]]])
+        edges = {p: (np.exp(a), np.exp(b)) for p, a, b in zip(pos, lo, hi)}
+    return [edges.get(lam, (lam, lam)) for lam in lam_grid]
+
+
 class _Certificate:
     """Per-mode frequencies s_k of the conservative part and the radius
-    delta + allowance around them (see the module docstring)."""
+    delta + allowance around them (see the module docstring).  Each query
+    reads the first ``count`` modes (all for None)."""
 
     def __init__(self, G, D):
         S = G - np.diag(D)   # G in energy coordinates
@@ -285,69 +325,74 @@ class _Certificate:
         self.s = np.sqrt(np.maximum(np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S), 0.0))
         self.radius = np.max(np.abs(D)) + ROUND_REL * self.s[:, -1]
 
-    def head(self, count):
-        """The certificate of the first ``count`` modes alone."""
-        part = object.__new__(_Certificate)
-        part.s, part.radius = self.s[:count], self.radius[:count]
-        return part
-
-    def _dist(self, lo, hi):
+    def _dist(self, lo, hi, count):
         """Per mode: distance from the interval [lo, hi] to the nearest s_k."""
-        return np.min(np.maximum(np.maximum(lo - self.s, self.s - hi), 0.0), axis=1)
+        s = self.s[:count]
+        return np.min(np.maximum(np.maximum(lo - s, s - hi), 0.0), axis=1)
 
-    def may_hold_eigenvalue(self, lo, hi):
+    def may_hold_eigenvalue(self, lo, hi, count):
         """Modes that may have an eigenvalue with imaginary part in [lo, hi]."""
-        return np.flatnonzero(self._dist(lo, hi) <= self.radius)
+        return np.flatnonzero(self._dist(lo, hi, count) <= self.radius[:count])
 
-    def may_reach(self, lam, known):
-        """Modes whose norm at lam may reach the max, given a lower bound of it."""
-        d = self._dist(lam, lam)
-        floor = max(known, (1.0 - ROUND_REL) / np.min(d + self.radius))
-        return np.flatnonzero(d - self.radius <= (1.0 + ROUND_REL) / floor)
+    def may_reach(self, lam, known, count):
+        """Modes whose Neumann bound at lam is not below the larger of a
+        lower bound ``known`` of the max and the largest Weyl bound."""
+        d, radius = self._dist(lam, lam, count), self.radius[:count]
+        gap = d - radius
+        upper = np.divide(1.0, gap, out=np.full(gap.shape, np.inf), where=gap > 0)
+        return np.flatnonzero(~_below(upper, max(known, 1.0 / np.min(d + radius))))
 
 
 class _ModeCache:
-    """The lambda-independent arrays of a sweep's modes 1..N_max (module
-    docstring), read-only and shared by the sweep's samples and threads.
+    """A sweep's plan and the lambda-independent arrays of its modes
+    1..N_max (module docstring), read-only once the first point has run.
 
-    The energy-coordinate generators G are built with the cache.  The spectral
-    part (``spectra``) is solved once, by the first sample that reads it,
-    under a lock, so that a traced run counts its time in the resolvent
-    layer (inside ``_sweep_point``), not in the command.
+    Per grid point k it holds the bin ``bins[k]`` and the range
+    ``counts[k]``; the energy-coordinate generators G are built with the
+    cache.  The spectral part (``spectra``) is solved by the first point
+    that reads it, which ``sweep`` runs before any worker starts, so that a
+    traced run counts its time in the resolvent layer (inside
+    ``_sweep_point``), not in the command.
     """
 
-    def __init__(self, stack, lam_grid, counts, bins, peak_refine):
-        self.stack = stack
-        self.ns = np.arange(1, max(counts) + 1)
+    def __init__(self, stack, lam_grid, n_max, peak_refine):
+        self.stack, self.lam_grid, self.peak_refine = stack, lam_grid, peak_refine
+        self.bins = _log_bins(lam_grid)
+        self.counts = [_sweep_count(stack.spec, lam, n_max) for lam in lam_grid]
+        n_total = max(self.counts)
+        if n_total * stack.dim ** 2 > SWEEP_MAX_ENTRIES:
+            raise DomainError(
+                f"sweep needs the modes 1..{n_total} at dimension {stack.dim}, "
+                f"{n_total * stack.dim ** 2:.3g} stacked entries, over the cap of "
+                f"{SWEEP_MAX_ENTRIES}; lower lambda_max={float(np.max(lam_grid)):g} "
+                f"or n_max={n_max}")
+        self.ns = np.arange(1, n_total + 1)
         self.G = _weight_factors(*modal_mod._mode_arrays(stack, self.ns))
         self.G.flags.writeable = False
-        self._points = (lam_grid, counts, bins, peak_refine)
-        self._lock = threading.Lock()
         self._spectra = None
 
     def spectra(self):
-        """(cert, ev, first_use): the certificate (None without a damping
-        bound), the eigenvalues ``ev`` of the rows some sample reads, and per
-        grid point k, ``first_use[k]``, the modes assembled and the modes
-        given to ``eigvals`` that no earlier grid point needed."""
-        with self._lock:
-            if self._spectra is None:
-                self._spectra = self._solve_spectra()
+        """(cert, ev, plans): the certificate (None without a damping bound),
+        the eigenvalues ``ev`` of the rows some point reads, and per grid
+        point k, ``plans[k] = (rows, first_use)``: the rows whose eigenvalues
+        it reads, and the modes assembled and the modes given to ``eigvals``
+        that no earlier point needed."""
+        if self._spectra is None:
+            self._spectra = self._solve_spectra()
         return self._spectra
 
     def _solve_spectra(self):
-        lam_grid, counts, bins, peak_refine = self._points
         damping = self.stack.damping
         cert = None if damping is None else _Certificate(self.G, damping)
-        first_use = []
+        plans = []
         assembled, read = 0, np.zeros(self.ns.size, dtype=bool)
-        for lam, count, (blo, bhi) in zip(lam_grid, counts, bins):
+        for lam, count, (blo, bhi) in zip(self.lam_grid, self.counts, self.bins):
             rows = np.arange(0)
-            if peak_refine and lam > 0:
+            if self.peak_refine and lam > 0:
                 rows = (np.arange(count) if cert is None
-                        else cert.head(count).may_hold_eigenvalue(blo, bhi))
-            first_use.append({"modes_assembled": max(0, count - assembled),
-                              "eigvals_computed": int(np.count_nonzero(~read[rows]))})
+                        else cert.may_hold_eigenvalue(blo, bhi, count))
+            plans.append((rows, {"modes_assembled": max(0, count - assembled),
+                                 "eigvals_computed": int(np.count_nonzero(~read[rows]))}))
             assembled = max(assembled, count)
             read[rows] = True
         ev = np.full((self.ns.size, self.stack.dim), np.nan, dtype=complex)
@@ -355,16 +400,18 @@ class _ModeCache:
         for sl in modal_mod._chunk_slices(rows.size, self.stack.dim):
             ev[rows[sl]] = np.linalg.eigvals(self.G[rows[sl]])
         ev.flags.writeable = False
-        return cert, ev, first_use
+        return cert, ev, plans
 
 
-def _sweep_point(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
-    count = _sweep_count(cache.stack.spec, lam, n_max)
+def _sweep_point(cache, k):
+    """The sample of grid point k from the cache's plan (module docstring)."""
+    lam, count = cache.lam_grid[k], cache.counts[k]
+    bin_lo, bin_hi = cache.bins[k]
     ns, G = cache.ns[:count], cache.G[:count]
-    cert, ev_all, _ = cache.spectra()
-    cert = None if cert is None else cert.head(count)
-    work = {"modes_in_range": count, "modes_eigvals": 0, "norm_evals": 0, "svds": 0,
-            "pruning": "none" if cert is None else "certified"}
+    cert, ev_all, plans = cache.spectra()
+    rows, first_use = plans[k]
+    work = {"modes_in_range": count, "modes_eigvals": rows.size, "norm_evals": 0, "svds": 0,
+            "pruning": "none" if cert is None else "certified", **first_use}
 
     def max_norm(sel, at, known):
         """(value, n, per-mode values) of the max over the modes ``sel`` (an
@@ -375,26 +422,23 @@ def _sweep_point(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
 
     # 1. best peak candidate: the least-damped eigenvalue in the bin, per mode
     cand = None
-    if peak_refine and lam > 0:
-        rows = np.arange(count) if cert is None else cert.may_hold_eigenvalue(bin_lo, bin_hi)
-        if rows.size:
-            ev = ev_all[rows]
-            work["modes_eigvals"] += len(ev)
-            im = ev.imag
-            re_masked = np.where((im > bin_lo) & (im <= bin_hi), ev.real, -np.inf)
-            pick = np.argmax(re_masked, axis=1)
-            idx = np.arange(len(ev))
-            has = np.isfinite(re_masked[idx, pick])
-            if np.any(has):
-                sub = rows[has]
-                cand_lam = im[idx, pick][has]
-                cvals = _batched_norms(G[sub], lam=cand_lam, known=-np.inf, work=work)
-                j = int(np.argmax(cvals))
-                cand = (float(cvals[j]), float(cand_lam[j]), int(ns[sub[j]]))
+    if rows.size:
+        ev = ev_all[rows]
+        im = ev.imag
+        re_masked = np.where((im > bin_lo) & (im <= bin_hi), ev.real, -np.inf)
+        pick = np.argmax(re_masked, axis=1)
+        idx = np.arange(len(ev))
+        has = np.isfinite(re_masked[idx, pick])
+        if np.any(has):
+            sub = rows[has]
+            cand_lam = im[idx, pick][has]
+            cvals = _batched_norms(G[sub], lam=cand_lam, known=-np.inf, work=work)
+            j = int(np.argmax(cvals))
+            cand = (float(cvals[j]), float(cand_lam[j]), int(ns[sub[j]]))
     known = -np.inf if cand is None else cand[0]
 
     # 2. the value at lam; a candidate wins only by exceeding it
-    rows = slice(None) if cert is None else cert.may_reach(lam, known)
+    rows = slice(None) if cert is None else cert.may_reach(lam, known, count)
     upper = np.full(count, np.inf)   # per mode at lam: exact, or ||X||_F where gated
     at_lam = None
     if cert is None or rows.size:
@@ -407,11 +451,12 @@ def _sweep_point(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
     if best_lam != lam:
         # 3. certify the sup over all candidate modes at the achieved lambda.
         # Resolvent identity: ||R(lam')|| <= r / (1 - |lam' - lam| r) for
-        # r >= ||R(lam)||, with the computed r and result trusted to ROUND_REL
-        rows = np.arange(count) if cert is None else cert.may_reach(best_lam, value)
+        # r >= ||R(lam)||, with the computed r trusted to ROUND_REL
+        rows = np.arange(count) if cert is None else cert.may_reach(best_lam, value, count)
         r = upper[rows] * (1.0 + ROUND_REL)
         gap = 1.0 - abs(best_lam - lam) * r
-        rows = rows[~(r * (1.0 + ROUND_REL) < value * gap) | (ns[rows] == n)]
+        bound = np.divide(r, gap, out=np.full(r.shape, np.inf), where=gap > 0)
+        rows = rows[~_below(bound, value) | (ns[rows] == n)]
         value, n, _ = max_norm(rows, best_lam, value)
     return ResolventSample(lam=best_lam, value=value, argmax_n=n, work=work)
 
@@ -424,47 +469,36 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     bins on the log axis; within each bin the sample may move to a resonance
     (see module docstring).  The modes 1..max N(lam) are assembled, factored
     and eigen-solved once, into a read-only cache that the samples and
-    ``threads`` workers share.  Each sample's ``work`` counts the modes in
-    range, the modes given to ``eigvals``, the resolvents formed
-    (``norm_evals``) and the SVDs run on them (``svds``), and the modes
-    assembled and eigen-solved first for it (``modes_assembled``,
-    ``eigvals_computed``).  Raises with (lambda, n) context when a sample hits
-    the spectrum exactly.
+    ``threads`` workers share; a cache past SWEEP_MAX_ENTRIES stacked
+    entries raises DomainError before any assembly.  Each sample's ``work``
+    counts the modes in range, the modes given to ``eigvals``, the
+    resolvents formed (``norm_evals``) and the SVDs run on them (``svds``),
+    and the modes assembled and eigen-solved first for it
+    (``modes_assembled``, ``eigvals_computed``).  Raises with (lambda, n)
+    context when a sample hits the spectrum exactly.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if np.any(lam_grid < 0):
         raise DomainError("lambda grid must be nonnegative")
-    pos = np.sort(lam_grid[lam_grid > 0])  # the bins follow the log axis, not the grid order
-    edges = {}
-    if pos.size >= 2:
-        logs = np.log(pos)
-        mids = 0.5 * (logs[1:] + logs[:-1])
-        lo = np.concatenate([[2 * logs[0] - mids[0]], mids])
-        hi = np.concatenate([mids, [2 * logs[-1] - mids[-1]]])
-        edges = {p: (np.exp(a), np.exp(b)) for p, a, b in zip(pos, lo, hi)}
     stack = modal_mod._layout(spec, grid)
     if lam_grid.size == 0:
         return []
-    bins = [edges.get(lam, (lam, lam)) for lam in lam_grid]
-    counts = [_sweep_count(spec, lam, n_max) for lam in lam_grid]
-    cache = _ModeCache(stack, lam_grid, counts, bins, peak_refine)
+    cache = _ModeCache(stack, lam_grid, n_max, peak_refine)
 
     def run(k):
-        lam = lam_grid[k]
         try:
-            sample = _sweep_point(cache, lam, *bins[k], n_max, peak_refine)
+            return _sweep_point(cache, k)
         except SpectralPointError as exc:
-            exc.lam = lam
+            exc.lam = lam_grid[k]
             raise
-        _, _, first_use = cache.spectra()
-        sample.work.update(first_use[k])
-        return sample
 
+    # point 0 solves the cache's spectra before any worker reads them
+    first, rest = run(0), range(1, lam_grid.size)
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(lam_grid.size)))
-    return [run(k) for k in range(lam_grid.size)]
+            return [first, *pool.map(run, rest)]
+    return [first, *map(run, rest)]
 
 
 def _line_fit(x, y):

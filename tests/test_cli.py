@@ -122,6 +122,15 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_mode_cache_is_capped(self, tmp_path, capsys, no_work):
+        # N_max = 4e6 modes at d = 10: 4e8 stacked entries, about 13 GB to assemble
+        path = write_config(tmp_path, output={"dir": str(tmp_path / "out")},
+                            sweep={"lambda_min": 10, "lambda_max": 1e6, "points": 8,
+                                   "n_max": 16})
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "lambda_max=1e+06 or n_max=16" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("tag, largest", [("BGP", 508), ("TGP", 1019)])
     def test_node_cap_follows_the_layout(self, tmp_path, monkeypatch, tag, largest):
         from beamstab import modal
@@ -365,6 +374,16 @@ class TestGoldenDecay:
         assert work["modes_propagated"] == fit["n_max"] and work["expm_modes"] == 0
         assert 0 < work["norm_evals"] < fit["n_max"] * 9
         assert work["pruning"] == "certified"
+
+    def test_top_bound_below_the_max_is_gated(self, tmp_path):
+        # a later chunk whose largest bound is already below the running max
+        # runs no SVD at that time point: 333, not the 336 of an ungated top
+        src = GOLDEN_DECAY / "tgp_tabulated"
+        out = tmp_path / "out"
+        assert cli.main(["decay", "--config", str(src / "config.json"),
+                         "--out", str(out)]) == 0
+        work = json.loads((out / "decay_fit.json").read_text(encoding="utf-8"))["work"]
+        assert work["norm_evals"] == 333
 
 
 class TestGoldenCommands:

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -403,15 +404,15 @@ class TestSpectralAbscissa:
         assert sa.per_mode[63] > -1e-3
 
 
-def _dense_reference(cache, lam, bin_lo, bin_hi, n_max, peak_refine):
-    """The sweep point evaluated densely over every mode 1..N(lam) (the body
+def _dense_reference(cache, k):
+    """Sweep point k evaluated densely over every mode 1..N(lam) (the body
     of ``_sweep_point`` before certified pruning and the mode cache); a test
-    oracle only.  It assembles and factors its own modes from the cache's
-    layout, so it does not read the cache's arrays."""
+    oracle only.  It reads the cache's plan (lambda, bin, range) but
+    assembles and factors its own modes from the cache's layout, so it does
+    not read the cache's arrays."""
     stack = cache.stack
-    c = stack.spec.coeffs
-    hi = int(np.ceil(rmod.WINDOW_FACTOR * lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi))
-    ns = np.arange(1, max(n_max, hi) + 1)
+    lam, (bin_lo, bin_hi), peak_refine = cache.lam_grid[k], cache.bins[k], cache.peak_refine
+    ns = np.arange(1, cache.counts[k] + 1)
     G = rmod._weight_factors(*modal_mod._mode_arrays(stack, ns))
 
     vals = rmod._batched_norms(G, lam=lam)
@@ -565,6 +566,60 @@ class TestGates:
         assert below > 0
 
 
+# exact values with ties, NaN and zero; each bound is its exact value times
+# 1 + slack (slack 0 makes a tie with it), the slack itself over a zero and
+# NaN over a NaN
+EXACT_VALUES = st.sampled_from([0.0, 1.0, 1.0 + 2.0 ** -30, 2.0, 3.5, 1e6, np.nan])
+SLACK = st.sampled_from([0.0, 2.0 ** -40, 2.0 ** -20, 1e-3, 0.5, 4.0, np.inf])
+
+
+class TestGatedMax:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(EXACT_VALUES, SLACK), min_size=1, max_size=12),
+           known=st.one_of(st.just(-np.inf), st.sampled_from([0.5, 1.0, 2.0, 1e7]),
+                           st.floats(0.0, 1e6)))
+    def test_matches_the_all_exact_max(self, pairs, known):
+        exact = np.array([e for e, _ in pairs])
+        upper = np.array([e * (1.0 + s) if e else s for e, s in pairs])
+        evaluated = []
+
+        def evaluate(rows):
+            evaluated.extend(rows.tolist())
+            return exact[rows]
+
+        vals, runs = rmod._gated_max(upper, evaluate, known)
+        assert runs == len(evaluated) == len(set(evaluated))
+        done = np.zeros(exact.size, dtype=bool)
+        done[evaluated] = True
+        assert np.array_equal(vals[done], exact[done], equal_nan=True)
+        assert np.array_equal(vals[~done], upper[~done])
+        # the all-exact reduction, NaN first as in np.argmax
+        top = float(np.max(exact))
+        if np.isnan(top) or known <= top:
+            assert np.array_equal(np.max(vals), top, equal_nan=True)
+            assert np.argmax(vals) == np.argmax(exact)
+        # gated rows are provably below the max
+        R = rmod.ROUND_REL
+        floor = known if np.isnan(top) else max(known, top)
+        assert np.all(upper[~done] * (1 + R) < floor * (1 - R))
+        # the largest bound runs first unless below ``known``, and its value
+        # raises ``known`` for the rest
+        first = int(np.argmax(upper))
+        raised = known if np.isnan(exact[first]) else max(known, exact[first])
+        gated = upper * (1 + R) < raised * (1 - R)
+        gated[first] = upper[first] * (1 + R) < known * (1 - R)
+        assert np.array_equal(~done, gated)
+
+    def test_rule_keeps_both_margins(self):
+        R = rmod.ROUND_REL
+        known = np.array([1e-3, 1.0, 3.0, 1e6])
+        assert not np.any(rmod._below(known * (1 - 1.5 * R), known))
+        assert np.all(rmod._below(known * (1 - 2.5 * R), known))
+        for upper, lower in ((np.nan, 1.0), (0.0, np.nan), (np.inf, np.inf),
+                             (0.0, -np.inf), (np.nan, np.inf)):
+            assert not rmod._below(upper, lower)
+
+
 class TestModeCache:
     def test_each_mode_assembled_and_eigen_solved_once(self, ref1, monkeypatch):
         mode_arrays, eigvals = modal_mod._mode_arrays, np.linalg.eigvals
@@ -593,6 +648,22 @@ class TestModeCache:
             assert len(solved) == len(set(solved)) > 0
             assert sum(s.work["eigvals_computed"] for s in out) == len(solved)
             assert {s.work["pruning"] for s in out} == {pruning}
+
+    def test_spectra_solved_once_on_the_calling_thread(self, ref1, monkeypatch):
+        solve, threads = rmod._ModeCache._solve_spectra, []
+
+        def recording_solve(cache):
+            threads.append(threading.get_ident())
+            return solve(cache)
+
+        monkeypatch.setattr(rmod._ModeCache, "_solve_spectra", recording_solve)
+        lams = np.geomspace(5.0, 400.0, 12)
+        for spec in (ref1["BGP"], ref1["TMC"]):
+            threads.clear()
+            out = bs.sweep(spec, lams, 16, threads=2)
+            assert threads == [threading.get_ident()]
+            assert [(s.lam, s.value, s.argmax_n, s.work) for s in out] == [
+                (s.lam, s.value, s.argmax_n, s.work) for s in bs.sweep(spec, lams, 16)]
 
 
 def _certificate(spec, ns):
@@ -633,7 +704,7 @@ class TestCertificate:
         s_max = cert.s[:, -1]
         for lam in (u * s_max[0], u * s_max[-1], cert.s[-1, 4] + 1.5 * cert.radius[-1]):
             vals = rmod._batched_norms(G, lam=lam)
-            d = cert._dist(lam, lam)
+            d = cert._dist(lam, lam, None)
             upper = np.where(d > cert.radius, 1.0 / np.maximum(d - cert.radius, 1e-300),
                              np.inf)
             assert np.all(vals <= upper * (1 + rmod.ROUND_REL))

@@ -31,11 +31,12 @@ NUMERIC_ERRORS = (NumericError, SpectralPointError, FitError,
                   np.linalg.LinAlgError)
 
 COEFF_FIELDS = ("rho1", "rho2", "rho3", "k", "k0", "b", "varpi", "gamma", "ell")
-# Request caps, checked before any work: one mode's d x d generator (here
-# 16 MiB complex; curved beams on the history grid reach it at 508 nodes) and
-# the points of a sweep or decay grid.
+# Request caps, checked before any work: one mode's d x d generator (8 MiB;
+# curved beams on the history grid reach it at 508 nodes), the points of a
+# sweep or decay grid, and the modes 1..n_max a command walks.
 MAX_MODE_ENTRIES = 1 << 20
 MAX_POINTS = 10_000
+MAX_MODES = 1 << 20
 
 
 def _fmt(x):
@@ -62,6 +63,18 @@ def _need(dct, field, where):
     if field not in dct:
         raise SpecError(f"config is missing required field {where}.{field}")
     return dct[field]
+
+
+def _capped(value, cap, where):
+    if value > cap:
+        raise SpecError(f"config field {where} = {value} is above the cap of {cap}")
+
+
+def _check_n_max(blk, name):
+    n_max = int(_number(blk["n_max"], f"{name}.n_max"))
+    if n_max < 1:
+        raise SpecError(f"config block {name} needs n_max >= 1")
+    _capped(n_max, MAX_MODES, f"{name}.n_max")
 
 
 def _positive(value, where):
@@ -142,11 +155,8 @@ def load_config(path, out_override=None):
         points = int(_number(b["points"], f"{name}.points"))
         if points < 2:
             raise SpecError(f"config block {name} needs points >= 2")
-        if points > MAX_POINTS:
-            raise SpecError(f"config field {name}.points = {points} is above the cap "
-                            f"of {MAX_POINTS}")
-        if int(_number(b["n_max"], f"{name}.n_max")) < 1:
-            raise SpecError(f"config block {name} needs n_max >= 1")
+        _capped(points, MAX_POINTS, f"{name}.points")
+        _check_n_max(b, name)
 
     sweep_blk = block("sweep",
                       dict(lambda_min=1e2, lambda_max=1e4, points=13, n_max=64,
@@ -160,8 +170,7 @@ def load_config(path, out_override=None):
     if not n_list or any(int(n) < 1 for n in n_list):
         raise SpecError("config block lowerbound.n_list needs positive mode indices")
     spectrum_blk = block("spectrum", dict(n_max=64))
-    if int(_number(spectrum_blk["n_max"], "spectrum.n_max")) < 1:
-        raise SpecError("config block spectrum needs n_max >= 1")
+    _check_n_max(spectrum_blk, "spectrum")
     limit_blk = block("limit", dict(eps_list=[1e-1, 1e-2, 1e-3, 1e-4], m=None))
     if limit_blk["m"] is not None:
         _number(limit_blk["m"], "limit.m")

@@ -4,8 +4,9 @@ With the boundary conditions used here (Dirichlet for the deflection and the
 temperatures, Neumann for rotation and axial stretch, flux cosine modes) the
 trigonometric modes sin/cos(omega_n x), omega_n = n pi / ell, are invariant
 under every model's generator, so each Fourier mode closes into a small
-complex ODE system du/dt = G_n u.  The associated energy is a Hermitian form
-u* W_n u; the factor ell/2 from integrating sin^2/cos^2 is kept inside W_n.
+ODE system du/dt = G_n u, where G_n is a real matrix acting on complex
+states.  The associated energy is the form u* W_n u with W_n real symmetric;
+the factor ell/2 from integrating sin^2/cos^2 is kept inside W_n.
 
 Memory (convolution) laws are realized two ways:
 
@@ -291,7 +292,7 @@ def _make_block(temp, start, size, scheme, kernel, grid):
 
 
 def _mode_arrays(stack, ns, check_condition=True):
-    """Stacked (G complex (N,d,d), W float (N,d,d)) of the modes ``ns`` of a
+    """Stacked real (G, W), each (N, d, d), of the modes ``ns`` of a
     ``ModeStack``."""
     spec = stack.spec
     c = spec.coeffs
@@ -315,8 +316,8 @@ def _mode_arrays(stack, ns, check_condition=True):
     iR, iRt = idx["rot"], idx["rot_t"]
     iTb = idx["temp_b"]
 
-    G = np.zeros((N, d, d), dtype=complex)
-    W = np.zeros((N, d, d), dtype=float)
+    G = np.zeros((N, d, d))
+    W = np.zeros((N, d, d))
 
     G[:, iA, iAt] = 1.0
     G[:, iAt, iA] = -(c.k * om**2 + l * l * c.k0) / c.rho1
@@ -466,19 +467,10 @@ def dissipation_rate(mode, state):
 
 
 def matrix_text(mode):
-    """Plain-text dump of the generator and weight (debugging aid)."""
-    lines = [f"% mode n={mode.n} model={mode.model} scheme={mode.scheme} dim={mode.dim}",
-             "% generator (row col re im)"]
-    d = mode.dim
-    for i in range(d):
-        for j in range(d):
-            z = mode.generator[i, j]
-            if z != 0:
-                lines.append(f"{i + 1} {j + 1} {z.real:.17g} {z.imag:.17g}")
-    lines.append("% weight (row col value)")
-    for i in range(d):
-        for j in range(d):
-            x = mode.weight[i, j]
-            if x != 0:
-                lines.append(f"{i + 1} {j + 1} {x:.17g}")
+    """Plain-text dump of the generator and weight (debugging aid): the
+    nonzero entries of each as ``row col value`` lines."""
+    lines = [f"% mode n={mode.n} model={mode.model} scheme={mode.scheme} dim={mode.dim}"]
+    for name, A in (("generator", mode.generator), ("weight", mode.weight)):
+        lines.append(f"% {name} (row col value)")
+        lines += [f"{i + 1} {j + 1} {A[i, j]:.17g}" for i, j in zip(*np.nonzero(A))]
     return "\n".join(lines) + "\n"

@@ -85,17 +85,18 @@ certificate frequencies and the eigenvalues of Gh_n do not depend on lam.
 1..N_max, N_max the largest N(lam) on the grid, once per sweep; its samples
 and threads share it.  The cache plans every point once: its log bin, its
 range N(lam) and, with the spectra, the rows it gives to ``eigvals`` and the
-work it does first.  It assembles the modes in one ``_mode_arrays`` call and
-keeps only the real Gh_n; a request past SWEEP_MAX_ENTRIES stacked entries
-raises DomainError before any assembly.  The spectra (the certificate and
-one ``eigvals`` on exactly the rows some point reads: every row 1..N(lam)
-without a certificate, the rows that ``may_hold_eigenvalue`` keeps in the
-point's bin with one) are solved by the first point, which runs before any
-worker thread starts.  A sample reads the first N(lam) rows of the cache;
-per-mode LAPACK results do not depend on the batch, so the samples are
-bit-identical to assembling each range anew.  The conjugation, eigenvalues
-and norms run in chunks of at most ``modal.CHUNK_ELEMENTS`` stacked
-entries, which bounds their temporaries.
+work it does first.  It keeps only the real Gh_n, filled chunk by chunk
+from ``ModeStack.chunks``, so one chunk's G_n and W_n exist at a time; a
+request past SWEEP_MAX_ENTRIES stacked entries raises DomainError before
+any assembly.  The spectra (the certificate and one ``eigvals`` on exactly
+the rows some point reads: every row 1..N(lam) without a certificate, the
+rows that ``may_hold_eigenvalue`` keeps in the point's bin with one) are
+solved by the first point, which runs before any worker thread starts.  A
+sample reads the first N(lam) rows of the cache; per-mode LAPACK results do
+not depend on the batch, so the samples are bit-identical to assembling
+each range anew.  The assembly, conjugation, eigenvalues and norms run in
+chunks of at most ``modal.CHUNK_ELEMENTS`` stacked entries, which bounds
+their temporaries.
 """
 
 from dataclasses import dataclass, field
@@ -195,18 +196,16 @@ class SpectralAbscissa:
 
 
 def _weight_factors(G, W):
-    """Real energy-coordinate generators Gh = L^T G L^{-T}, W = L L^T, of
-    stacked modes, in chunks of at most CHUNK_ELEMENTS entries."""
-    out = np.empty(G.shape)
-    for sl in modal_mod._chunk_slices(G.shape[0], G.shape[-1]):
-        try:
-            L = np.linalg.cholesky(W[sl])
-        except np.linalg.LinAlgError:
-            raise SingularWeightError("weight matrix is not positive definite") from None
-        # L^{-1} G^T with a full-stack right-hand side; (X L)^T = L^T G L^{-T}
-        X = np.linalg.solve(L, np.swapaxes(G[sl].real, 1, 2))
-        out[sl] = np.swapaxes(X @ L, 1, 2)
-    return out
+    """Real energy-coordinate generators Gh = L^T G L^{-T}, W = L L^T, of one
+    chunk of stacked modes (``ModeStack.chunks``), with one batched Cholesky
+    factorization and one batched solve."""
+    try:
+        L = np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        raise SingularWeightError("weight matrix is not positive definite") from None
+    # L^{-1} G^T with a full-stack right-hand side; (X L)^T = L^T G L^{-T}
+    X = np.linalg.solve(L, np.swapaxes(G, 1, 2))
+    return np.swapaxes(X @ L, 1, 2)
 
 
 def _below(upper, known):
@@ -367,7 +366,9 @@ class _ModeCache:
                 f"{SWEEP_MAX_ENTRIES}; lower lambda_max={float(np.max(lam_grid)):g} "
                 f"or n_max={n_max}")
         self.ns = np.arange(1, n_total + 1)
-        self.G = _weight_factors(*modal_mod._mode_arrays(stack, self.ns))
+        self.G = np.empty((n_total, stack.dim, stack.dim))
+        for ns, G, W in stack.chunks(n_total):
+            self.G[ns - 1] = _weight_factors(G, W)
         self.G.flags.writeable = False
         self._spectra = None
 

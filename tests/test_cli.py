@@ -122,6 +122,25 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, extra, message", [
+        ("spectrum", {"spectrum": {"n_max": 2**20 + 1}}, "spectrum.n_max"),
+        ("decay", {"decay": {"n_max": 10**10}}, "decay.n_max"),
+    ], ids=["spectrum", "decay"])
+    def test_mode_request_is_capped(self, tmp_path, capsys, monkeypatch, no_work,
+                                    command, extra, message):
+        from beamstab import dynamics
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a capped mode request reached the computation")
+
+        monkeypatch.setattr(resolvent, "spectral_abscissa", unreachable)
+        monkeypatch.setattr(dynamics, "semiuniform_series", unreachable)
+        path = write_config(tmp_path, output={"dir": str(tmp_path / "out")}, **extra)
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert f"{message} = {extra[command]['n_max']} is above the cap" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_mode_cache_is_capped(self, tmp_path, capsys, no_work):
         # N_max = 4e6 modes at d = 10: 4e8 stacked entries, about 13 GB to assemble
         path = write_config(tmp_path, output={"dir": str(tmp_path / "out")},
@@ -483,7 +502,11 @@ class TestCheck:
         assert "FAIL" not in text
         data = json.loads((out / "check.json").read_text())
         assert data["status"] == "pass"
-        assert (dump / "mode_1.txt").read_text().startswith("% mode n=1")
+        lines = (dump / "mode_1.txt").read_text().splitlines()
+        assert lines[0].startswith("% mode n=1")
+        assert lines[1] == "% generator (row col value)"
+        generator = lines[2:lines.index("% weight (row col value)")]
+        assert generator and all(len(line.split()) == 3 for line in generator)
 
     def test_relaxed_model_check(self, tmp_path, capsys):
         cfg = {

@@ -261,7 +261,7 @@ class TestRankOneBound:
         G, _ = modal_mod._mode_arrays(modal_mod._layout(ref1["BMC"], None),
                                       np.arange(1, 13))
         d = G.shape[-1]
-        eye = np.eye(d, dtype=complex)
+        eye = np.eye(d, dtype=G.dtype)
         for N in (1, 3, d):
             Ginv = dmod._inverses(G[:N], np.arange(1, N + 1))
             assert Ginv.shape == (N, d, d)

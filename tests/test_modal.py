@@ -23,6 +23,14 @@ class TestAssembly:
         for tag, spec in ref1.items():
             assert bs.assemble(spec, 3).dim == expected[tag]
 
+    def test_generators_are_real(self, ref1):
+        grid = bs.make_grid(ref1["TGP"].kernel_g, 16)
+        cases = [(spec, None) for spec in ref1.values()] + [(ref1["TGP"], grid)]
+        for spec, g in cases:
+            G, W = modal._mode_arrays(modal._layout(spec, g), [1, 2, 300])
+            assert G.dtype == W.dtype == np.float64
+            assert bs.assemble(spec, 3, grid=g).generator.dtype == np.float64
+
     def test_prony_terms_add_states(self):
         two = bs.prony_kernel([(2.0 / 3.0, 1.0), (1.0 / 12.0, 2.0)])  # unit mass
         spec = bs.SystemSpec("TGP", ref1_coeffs(), kernel_g=two)

@@ -16,22 +16,51 @@ Gh_n and diagonalizes Gh_n = V diag(lam) V^{-1}, so that
 
     exp(t Gh_n) Gh_n^{-1} = L diag(exp(lam t)) R,  L = V,  R = V^{-1} Gh_n^{-1}.
 
-The product is the sum of the rank-one terms exp(lam_k t) (L e_k)(e_k^T R),
-so by the triangle inequality its 2-norm is at most
-b_n(t) = sum_k |exp(lam_k t)| ||L e_k|| ||e_k^T R||.  At each t the chunk's
-max is the resolvent module's gated max (``resolvent._gated_max``) of the
-bounds b_n and their SVDs, from the maximum of the earlier chunks: an SVD
-runs only where the pruning rule (``resolvent._below``) cannot show b_n
-below the running max.  The rule's rounding allowance covers this bound:
-the computed product differs from L diag(exp(lam t)) R by at most about
-d*eps*b_n in norm (its componentwise error is bounded by
-|L| diag|exp(lam t)| |R|, whose norm is at most b_n), and the computed SVD
-and b_n carry relative errors of order d*eps.  A pruned mode's computed norm
-therefore lies strictly below the max, so it cannot change it; per-mode
-LAPACK results do not depend on the batch, and the values are bit-identical
-to the per-mode loop.  The chunk's eigendecomposition comes from
-``_propagator``; modes whose eigenvector condition number is not below
-EIG_COND_LIMIT take its ``expm`` at every time point, without pruning.
+The product is the sum of the rank-one terms E_k (L e_k)(e_k^T R),
+E_k = exp(lam_k t), whose norms sum to b_n(t) = sum_k |E_k| ||L e_k||
+||e_k^T R||.  On a polynomially stable mode the slow branch is a conjugate
+pair, which b_n counts twice (b_n is twice the norm once that pair
+dominates).  Gh_n is real, so ``eig`` returns each conjugate pair at
+adjacent places k, k+1, Im > 0 first; the bound takes each such pair as one
+rank-two term, by the triangle inequality over the groups (any grouping
+gives a valid bound, the pairing only makes it tight).  With u_i the
+pair's columns of L, v_i^T its rows of R, X = [a u_1, c u_2] and
+Y = [v_1^T; v_2^T], its exact norm is
+
+    ||a u_1 v_1^T + c u_2 v_2^T||_2^2 = lambda_max((X^H X)(Y Y^H)),
+
+the larger eigenvalue of a 2 x 2 product, in closed form from its trace
+and determinant.  The cosines gamma_u = u_1^H u_2 / (||u_1|| ||u_2||) and
+gamma_v of the pair's two columns and rows are formed once per chunk, so
+each t costs a few flops per pair.  a and c are E_k ||u_1|| ||v_1|| and
+E_{k+1} ||u_2|| ||v_2||, scaled by m = max(|a|, |c|) before anything is
+squared and divided in real arithmetic, so no |E|^2 underflows (a mode of
+positive norm never gets a bound of 0) and a subnormal m overflows nothing.
+
+Rounding allowance.  With kappa = 8 sqrt(d*eps), a pair enters the bound as
+m sqrt(mu + kappa), mu the computed lambda_max / m^2, and every mode's
+bound is the sum of its pair terms, the norms of its other (real-eigenvalue)
+terms and kappa b_n.  Inside the root, kappa covers the closed form: the
+computed trace, determinant and 1 - |gamma|^2 (all scaled to at most 4)
+carry absolute errors of order d*eps, which the square root of the
+discriminant turns into an error of order sqrt(d*eps) in mu, largest where
+it cancels.  Outside, kappa b_n covers the computed product, which differs
+from L diag(E) R by at most about d*eps*b_n in norm (its componentwise
+error is bounded by |L| diag|E| |R|, whose norm is at most b_n), and the
+relative error of order d*eps of its computed SVD.  Where one pair
+dominates, bound/norm exceeds 1 by about 1e-6.
+
+At each t the chunk's max is the resolvent module's gated max
+(``resolvent._gated_max``) of the bounds and their SVDs, from the maximum
+of the earlier chunks: an SVD runs only where the pruning rule
+(``resolvent._below``) cannot show the bound below the running max; the
+computed SVD carries a relative error of order d*eps, inside the rule's
+margins.  A pruned mode's computed norm therefore lies strictly below the
+max, so it cannot change it; per-mode LAPACK results do not depend on the
+batch, and the values are bit-identical to the per-mode loop.  The chunk's
+eigendecomposition comes from ``_propagator``; modes whose eigenvector
+condition number is not below EIG_COND_LIMIT take its ``expm`` at every
+time point, without pruning.
 
 For a one-term exponential kernel the auxiliary prony state y of a memory
 mode maps linearly onto the relaxed-flux variable, flux = -varpi*omega*y.
@@ -151,18 +180,63 @@ def propagate(mode, u0, ts):
     return Trajectory(n=mode.n, t=ts.copy(), states=states, energy=energy)
 
 
+def _adjacent_products(A):
+    """sum_i conj(A[n, i, k]) A[n, i, k+1] per n and k, one k at a time, so
+    that no stack-sized temporary is formed."""
+    out = np.empty((A.shape[0], A.shape[2] - 1), dtype=complex)
+    for k in range(out.shape[1]):
+        out[:, k] = np.einsum("ni,ni->n", A[:, :, k].conj(), A[:, :, k + 1])
+    return out
+
+
 class _SmoothedPropagators:
     """exp(t Gh_n) Gh_n^{-1} = L diag(exp(lam t)) R for a stack of
-    diagonalizable modes, with L = V and R = V^{-1} Gh_n^{-1}."""
+    diagonalizable modes, with L = V and R = V^{-1} Gh_n^{-1}; each
+    conjugate eigenvalue pair is one rank-two term (module docstring)."""
 
     def __init__(self, lam, V, Ginv):
         self.lam, self.L, self.R = lam, V, np.linalg.solve(V, Ginv)
+        cols, rows = np.linalg.norm(self.L, axis=1), np.linalg.norm(self.R, axis=2)
         # ||L e_k|| ||e_k^T R||: the norm of each rank-one term at exp(lam t) = 1
-        self.terms = np.linalg.norm(self.L, axis=1) * np.linalg.norm(self.R, axis=2)
+        self.terms = cols * rows
+        self.kappa = 8.0 * np.sqrt(lam.shape[-1] * np.finfo(float).eps)
+        # the pairs (k, k+1), Im > 0 first, as eig returns them for a real Gh_n
+        n, k = np.nonzero((lam[:, :-1].imag > 0) & (lam[:, 1:] == lam[:, :-1].conj()))
+        self.pairs = np.ravel_multi_index((n, k), lam.shape)
+        # cosines of the angles between the pair's columns of L and rows of R
+        gl = _adjacent_products(self.L)[n, k] / (cols[n, k] * cols[n, k + 1])
+        gr = _adjacent_products(np.swapaxes(self.R, 1, 2))[n, k] / (rows[n, k] * rows[n, k + 1])
+        self.gamma = gl * gr
+        self.delta = np.maximum((1.0 - np.abs(gl) ** 2) * (1.0 - np.abs(gr) ** 2), 0.0)
 
     def bounds(self, E):
-        """Per mode, sum_k |E_k| ||L e_k|| ||e_k^T R|| >= ||L diag(E) R||_2."""
-        return np.sum(np.abs(E) * self.terms, axis=1)
+        """Per mode, an upper bound of ||L diag(E) R||_2 that covers its
+        computed SVD: the norms of the pair terms, the norms
+        |E_k| ||L e_k|| ||e_k^T R|| of the other terms, and the allowance
+        kappa * b_n, b_n the sum of all rank-one norms (module docstring)."""
+        x = np.abs(E) * self.terms
+        b = x.sum(axis=1)
+        i, j = self.pairs, self.pairs + 1
+        m = np.maximum(x.flat[i], x.flat[j])
+        live = m > 0
+
+        def scaled(idx):
+            # E_k ||L e_k|| ||e_k^T R|| / m, |.| <= 1, divided in real
+            # arithmetic: a complex division by a subnormal m overflows
+            e, t = E.flat[idx], self.terms.flat[idx]
+            re = np.divide(e.real, m, out=np.zeros_like(m), where=live)
+            im = np.divide(e.imag, m, out=np.zeros_like(m), where=live)
+            return re * t + 1j * (im * t)
+
+        a, c = scaled(i), scaled(j)
+        aa, cc = a.real ** 2 + a.imag ** 2, c.real ** 2 + c.imag ** 2
+        # eigenvalues of the 2 x 2 (X^H X)(Y Y^H), over m^2
+        tr = aa + cc + 2.0 * np.real(np.conj(a) * c * self.gamma)
+        det = aa * cc * self.delta
+        top = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+        x.flat[i] = m * np.sqrt(top + self.kappa)
+        x.flat[j] = 0.0
+        return x.sum(axis=1) + self.kappa * b
 
     def norms(self, rows, E):
         """Largest singular values of L diag(E) R for the modes ``rows``."""
@@ -215,7 +289,8 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
             counts["norm_evals"] += ts.size
         if not np.any(ok):
             continue
-        prop = _SmoothedPropagators(lam[ok], V[ok], Ginv[ok])
+        sel = slice(None) if np.all(ok) else ok   # views, not copies, where all are
+        prop = _SmoothedPropagators(lam[sel], V[sel], Ginv[sel])
         for j, t in enumerate(ts):
             E = np.exp(prop.lam * t)
             norms, svds = rmod._gated_max(prop.bounds(E), lambda rows: prop.norms(rows, E),

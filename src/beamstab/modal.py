@@ -144,7 +144,7 @@ class ModeStack:
     def chunks(self, n_max):
         """(ns, G, W) for the modes 1..n_max in consecutive chunks of at most
         CHUNK_ELEMENTS stacked (N, d, d) entries (one mode at least)."""
-        for sl in _chunk_slices(n_max, self.dim):
+        for sl in _chunk_slices(n_max, self.dim ** 2):
             ns = np.arange(sl.start + 1, sl.stop + 1)
             yield (ns, *_mode_arrays(self, ns))
 
@@ -160,10 +160,11 @@ class ModeStack:
             memory=self.blocks, varpi=c.varpi, ell=c.ell)
 
 
-def _chunk_slices(N, d):
-    """Consecutive slices of the rows 0..N-1 of an (N, d, d) stack, each of at
-    most CHUNK_ELEMENTS entries (one mode at least)."""
-    size = max(1, CHUNK_ELEMENTS // (d * d))
+def _chunk_slices(N, row):
+    """Consecutive slices of the rows 0..N-1 of a stacked array of ``row``
+    entries per row (d * d for an (N, d, d) stack), each of at most
+    CHUNK_ELEMENTS entries (one row at least)."""
+    size = max(1, CHUNK_ELEMENTS // row)
     return [slice(lo, min(lo + size, N)) for lo in range(0, N, size)]
 
 

@@ -94,9 +94,12 @@ rows that ``may_hold_eigenvalue`` keeps in the point's bin with one) are
 solved by the first point, which runs before any worker thread starts.  A
 sample reads the first N(lam) rows of the cache; per-mode LAPACK results do
 not depend on the batch, so the samples are bit-identical to assembling
-each range anew.  The assembly, conjugation, eigenvalues and norms run in
-chunks of at most ``modal.CHUNK_ELEMENTS`` stacked entries, which bounds
-their temporaries.
+each range anew.  The assembly, conjugation, certificate frequencies and
+distances, eigenvalues, candidate search and norms run in chunks of at most
+``modal.CHUNK_ELEMENTS`` stacked entries, and the norms gather their rows
+of the cache one chunk at a time.  That bounds their temporaries: beside
+the cache, a sweep holds its per-mode spectra ((N_max, d) arrays) and one
+chunk.
 """
 
 from dataclasses import dataclass, field
@@ -251,7 +254,7 @@ def _batched_norms(G, lam, known=None, work=None):
     eye = np.eye(d)
     out = np.empty(N)
     bound, svds = known, 0
-    for sl in modal_mod._chunk_slices(N, d):
+    for sl in modal_mod._chunk_slices(N, d * d):
         try:
             X = np.linalg.inv(1j * lam_arr[sl, None, None] * eye - G[sl])
         except np.linalg.LinAlgError as exc:
@@ -319,15 +322,22 @@ class _Certificate:
     reads the first ``count`` modes (all for None)."""
 
     def __init__(self, G, D):
-        S = G - np.diag(D)   # G in energy coordinates
-        # singular values of S as square roots of the eigenvalues of S^T S
-        self.s = np.sqrt(np.maximum(np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S), 0.0))
+        N, d, _ = G.shape
+        self.s = np.empty((N, d))
+        for sl in modal_mod._chunk_slices(N, d * d):
+            S = G[sl] - np.diag(D)   # G in energy coordinates
+            # singular values of S as square roots of the eigenvalues of S^T S
+            self.s[sl] = np.sqrt(np.maximum(
+                np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S), 0.0))
         self.radius = np.max(np.abs(D)) + ROUND_REL * self.s[:, -1]
 
     def _dist(self, lo, hi, count):
         """Per mode: distance from the interval [lo, hi] to the nearest s_k."""
         s = self.s[:count]
-        return np.min(np.maximum(np.maximum(lo - s, s - hi), 0.0), axis=1)
+        dist = np.empty(s.shape[0])
+        for sl in modal_mod._chunk_slices(*s.shape):
+            dist[sl] = np.min(np.maximum(np.maximum(lo - s[sl], s[sl] - hi), 0.0), axis=1)
+        return dist
 
     def may_hold_eigenvalue(self, lo, hi, count):
         """Modes that may have an eigenvalue with imaginary part in [lo, hi]."""
@@ -398,7 +408,7 @@ class _ModeCache:
             read[rows] = True
         ev = np.full((self.ns.size, self.stack.dim), np.nan, dtype=complex)
         rows = np.flatnonzero(read)
-        for sl in modal_mod._chunk_slices(rows.size, self.stack.dim):
+        for sl in modal_mod._chunk_slices(rows.size, self.stack.dim ** 2):
             ev[rows[sl]] = np.linalg.eigvals(self.G[rows[sl]])
         ev.flags.writeable = False
         return cert, ev, plans
@@ -415,31 +425,40 @@ def _sweep_point(cache, k):
             "pruning": "none" if cert is None else "certified", **first_use}
 
     def max_norm(sel, at, known):
-        """(value, n, per-mode values) of the max over the modes ``sel`` (an
-        index array or a slice), Frobenius-gated by a lower bound ``known``."""
-        vals = _batched_norms(G[sel], lam=at, known=known, work=work)
+        """(value, n, per-mode values) of the max over the modes of the index
+        array ``sel`` at ``at`` (a scalar or one value per mode),
+        Frobenius-gated from a lower bound ``known``.  The generators are
+        gathered a chunk at a time, each chunk gated from the running max as
+        ``_batched_norms`` gates its own chunks."""
+        vals = np.empty(sel.size)
+        for sl in modal_mod._chunk_slices(sel.size, G.shape[-1] ** 2):
+            vals[sl] = _batched_norms(G[sel[sl]], lam=at if np.ndim(at) == 0 else at[sl],
+                                      known=known, work=work)
+            known = max(known, float(np.max(vals[sl])))   # gated rows lie below it
         b = int(np.argmax(vals))
         return float(vals[b]), int(ns[sel][b]), vals
 
     # 1. best peak candidate: the least-damped eigenvalue in the bin, per mode
     cand = None
     if rows.size:
-        ev = ev_all[rows]
-        im = ev.imag
-        re_masked = np.where((im > bin_lo) & (im <= bin_hi), ev.real, -np.inf)
-        pick = np.argmax(re_masked, axis=1)
-        idx = np.arange(len(ev))
-        has = np.isfinite(re_masked[idx, pick])
+        # per mode, Im of that eigenvalue (NaN for none), a chunk at a time
+        cand_lam = np.empty(rows.size)
+        for sl in modal_mod._chunk_slices(rows.size, G.shape[-1]):
+            ev = ev_all[rows[sl]]
+            re_masked = np.where((ev.imag > bin_lo) & (ev.imag <= bin_hi), ev.real, -np.inf)
+            pick = np.argmax(re_masked, axis=1)
+            idx = np.arange(len(ev))
+            cand_lam[sl] = np.where(np.isfinite(re_masked[idx, pick]),
+                                    ev.imag[idx, pick], np.nan)
+        has = ~np.isnan(cand_lam)
         if np.any(has):
-            sub = rows[has]
-            cand_lam = im[idx, pick][has]
-            cvals = _batched_norms(G[sub], lam=cand_lam, known=-np.inf, work=work)
-            j = int(np.argmax(cvals))
-            cand = (float(cvals[j]), float(cand_lam[j]), int(ns[sub[j]]))
+            cand_lam = cand_lam[has]
+            value, n, cvals = max_norm(rows[has], cand_lam, -np.inf)
+            cand = (value, float(cand_lam[np.argmax(cvals)]), n)
     known = -np.inf if cand is None else cand[0]
 
     # 2. the value at lam; a candidate wins only by exceeding it
-    rows = slice(None) if cert is None else cert.may_reach(lam, known, count)
+    rows = np.arange(count) if cert is None else cert.may_reach(lam, known, count)
     upper = np.full(count, np.inf)   # per mode at lam: exact, or ||X||_F where gated
     at_lam = None
     if cert is None or rows.size:

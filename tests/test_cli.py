@@ -396,13 +396,13 @@ class TestGoldenDecay:
 
     def test_top_bound_below_the_max_is_gated(self, tmp_path):
         # a later chunk whose largest bound is already below the running max
-        # runs no SVD at that time point: 333, not the 336 of an ungated top
+        # runs no SVD at that time point: 12 in all, not the 19 of an ungated top
         src = GOLDEN_DECAY / "tgp_tabulated"
         out = tmp_path / "out"
         assert cli.main(["decay", "--config", str(src / "config.json"),
                          "--out", str(out)]) == 0
         work = json.loads((out / "decay_fit.json").read_text(encoding="utf-8"))["work"]
-        assert work["norm_evals"] == 333
+        assert work["norm_evals"] == 12
 
 
 class TestGoldenCommands:

@@ -255,6 +255,48 @@ class TestRankOneBound:
         norms = stack.norms(np.arange(E.shape[0]), E)
         assert np.all(norms <= stack.bounds(E) * (1 + 1e-12))
 
+    @staticmethod
+    def _propagators(spec, ns, grid=None):
+        G = rmod._weight_factors(*modal_mod._mode_arrays(modal_mod._layout(spec, grid), ns))
+        lam, V, ok, _ = dmod._propagator(G)
+        assert np.all(ok)
+        return dmod._SmoothedPropagators(lam, V, np.linalg.inv(G))
+
+    @pytest.mark.parametrize("tag, nodes", [("BGP", None), ("TGP", 32)])
+    def test_bound_covers_the_norm_where_exp_underflows(self, ref1, tag, nodes):
+        # some exp(lam t) subnormal, some exactly 0, and a whole mode below
+        # 1e-154, where the squares underflow; squaring before scaling gave
+        # bounds of 0 (and overflow and invalid-value warnings) for modes of
+        # positive norm
+        spec = ref1[tag]
+        grid = None if nodes is None else bs.make_grid(spec.kernel_g, nodes)
+        stack = self._propagators(spec, np.array([1, 2, 3, 7, 40, 300]), grid)
+        fastest = -np.min(stack.lam.real)
+        slowest = np.min(-stack.lam.real, axis=1)
+        cases = {720.0 / fastest: lambda E, norms: np.any((E > 0) & (E < np.finfo(float).tiny)),
+                 800.0 / fastest: lambda E, norms: np.any(E == 0),
+                 400.0 / np.max(slowest): lambda E, norms: np.any(norms < 1e-154)}
+        for t, shown in cases.items():
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                E = np.exp(stack.lam * t)
+                norms = stack.norms(np.arange(E.shape[0]), E)
+                bounds = stack.bounds(E)
+            assert shown(np.abs(E), norms)
+            assert np.all(norms > 0)
+            assert np.all(norms <= bounds * (1 + 1e-12))
+
+    def test_bound_is_tight_at_the_slow_pair(self, ref1):
+        # the rank-one sum counted each conjugate pair twice: bound/norm was
+        # 2.0 at the median; one live pair now gives its exact norm
+        stack = self._propagators(ref1["BGP"], np.arange(1, 513))
+        for t in (1e2, 1e3, 1e4):
+            E = np.exp(stack.lam * t)
+            norms = stack.norms(np.arange(E.shape[0]), E)
+            ratio = stack.bounds(E) / norms
+            assert np.median(ratio) <= 1.01
+            if t > 1e2:   # at t = 1e2 the argmax is mode 1, with two live pairs
+                assert ratio[np.argmax(norms)] <= 1 + 1e-5
+
     def test_inverses_match_per_mode_solves(self, ref1):
         # chunks of one mode and of exactly d modes are the sizes at which a
         # 2-D right-hand side would be read as a stack of vectors
@@ -289,7 +331,7 @@ class TestRankOneBound:
         work = {}
         bs.semiuniform_series(ref1["BGP"], np.geomspace(100.0, 1e4, 9), 512, work=work)
         assert work["modes_propagated"] == 512 and work["expm_modes"] == 0
-        assert work["norm_evals"] <= 512 * 9 // 2
+        assert work["norm_evals"] <= 2 * 9
 
 
 class TestDecayFit:

@@ -574,6 +574,21 @@ class TestGates:
                 if known <= top:
                     assert got.max() == top and np.argmax(got) == np.argmax(exact)
 
+    def test_chunked_gathers_keep_every_sample(self, ref1, monkeypatch):
+        # a point gathers its candidates' and its pruned rows' generators a
+        # chunk at a time, gating each chunk from the running max; chunks of
+        # 7 modes give the same samples and resolvents (the SVDs run depend
+        # on the chunks: each chunk's top bound is evaluated first)
+        lams = np.geomspace(5.0, 400.0, 12)
+        for spec in (ref1["BGP"], ref1["TMC"]):
+            whole = bs.sweep(spec, lams, 40)
+            d = modal_mod._layout(spec, None).dim
+            monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 7 * d * d + 1)
+            chunked = bs.sweep(spec, lams, 40)
+            monkeypatch.undo()
+            key = [(s.lam, s.value, s.argmax_n, s.work["norm_evals"]) for s in whole]
+            assert [(s.lam, s.value, s.argmax_n, s.work["norm_evals"]) for s in chunked] == key
+
     def test_frobenius_gate_margin(self):
         # near rank one, the computed ||X||_F falls below the computed ||X||_2
         # about a third of the time; the gate must still run the SVD when the
@@ -684,6 +699,25 @@ class TestModeCache:
         assert cache.G.shape == (40000, 10, 10) and cache.G.dtype == np.float64
         assert peak <= 1.25 * cache.G.nbytes
 
+    def test_sweep_memory_is_the_cache_and_one_chunk(self, ref1):
+        # the same 40,000 modes: beside the 30.5 MiB cache a sweep keeps the
+        # per-mode spectra (the s_k and the eigenvalues, (N, d) each) and a few
+        # per-mode vectors; the certificate, the candidate search and the
+        # gathered generators of a point used to form full-range temporaries
+        # (a 94.9 MiB peak)
+        N, d = 40000, 10
+        cache, spectra, vectors = N * d * d * 8, N * d * (8 + 16), 16 * N * 8
+        lams = np.geomspace(1e2, 1e4, 13)
+        bs.sweep(ref1["BGP"], lams[:2], 64)   # lazy imports and caches first
+        tracemalloc.start()
+        try:
+            out = bs.sweep(ref1["BGP"], lams, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out[-1].work["modes_in_range"] == N
+        assert peak <= cache + spectra + vectors
+
     def test_spectra_solved_once_on_the_calling_thread(self, ref1, monkeypatch):
         solve, threads = rmod._ModeCache._solve_spectra, []
 
@@ -757,6 +791,15 @@ class TestCertificate:
         # Bauer-Fike with a wide margin: 1/64 of the rounding allowance suffices
         delta = np.max(np.abs(D))
         assert np.all(gap <= delta + rmod.ROUND_REL / 64 * cert.s[:, -1:])
+
+    def test_frequencies_match_the_whole_stack_form(self, ref1, monkeypatch):
+        # chunks of 7 modes at d = 10: 30 modes span five
+        monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 7 * 100 + 99)
+        for tag in ("BGP", "BMC", "TMC"):
+            G, D, cert = _certificate(ref1[tag], np.arange(1, 31))
+            S = G - np.diag(D)
+            whole = np.sqrt(np.maximum(np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S), 0.0))
+            assert np.all(cert.s == whole)
 
     def test_no_bound_for_upwind_and_classical(self, ref1):
         grid = bs.make_grid(ref1["BGP"].kernel_g, 10)

@@ -271,8 +271,8 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     """
     stack = spec if isinstance(spec, modal_mod.ModeStack) else modal_mod._layout(spec, grid)
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0):
-        raise DomainError("times must be nonnegative")
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise DomainError("times must be finite and nonnegative")
     vals = np.zeros(ts.size)
     counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
               "pruning": "certified"}

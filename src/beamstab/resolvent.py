@@ -58,7 +58,8 @@ SVD or the resolvent itself (Trefethen & Embree, Spectra and Pseudospectra,
 
 * Frobenius gate (``_batched_norms`` given ``known``): every mode's
   X = (i lam - Gh_n)^{-1} is formed, and ||X||_2 <= ||X||_F is the bound of
-  a gated max per chunk, from the running max.  The candidates (step 1) are
+  a gated max over the stack.  A sweep point runs it per chunk, from the
+  running max it keeps in one place.  The candidates (step 1) are
   gated from no bound, the value at lam (step 2) from the best candidate
   value, the achieved lambda (step 3) from the candidate value itself.
 * Resolvent-identity gate (step 3): R(lam') = (I + i(lam' - lam)
@@ -74,32 +75,35 @@ roots of computed eigenvalues of S^T S, the rounding of Gh_n, and the
 backward error of its computed eigenvalues tested against the bin.  The
 computed ||X||_F and largest singular value of X carry relative errors of
 about d^2 eps, well inside the rule's margins.  The upwind history grid and
-the classical law have no uniform bound on D and keep every mode from
-``may_reach``.  Either way the sup is taken over the modes 1..N(lam),
-N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with c = lam sqrt(rho1/k)
-ell/pi the index at which omega_n sqrt(k/rho1) = lam, not over all n.
+the classical law have no uniform bound on D: their certificate has an
+infinite radius and computes no s_k, so the bin test and ``may_reach`` keep
+every mode.  Either way the sup is taken over the modes 1..N(lam), N(lam) =
+max(n_max, ceil(WINDOW_FACTOR * c)) with c = lam sqrt(rho1/k) ell/pi the
+index at which omega_n sqrt(k/rho1) = lam, not over all n.
 
 Mode cache.  Every range 1..N(lam) starts at mode 1, and Gh_n, the
 certificate frequencies and the eigenvalues of Gh_n do not depend on lam.
-``sweep`` therefore builds one read-only ``_ModeCache`` of the modes
-1..N_max, N_max the largest N(lam) on the grid, once per sweep; its samples
-and threads share it.  The cache plans every point once: its log bin, its
-range N(lam) and, with the spectra, the rows it gives to ``eigvals`` and the
-work it does first.  It keeps only the real Gh_n, filled chunk by chunk
-from ``ModeStack.chunks``, so one chunk's G_n and W_n exist at a time; a
-request past SWEEP_MAX_ENTRIES stacked entries raises DomainError before
-any assembly.  The spectra (the certificate and one ``eigvals`` on exactly
-the rows some point reads: every row 1..N(lam) without a certificate, the
-rows that ``may_hold_eigenvalue`` keeps in the point's bin with one) are
-solved by the first point, which runs before any worker thread starts.  A
-sample reads the first N(lam) rows of the cache; per-mode LAPACK results do
-not depend on the batch, so the samples are bit-identical to assembling
-each range anew.  The assembly, conjugation, certificate frequencies and
-distances, eigenvalues, candidate search and norms run in chunks of at most
-``modal.CHUNK_ELEMENTS`` stacked entries, and the norms gather their rows
-of the cache one chunk at a time.  That bounds their temporaries: beside
-the cache, a sweep holds its per-mode spectra ((N_max, d) arrays) and one
-chunk.
+``sweep`` therefore plans every point once (its log bin and range N(lam))
+in a read-only ``_ModeCache`` of the modes 1..N_max, N_max the largest
+N(lam) on the grid, that its samples and threads share; a request past
+SWEEP_MAX_ENTRIES stacked entries raises DomainError before any assembly.
+The first point builds the cache, before any worker thread starts, in one
+pass over ``ModeStack.chunks``, so one chunk's G_n and W_n exist at a time.
+Per chunk it keeps the real Gh_n and the certificate of those modes, counts
+per point the modes of its range whose s_k lie within the radius of its bin,
+and runs one ``eigvals`` on their union.  The bins are disjoint, so each
+eigenvalue falls in at most one bin, found by a binary search of the sorted
+lower edges; per mode and bin the cache keeps the imaginary part of the
+least-damped eigenvalue there.  A point's peak candidates are those of its
+bin within its range: every mode in range with an eigenvalue in the bin, as
+in the dense definition, since the certificate keeps all of them.  A sample
+reads the first N(lam) rows of the cache; per-mode LAPACK results do not
+depend on the batch, so the samples are bit-identical to assembling each
+range anew.  The distances to the s_k run in blocks of at most
+``modal.CHUNK_ELEMENTS`` (interval, mode, k) entries, and the norms gather
+their rows of the cache one chunk at a time.  That bounds their temporaries:
+a sweep holds the cache, the (N_max, d) real frequencies s_k, the candidates
+(at most one per mode and bin) and one chunk.
 """
 
 from dataclasses import dataclass, field
@@ -243,33 +247,26 @@ def _batched_norms(G, lam, known=None, work=None):
     weighted resolvent norm.  ``lam`` may be a scalar or one value per mode.
 
     With ``known=None`` every value is exact.  Given a lower bound ``known``
-    of the max (-inf for none), each chunk is a gated max (module docstring)
-    with the bound ||X||_F >= ||X||_2 and the running max; gated modes
-    report ||X||_F, so the max and its first index are exact.  A ``work``
-    dict counts the resolvents formed (``norm_evals``) and the SVDs run
+    of the max (-inf for none), the stack is one gated max (module
+    docstring) with the bound ||X||_F >= ||X||_2; gated modes report
+    ||X||_F, so the max and its first index are exact.  A ``work`` dict
+    counts the resolvents formed (``norm_evals``) and the SVDs run
     (``svds``).
     """
     N, d, _ = G.shape
-    lam_arr = np.broadcast_to(np.asarray(lam, dtype=float), (N,))
-    eye = np.eye(d)
-    out = np.empty(N)
-    bound, svds = known, 0
-    for sl in modal_mod._chunk_slices(N, d * d):
-        try:
-            X = np.linalg.inv(1j * lam_arr[sl, None, None] * eye - G[sl])
-        except np.linalg.LinAlgError as exc:
-            raise SpectralPointError(f"i*lambda lies in a mode spectrum: {exc}") from None
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (N,))
+    try:
+        X = np.linalg.inv(1j * lam[:, None, None] * np.eye(d) - G)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralPointError(f"i*lambda lies in a mode spectrum: {exc}") from None
 
-        def exact(rows):
-            return np.linalg.svd(X[rows], compute_uv=False)[:, 0]
+    def exact(rows):
+        return np.linalg.svd(X[rows], compute_uv=False)[:, 0]
 
-        if known is None:
-            out[sl] = exact(slice(None))
-            svds += X.shape[0]
-            continue
-        out[sl], n = _gated_max(np.linalg.norm(X, axis=(1, 2)), exact, bound)
-        bound = max(bound, float(np.max(out[sl])))   # gated rows lie below it
-        svds += n
+    if known is None:
+        out, svds = exact(slice(None)), N
+    else:
+        out, svds = _gated_max(np.linalg.norm(X, axis=(1, 2)), exact, known)
     if work is not None:
         work["norm_evals"] += N
         work["svds"] += svds
@@ -278,6 +275,8 @@ def _batched_norms(G, lam, known=None, work=None):
 
 def mode_resolvent_norm(mode, lam):
     """Weighted resolvent norm of a single mode at i*lam."""
+    if not np.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     G = _weight_factors(mode.generator[None], mode.weight[None])
     try:
         val = _batched_norms(G, lam=float(lam))[0]
@@ -302,9 +301,10 @@ def _sweep_count(spec, lam, n_max):
 
 
 def _log_bins(lam_grid):
-    """Per grid point, the (lo, hi) bin of the log axis it stands for: cut at
-    the log midpoints of the sorted positive points, mirrored at the ends.
-    A single positive point, and lam = 0, get the bin (lam, lam)."""
+    """(lo, hi): per grid point, the bin (lo, hi] of the log axis it stands
+    for, cut at the log midpoints of the sorted positive points and mirrored
+    at the ends.  A single positive point, and lam = 0, get the empty bin
+    (lam, lam]."""
     pos = np.sort(lam_grid[lam_grid > 0])  # the bins follow the log axis, not the grid order
     edges = {}
     if pos.size >= 2:
@@ -313,40 +313,49 @@ def _log_bins(lam_grid):
         lo = np.concatenate([[2 * logs[0] - mids[0]], mids])
         hi = np.concatenate([mids, [2 * logs[-1] - mids[-1]]])
         edges = {p: (np.exp(a), np.exp(b)) for p, a, b in zip(pos, lo, hi)}
-    return [edges.get(lam, (lam, lam)) for lam in lam_grid]
+    return np.array([edges.get(lam, (lam, lam)) for lam in lam_grid]).T
 
 
 class _Certificate:
     """Per-mode frequencies s_k of the conservative part and the radius
-    delta + allowance around them (see the module docstring).  Each query
-    reads the first ``count`` modes (all for None)."""
+    delta + allowance around them (module docstring) of the modes
+    1..n_total, filled chunk by chunk (``fill``).  Without a damping bound
+    (``damping`` None: upwind grid, classical law) the radius is infinite
+    and no s_k is computed (one zero stands for them), so every query keeps
+    every mode.  Distances run in blocks of at most CHUNK_ELEMENTS
+    (interval, mode, k) entries."""
 
-    def __init__(self, G, D):
-        N, d, _ = G.shape
-        self.s = np.empty((N, d))
-        for sl in modal_mod._chunk_slices(N, d * d):
-            S = G[sl] - np.diag(D)   # G in energy coordinates
+    def __init__(self, n_total, d, damping):
+        self.damping = damping
+        self.s = np.zeros((n_total, d if damping is not None else 1))
+        self.radius = np.full(n_total, np.inf if damping is None else np.max(np.abs(damping)))
+
+    def fill(self, rows, G):
+        """The s_k and radius of the modes of the slice ``rows`` from their
+        energy-coordinate generators ``G``."""
+        if self.damping is not None:
+            S = G - np.diag(self.damping)
             # singular values of S as square roots of the eigenvalues of S^T S
-            self.s[sl] = np.sqrt(np.maximum(
+            self.s[rows] = np.sqrt(np.maximum(
                 np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S), 0.0))
-        self.radius = np.max(np.abs(D)) + ROUND_REL * self.s[:, -1]
+            self.radius[rows] += ROUND_REL * self.s[rows, -1]
 
-    def _dist(self, lo, hi, count):
-        """Per mode: distance from the interval [lo, hi] to the nearest s_k."""
-        s = self.s[:count]
-        dist = np.empty(s.shape[0])
-        for sl in modal_mod._chunk_slices(*s.shape):
-            dist[sl] = np.min(np.maximum(np.maximum(lo - s[sl], s[sl] - hi), 0.0), axis=1)
-        return dist
-
-    def may_hold_eigenvalue(self, lo, hi, count):
-        """Modes that may have an eigenvalue with imaginary part in [lo, hi]."""
-        return np.flatnonzero(self._dist(lo, hi, count) <= self.radius[:count])
+    def _dist(self, lo, hi, rows):
+        """Per block of the modes of the slice ``rows``: (block slice,
+        (intervals, modes) distance from each interval [lo_i, hi_i] to the
+        nearest s_k)."""
+        s = self.s[rows]
+        lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
+        for sl in modal_mod._chunk_slices(s.shape[0], lo.size * s.shape[1]):
+            sk = s[sl].T.copy()[:, None]   # (k, 1, mode): the min over k runs on whole slabs
+            yield sl, np.maximum(np.min(np.maximum(lo - sk, sk - hi), axis=0), 0.0)
 
     def may_reach(self, lam, known, count):
-        """Modes whose Neumann bound at lam is not below the larger of a
-        lower bound ``known`` of the max and the largest Weyl bound."""
-        d, radius = self._dist(lam, lam, count), self.radius[:count]
+        """Modes among the first ``count`` whose Neumann bound at lam is not
+        below the larger of a lower bound ``known`` of the max and the
+        largest Weyl bound."""
+        d = np.concatenate([dist[0] for _, dist in self._dist(lam, lam, slice(count))])
+        radius = self.radius[:count]
         gap = d - radius
         upper = np.divide(1.0, gap, out=np.full(gap.shape, np.inf), where=gap > 0)
         return np.flatnonzero(~_below(upper, max(known, 1.0 / np.min(d + radius))))
@@ -354,19 +363,24 @@ class _Certificate:
 
 class _ModeCache:
     """A sweep's plan and the lambda-independent arrays of its modes
-    1..N_max (module docstring), read-only once the first point has run.
+    1..N_max (module docstring), read-only once built.
 
-    Per grid point k it holds the bin ``bins[k]`` and the range
-    ``counts[k]``; the energy-coordinate generators G are built with the
-    cache.  The spectral part (``spectra``) is solved by the first point
-    that reads it, which ``sweep`` runs before any worker starts, so that a
-    traced run counts its time in the resolvent layer (inside
-    ``_sweep_point``), not in the command.
+    The constructor plans each grid point k, its bin (``lo[k]``, ``hi[k]``]
+    and range ``counts[k]``, and refuses a cache past SWEEP_MAX_ENTRIES
+    before any assembly.  The bins of the points that search them
+    (``search``) are disjoint, so the bin holding an eigenvalue is the last
+    one in the sorted lower edges ``edges`` below its imaginary part, if
+    that bin's top (``tops``) is not below it.  Equal lower edges belong to
+    copies of one point, or to one empty bin and one other, and the widest
+    comes last; a point reads the candidates of that last bin within its
+    own.  ``point(k)`` builds the cache on its first call, which ``sweep``
+    makes from point 0 before any worker starts, so that a traced run counts
+    the build inside ``_sweep_point``.
     """
 
     def __init__(self, stack, lam_grid, n_max, peak_refine):
         self.stack, self.lam_grid, self.peak_refine = stack, lam_grid, peak_refine
-        self.bins = _log_bins(lam_grid)
+        self.lo, self.hi = _log_bins(lam_grid)
         self.counts = [_sweep_count(stack.spec, lam, n_max) for lam in lam_grid]
         n_total = max(self.counts)
         if n_total * stack.dim ** 2 > SWEEP_MAX_ENTRIES:
@@ -376,61 +390,86 @@ class _ModeCache:
                 f"{SWEEP_MAX_ENTRIES}; lower lambda_max={float(np.max(lam_grid)):g} "
                 f"or n_max={n_max}")
         self.ns = np.arange(1, n_total + 1)
-        self.G = np.empty((n_total, stack.dim, stack.dim))
-        for ns, G, W in stack.chunks(n_total):
-            self.G[ns - 1] = _weight_factors(G, W)
+        self.search = np.flatnonzero(lam_grid > 0) if peak_refine else np.arange(0)
+        by_edge = self.search[np.lexsort((self.hi[self.search], self.lo[self.search]))]
+        self.edges, self.tops = self.lo[by_edge], self.hi[by_edge]   # equal edges: widest last
+        self.G = self.work = None
+
+    def point(self, k):
+        """(rows, lams, work) of grid point k: the modes in its range with an
+        eigenvalue in its bin, per mode the imaginary part of the
+        least-damped one there (its peak candidate), and the work the build
+        counted for the point."""
+        if self.work is None:
+            self._build()
+        b = np.searchsorted(self.edges, self.lo[k], side="right") - 1   # -1: k does not search
+        keep = (self.cand_bins == b) & (self.cand_rows < self.counts[k])
+        keep &= self.cand_lams <= self.hi[k]
+        return self.cand_rows[keep], self.cand_lams[keep], self.work[k]
+
+    def _build(self):
+        """One pass over ``ModeStack.chunks``: per chunk, store the
+        energy-coordinate generators ``G`` and the certificate ``cert`` of
+        its modes, count per searching point the modes that may hold an
+        eigenvalue in its bin within its range, run one ``eigvals`` on their
+        union and keep, per mode and bin, the imaginary part of the
+        least-damped eigenvalue there."""
+        n_total, d, P = self.ns.size, self.stack.dim, self.lam_grid.size
+        counts = np.array(self.counts)
+        self.G = np.empty((n_total, d, d))
+        self.cert = _Certificate(n_total, d, self.stack.damping)
+        n_eig, first = np.zeros(P, dtype=int), np.zeros(P, dtype=int)
+        found = [(np.arange(0), np.arange(0), np.zeros(0))]
+        for ns, G, W in self.stack.chunks(n_total):
+            rows = slice(ns[0] - 1, ns[-1])
+            self.G[rows] = _weight_factors(G, W)
+            self.cert.fill(rows, self.G[rows])
+            act = self.search[counts[self.search] > rows.start]   # searching, in range here
+            if not act.size:
+                continue
+            reader = np.full(ns.size, -1)   # per mode, the first point that reads it
+            radius = self.cert.radius[rows]
+            for sl, dist in self.cert._dist(self.lo[act], self.hi[act], rows):
+                # the modes in range that may hold an eigenvalue in the bin
+                near = (dist <= radius[sl]) & (ns[sl] <= counts[act, None])
+                n_eig[act] += np.count_nonzero(near, axis=1)
+                reader[sl] = np.where(np.any(near, axis=0), act[np.argmax(near, axis=0)], -1)
+            read = np.flatnonzero(reader >= 0)
+            first += np.bincount(reader[read], minlength=P)
+            ev = np.linalg.eigvals(self.G[rows][read])
+            # least damped first; each eigenvalue lies in at most one bin
+            ev = np.take_along_axis(ev, np.argsort(-ev.real, axis=1, kind="stable"), axis=1)
+            b = np.searchsorted(self.edges, ev.imag) - 1
+            held = (b >= 0) & (ev.imag <= self.tops[b])
+            # the first eigenvalue of each (mode, bin) pair, the pairs in ascending order
+            pair, i = np.unique(np.nonzero(held)[0] * P + b[held], return_index=True)
+            found.append((rows.start + read[pair // P], pair % P, ev.imag[held][i]))
+        # the candidates in ascending mode order
+        self.cand_rows, self.cand_bins, self.cand_lams = (np.concatenate(x) for x in zip(*found))
+        prior = np.maximum.accumulate([0, *self.counts])   # modes assembled before each point
+        self.work = [{"modes_eigvals": int(n_eig[k]), "eigvals_computed": int(first[k]),
+                      "modes_assembled": max(0, count - int(prior[k]))}
+                     for k, count in enumerate(self.counts)]
         self.G.flags.writeable = False
-        self._spectra = None
-
-    def spectra(self):
-        """(cert, ev, plans): the certificate (None without a damping bound),
-        the eigenvalues ``ev`` of the rows some point reads, and per grid
-        point k, ``plans[k] = (rows, first_use)``: the rows whose eigenvalues
-        it reads, and the modes assembled and the modes given to ``eigvals``
-        that no earlier point needed."""
-        if self._spectra is None:
-            self._spectra = self._solve_spectra()
-        return self._spectra
-
-    def _solve_spectra(self):
-        damping = self.stack.damping
-        cert = None if damping is None else _Certificate(self.G, damping)
-        plans = []
-        assembled, read = 0, np.zeros(self.ns.size, dtype=bool)
-        for lam, count, (blo, bhi) in zip(self.lam_grid, self.counts, self.bins):
-            rows = np.arange(0)
-            if self.peak_refine and lam > 0:
-                rows = (np.arange(count) if cert is None
-                        else cert.may_hold_eigenvalue(blo, bhi, count))
-            plans.append((rows, {"modes_assembled": max(0, count - assembled),
-                                 "eigvals_computed": int(np.count_nonzero(~read[rows]))}))
-            assembled = max(assembled, count)
-            read[rows] = True
-        ev = np.full((self.ns.size, self.stack.dim), np.nan, dtype=complex)
-        rows = np.flatnonzero(read)
-        for sl in modal_mod._chunk_slices(rows.size, self.stack.dim ** 2):
-            ev[rows[sl]] = np.linalg.eigvals(self.G[rows[sl]])
-        ev.flags.writeable = False
-        return cert, ev, plans
 
 
 def _sweep_point(cache, k):
-    """The sample of grid point k from the cache's plan (module docstring)."""
-    lam, count = cache.lam_grid[k], cache.counts[k]
-    bin_lo, bin_hi = cache.bins[k]
+    """The sample of grid point k from the cache (module docstring)."""
+    rows, cand_lam, counted = cache.point(k)
+    lam, count, cert = cache.lam_grid[k], cache.counts[k], cache.cert
     ns, G = cache.ns[:count], cache.G[:count]
-    cert, ev_all, plans = cache.spectra()
-    rows, first_use = plans[k]
-    work = {"modes_in_range": count, "modes_eigvals": rows.size, "norm_evals": 0, "svds": 0,
-            "pruning": "none" if cert is None else "certified", **first_use}
+    work = {"modes_in_range": count, "norm_evals": 0, "svds": 0,
+            "pruning": "none" if cache.stack.damping is None else "certified", **counted}
 
     def max_norm(sel, at, known):
         """(value, n, per-mode values) of the max over the modes of the index
         array ``sel`` at ``at`` (a scalar or one value per mode),
-        Frobenius-gated from a lower bound ``known``.  The generators are
-        gathered a chunk at a time, each chunk gated from the running max as
-        ``_batched_norms`` gates its own chunks."""
+        Frobenius-gated from a lower bound ``known`` that the running max
+        raises chunk by chunk; the generators are gathered a chunk at a
+        time."""
         vals = np.empty(sel.size)
+        if not sel.size:
+            return -np.inf, None, vals
         for sl in modal_mod._chunk_slices(sel.size, G.shape[-1] ** 2):
             vals[sl] = _batched_norms(G[sel[sl]], lam=at if np.ndim(at) == 0 else at[sl],
                                       known=known, work=work)
@@ -439,40 +478,22 @@ def _sweep_point(cache, k):
         return float(vals[b]), int(ns[sel][b]), vals
 
     # 1. best peak candidate: the least-damped eigenvalue in the bin, per mode
-    cand = None
-    if rows.size:
-        # per mode, Im of that eigenvalue (NaN for none), a chunk at a time
-        cand_lam = np.empty(rows.size)
-        for sl in modal_mod._chunk_slices(rows.size, G.shape[-1]):
-            ev = ev_all[rows[sl]]
-            re_masked = np.where((ev.imag > bin_lo) & (ev.imag <= bin_hi), ev.real, -np.inf)
-            pick = np.argmax(re_masked, axis=1)
-            idx = np.arange(len(ev))
-            cand_lam[sl] = np.where(np.isfinite(re_masked[idx, pick]),
-                                    ev.imag[idx, pick], np.nan)
-        has = ~np.isnan(cand_lam)
-        if np.any(has):
-            cand_lam = cand_lam[has]
-            value, n, cvals = max_norm(rows[has], cand_lam, -np.inf)
-            cand = (value, float(cand_lam[np.argmax(cvals)]), n)
+    value, n, cvals = max_norm(rows, cand_lam, -np.inf)
+    cand = (value, float(cand_lam[np.argmax(cvals)]), n) if rows.size else None
     known = -np.inf if cand is None else cand[0]
 
     # 2. the value at lam; a candidate wins only by exceeding it
-    rows = np.arange(count) if cert is None else cert.may_reach(lam, known, count)
+    rows = cert.may_reach(lam, known, count)
     upper = np.full(count, np.inf)   # per mode at lam: exact, or ||X||_F where gated
-    at_lam = None
-    if cert is None or rows.size:
-        value, n, upper[rows] = max_norm(rows, lam, known)
-        at_lam = (value, n)
-    if cand is None or (at_lam is not None and not cand[0] > at_lam[0]):
-        value, n = at_lam
+    value, n, upper[rows] = max_norm(rows, lam, known)   # -inf where no mode can reach it
+    if cand is None or not cand[0] > value:
         return ResolventSample(lam=float(lam), value=value, argmax_n=n, work=work)
     value, best_lam, n = cand
     if best_lam != lam:
         # 3. certify the sup over all candidate modes at the achieved lambda.
         # Resolvent identity: ||R(lam')|| <= r / (1 - |lam' - lam| r) for
         # r >= ||R(lam)||, with the computed r trusted to ROUND_REL
-        rows = np.arange(count) if cert is None else cert.may_reach(best_lam, value, count)
+        rows = cert.may_reach(best_lam, value, count)
         r = upper[rows] * (1.0 + ROUND_REL)
         gap = 1.0 - abs(best_lam - lam) * r
         bound = np.divide(r, gap, out=np.full(r.shape, np.inf), where=gap > 0)
@@ -488,18 +509,21 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     ceil(WINDOW_FACTOR * lam sqrt(rho1/k) ell/pi)).  The grid is treated as
     bins on the log axis; within each bin the sample may move to a resonance
     (see module docstring).  The modes 1..max N(lam) are assembled, factored
-    and eigen-solved once, into a read-only cache that the samples and
-    ``threads`` workers share; a cache past SWEEP_MAX_ENTRIES stacked
-    entries raises DomainError before any assembly.  Each sample's ``work``
-    counts the modes in range, the modes given to ``eigvals``, the
-    resolvents formed (``norm_evals``) and the SVDs run on them (``svds``),
-    and the modes assembled and eigen-solved first for it
-    (``modes_assembled``, ``eigvals_computed``).  Raises with (lambda, n)
-    context when a sample hits the spectrum exactly.
+    and eigen-solved in one pass, into a read-only cache that the samples
+    and ``threads`` workers share; a cache past SWEEP_MAX_ENTRIES stacked
+    entries raises DomainError before any assembly, and so do a lambda
+    that is negative or not finite and n_max < 1.  Each sample's ``work`` counts the modes
+    in range, the modes given to ``eigvals``, the resolvents formed
+    (``norm_evals``) and the SVDs run on them (``svds``), and the modes
+    assembled and eigen-solved first for it (``modes_assembled``,
+    ``eigvals_computed``).  Raises with (lambda, n) context when a sample
+    hits the spectrum exactly.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
-    if np.any(lam_grid < 0):
-        raise DomainError("lambda grid must be nonnegative")
+    if not np.all(np.isfinite(lam_grid) & (lam_grid >= 0)):
+        raise DomainError("lambda grid must be finite and nonnegative")
+    if n_max < 1:
+        raise DomainError(f"sweep needs n_max >= 1, got {n_max}")
     stack = modal_mod._layout(spec, grid)
     if lam_grid.size == 0:
         return []
@@ -512,7 +536,7 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
             exc.lam = lam_grid[k]
             raise
 
-    # point 0 solves the cache's spectra before any worker reads them
+    # point 0 builds the cache before any worker reads it
     first, rest = run(0), range(1, lam_grid.size)
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -723,6 +747,8 @@ def det_check(spec, n):
 
 def spectral_abscissa(spec, n_max, grid=None):
     """Per-mode max Re of the generator spectrum and the global maximum."""
+    if n_max < 1:
+        raise DomainError(f"spectral abscissa needs n_max >= 1, got {n_max}")
     per = np.concatenate([np.linalg.eigvals(G).real.max(axis=1)
                           for _, G, _ in modal_mod._layout(spec, grid).chunks(n_max)])
     arg = int(np.argmax(per))

@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 import beamstab
 
 # The package's public names: merging internals must not drop one silently,
@@ -25,3 +28,17 @@ PUBLIC = [
 
 def test_public_names_unchanged():
     assert sorted(beamstab.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: beamstab.sweep(spec, [np.nan], 8),
+    lambda spec: beamstab.sweep(spec, [np.inf], 8),
+    lambda spec: beamstab.sweep(spec, [0.0], 0),
+    lambda spec: beamstab.mode_resolvent_norm(beamstab.assemble(spec, 1), np.nan),
+    lambda spec: beamstab.semiuniform_series(spec, [np.nan], 8),
+    lambda spec: beamstab.spectral_abscissa(spec, 0),
+], ids=["sweep-nan", "sweep-inf", "sweep-n_max-0", "mode_resolvent_norm-nan",
+        "semiuniform_series-nan", "spectral_abscissa-0"])
+def test_bad_input_raises_domain_error(ref1, call):
+    with pytest.raises(beamstab.DomainError):
+        call(ref1["BGP"])

@@ -433,7 +433,8 @@ def _dense_reference(cache, k):
     assembles and factors its own modes from the cache's layout, so it does
     not read the cache's arrays."""
     stack = cache.stack
-    lam, (bin_lo, bin_hi), peak_refine = cache.lam_grid[k], cache.bins[k], cache.peak_refine
+    lam, bin_lo, bin_hi = cache.lam_grid[k], cache.lo[k], cache.hi[k]
+    peak_refine = cache.peak_refine
     ns = np.arange(1, cache.counts[k] + 1)
     G = rmod._weight_factors(*modal_mod._mode_arrays(stack, ns))
 
@@ -500,7 +501,7 @@ class TestPrunedSweepMatchesDense:
 
     @pytest.mark.parametrize("kwargs", [dict(peak_refine=False),
                                         dict(peak_refine=False, threads=2),
-                                        dict(threads=2)])
+                                        dict(threads=2), dict(peak_refine=None)])
     def test_options(self, ref1, kwargs):
         lams = np.concatenate([[0.0], np.geomspace(2.0, 150.0, 9)])
         for tag in ("BGP", "TMC"):
@@ -690,9 +691,11 @@ class TestModeCache:
         # lam_max = 1e4 puts 40,000 modes in range; assembling them in one
         # stack would peak at 4.3 times the cache
         stack = modal_mod._layout(ref1["BGP"], None)
+        cache = rmod._ModeCache(stack, np.array([1e4]), 16, True)
+        assert cache.G is None   # planned, not yet assembled
         tracemalloc.start()
         try:
-            cache = rmod._ModeCache(stack, np.array([1e4]), 16, True)
+            cache._build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -701,12 +704,11 @@ class TestModeCache:
 
     def test_sweep_memory_is_the_cache_and_one_chunk(self, ref1):
         # the same 40,000 modes: beside the 30.5 MiB cache a sweep keeps the
-        # per-mode spectra (the s_k and the eigenvalues, (N, d) each) and a few
-        # per-mode vectors; the certificate, the candidate search and the
-        # gathered generators of a point used to form full-range temporaries
-        # (a 94.9 MiB peak)
+        # certificate frequencies s_k ((N, d) real), its candidates and a few
+        # per-mode vectors; no full-range temporary and no (N, d) array of
+        # eigenvalues fits in this budget
         N, d = 40000, 10
-        cache, spectra, vectors = N * d * d * 8, N * d * (8 + 16), 16 * N * 8
+        cache, spectra, vectors = N * d * d * 8, N * d * 8, 16 * N * 8
         lams = np.geomspace(1e2, 1e4, 13)
         bs.sweep(ref1["BGP"], lams[:2], 64)   # lazy imports and caches first
         tracemalloc.start()
@@ -718,14 +720,30 @@ class TestModeCache:
         assert out[-1].work["modes_in_range"] == N
         assert peak <= cache + spectra + vectors
 
+    def test_build_memory_without_a_damping_bound(self, ref1):
+        # the classical law keeps every mode in every bin: 500 points read
+        # 2.2 million (point, mode) pairs, which the build must not hold
+        stack = modal_mod._layout(ref1["TF"], None)
+        cache = rmod._ModeCache(stack, np.geomspace(1.0, 1e4, 500), 16, True)
+        N, d = cache.ns.size, stack.dim
+        tracemalloc.start()
+        try:
+            cache._build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (N, d) == (40000, 5) and cache.cert.radius[0] == np.inf
+        assert sum(w["modes_eigvals"] for w in cache.work) > 2_000_000
+        assert peak <= cache.G.nbytes + N * d * 8 + 16 * N * 8
+
     def test_spectra_solved_once_on_the_calling_thread(self, ref1, monkeypatch):
-        solve, threads = rmod._ModeCache._solve_spectra, []
+        build, threads = rmod._ModeCache._build, []
 
-        def recording_solve(cache):
+        def recording_build(cache):
             threads.append(threading.get_ident())
-            return solve(cache)
+            return build(cache)
 
-        monkeypatch.setattr(rmod._ModeCache, "_solve_spectra", recording_solve)
+        monkeypatch.setattr(rmod._ModeCache, "_build", recording_build)
         lams = np.geomspace(5.0, 400.0, 12)
         for spec in (ref1["BGP"], ref1["TMC"]):
             threads.clear()
@@ -735,11 +753,15 @@ class TestModeCache:
                 (s.lam, s.value, s.argmax_n, s.work) for s in bs.sweep(spec, lams, 16)]
 
 
-def _certificate(spec, ns):
-    """(energy-coordinate generators, damping diagonal, certificate)."""
-    stack = modal_mod._layout(spec, None)
+def _certificate(spec, ns, grid=None):
+    """(energy-coordinate generators, damping diagonal, certificate), the
+    certificate filled chunk by chunk as a sweep's cache fills it."""
+    stack = modal_mod._layout(spec, grid)
     G = rmod._weight_factors(*modal_mod._mode_arrays(stack, ns))
-    return G, stack.damping, rmod._Certificate(G, stack.damping)
+    cert = rmod._Certificate(len(ns), stack.dim, stack.damping)
+    for rows in modal_mod._chunk_slices(len(ns), stack.dim ** 2):
+        cert.fill(rows, G[rows])
+    return G, stack.damping, cert
 
 
 # b = 3000: at n = 3e4 the eigenvalues of the weight span 12.4 decades
@@ -773,7 +795,7 @@ class TestCertificate:
         s_max = cert.s[:, -1]
         for lam in (u * s_max[0], u * s_max[-1], cert.s[-1, 4] + 1.5 * cert.radius[-1]):
             vals = rmod._batched_norms(G, lam=lam)
-            d = cert._dist(lam, lam, None)
+            d = np.concatenate([dist[0] for _, dist in cert._dist(lam, lam, slice(None))])
             upper = np.where(d > cert.radius, 1.0 / np.maximum(d - cert.radius, 1e-300),
                              np.inf)
             assert np.all(vals <= upper * (1 + rmod.ROUND_REL))
@@ -802,10 +824,16 @@ class TestCertificate:
             assert np.all(cert.s == whole)
 
     def test_no_bound_for_upwind_and_classical(self, ref1):
+        # no damping bound: an infinite radius that keeps every mode
         grid = bs.make_grid(ref1["BGP"].kernel_g, 10)
         for spec, g in ((ref1["BGP"], grid), (ref1["TGP"], grid),
                         (ref1["BF"], None), (ref1["TF"], None)):
             assert modal_mod._layout(spec, g).damping is None
+            _, _, cert = _certificate(spec, np.arange(1, 31), g)
+            assert np.all(cert.radius == np.inf) and np.all(cert.s == 0)
+            assert all(np.all(dist <= cert.radius) for _, dist in
+                       cert._dist([3.0, 50.0], [4.0, 60.0], slice(None)))
+            assert cert.may_reach(7.0, 1e300, 30).tolist() == list(range(30))
 
     def test_pruning_cuts_the_work(self, ref1):
         # the reference sweep of the benchmark: 13 bins on [1e2, 1e3]

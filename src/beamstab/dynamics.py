@@ -10,11 +10,14 @@ norm equal to the max over modes, so ``semiuniform_series`` is exact there.
 Batched smoothed propagator.  ``semiuniform_series`` walks the modes in
 chunks (``ModeStack.chunks``: at most CHUNK_ELEMENTS = 25,600 entries per
 stacked (N, d, d) array, which is 256 modes at d = 10 and 18 at d = 37).  Per
-chunk it assembles the stack once, moves it to the energy coordinates of
-``resolvent._weight_factors`` (there the W-norm is the 2-norm), inverts
-Gh_n and diagonalizes Gh_n = V diag(lam) V^{-1}, so that
+chunk it takes the energy-coordinate generators Gh_n = omega_n K1 + K0 of
+the ``modal`` coupling matrices (there the W-norm is the 2-norm),
+diagonalizes Gh_n = V diag(lam) V^{-1} and inverts V once, so that
 
-    exp(t Gh_n) Gh_n^{-1} = L diag(exp(lam t)) R,  L = V,  R = V^{-1} Gh_n^{-1}.
+    exp(t Gh_n) Gh_n^{-1} = L diag(exp(lam t)) R,  L = V,  R = diag(1/lam) V^{-1},
+
+with no factorization of Gh_n itself; a zero eigenvalue raises
+SpectralPointError naming its mode.
 
 The product is the sum of the rank-one terms E_k (L e_k)(e_k^T R),
 E_k = exp(lam_k t), whose norms sum to b_n(t) = sum_k |E_k| ||L e_k||
@@ -58,9 +61,10 @@ computed SVD carries a relative error of order d*eps, inside the rule's
 margins.  A pruned mode's computed norm therefore lies strictly below the
 max, so it cannot change it; per-mode LAPACK results do not depend on the
 batch, and the values are bit-identical to the per-mode loop.  The chunk's
-eigendecomposition comes from ``_propagator``; modes whose eigenvector
-condition number is not below EIG_COND_LIMIT take its ``expm`` at every
-time point, without pruning.
+eigendecomposition comes from ``_propagator``; modes whose
+||V||_F ||V^{-1}||_F, an upper bound of the eigenvector condition number
+cond_2(V), is not below EIG_COND_LIMIT take its ``expm`` and one inverse of
+Gh_n at every time point, without pruning.
 
 For a one-term exponential kernel the auxiliary prony state y of a memory
 mode maps linearly onto the relaxed-flux variable, flux = -varpi*omega*y.
@@ -69,7 +73,6 @@ is the modal realization of the known equivalence between the memory law
 with exponential kernel and the relaxed flux law.
 """
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,22 +140,24 @@ class LimitRow:
 def _propagator(G):
     """exp(t G_n) for a stack G of generators, the package's one evaluator.
 
-    Returns (lam, V, ok, U): the eigendecompositions G_n = V diag(lam) V^{-1},
-    whether each eigenvector basis is conditioned below EIG_COND_LIMIT, and
+    Returns (lam, V, Vinv, ok, U): the eigendecompositions
+    G_n = V diag(lam) Vinv, whether each eigenvector basis passes the
+    condition test ||V||_F ||Vinv||_F < EIG_COND_LIMIT (the product bounds
+    cond_2(V) from above, so the test errs only toward ``expm``), and
     U(i, t) = exp(t G_i) for stack entry i, from the eigendecomposition where
     ``ok`` and from the scaling-and-squaring ``expm`` elsewhere.
     """
     lam, V = np.linalg.eig(G)
-    cond = np.linalg.cond(V)
+    Vinv = np.linalg.inv(V)
+    cond = np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(Vinv, axis=(1, 2))
     ok = np.isfinite(cond) & (cond < EIG_COND_LIMIT)
-    inverse = functools.cache(lambda i: np.linalg.inv(V[i]))
 
     def U(i, t):
         if not ok[i]:
             import scipy.linalg  # lazy: only this fallback needs scipy
             return scipy.linalg.expm(G[i] * t)
-        return (V[i] * np.exp(lam[i] * t)) @ inverse(i)
-    return lam, V, ok, U
+        return (V[i] * np.exp(lam[i] * t)) @ Vinv[i]
+    return lam, V, Vinv, ok, U
 
 
 def propagate(mode, u0, ts):
@@ -165,8 +170,8 @@ def propagate(mode, u0, ts):
     if u0.shape != (mode.dim,):
         raise DomainError(f"state has shape {u0.shape}, mode dimension is {mode.dim}")
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0) or np.any(np.diff(ts) < 0):
-        raise DomainError("time grid must be nondecreasing and nonnegative")
+    if not np.all(np.isfinite(ts) & (ts >= 0)) or np.any(np.diff(ts) < 0):
+        raise DomainError("time grid must be finite, nondecreasing and nonnegative")
     *_, U = _propagator(mode.generator[None])
     states = np.empty((ts.size, mode.dim), dtype=complex)
     energy = np.empty(ts.size)
@@ -191,11 +196,11 @@ def _adjacent_products(A):
 
 class _SmoothedPropagators:
     """exp(t Gh_n) Gh_n^{-1} = L diag(exp(lam t)) R for a stack of
-    diagonalizable modes, with L = V and R = V^{-1} Gh_n^{-1}; each
+    diagonalizable modes, with L = V and R = diag(1/lam) V^{-1}; each
     conjugate eigenvalue pair is one rank-two term (module docstring)."""
 
-    def __init__(self, lam, V, Ginv):
-        self.lam, self.L, self.R = lam, V, np.linalg.solve(V, Ginv)
+    def __init__(self, lam, V, Vinv):
+        self.lam, self.L, self.R = lam, V, Vinv / lam[:, :, None]
         cols, rows = np.linalg.norm(self.L, axis=1), np.linalg.norm(self.R, axis=2)
         # ||L e_k|| ||e_k^T R||: the norm of each rank-one term at exp(lam t) = 1
         self.terms = cols * rows
@@ -244,22 +249,6 @@ class _SmoothedPropagators:
         return np.linalg.svd(M, compute_uv=False)[:, 0]
 
 
-def _inverses(G, ns):
-    """G_n^{-1} for a stack; a singular mode raises with its index."""
-    eye = np.eye(G.shape[-1], dtype=G.dtype)
-    try:
-        # a full-stack right-hand side: NumPy < 2 reads a 2-D one as vectors
-        return np.linalg.solve(G, np.broadcast_to(eye, G.shape))
-    except np.linalg.LinAlgError:
-        for n, g in zip(ns, G):
-            try:
-                np.linalg.solve(g, eye)
-            except np.linalg.LinAlgError:
-                raise SpectralPointError(f"0 is in the spectrum of mode {n}",
-                                         lam=0.0, n=int(n)) from None
-        raise
-
-
 def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     """sup_{n <= n_max} ||exp(t G_n) G_n^{-1}||_{W_n} on a time grid.
 
@@ -273,24 +262,27 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts) & (ts >= 0)):
         raise DomainError("times must be finite and nonnegative")
+    if n_max < 1:
+        raise DomainError(f"the decay series needs n_max >= 1, got {n_max}")
     vals = np.zeros(ts.size)
     counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
               "pruning": "certified"}
-    for ns, G, W in stack.chunks(n_max):
-        G = rmod._weight_factors(G, W)
-        Ginv = _inverses(G, ns)
-        lam, V, ok, U = _propagator(G)
+    for ns, G in stack.chunks(n_max):
+        lam, V, Vinv, ok, U = _propagator(G)
         counts["modes_propagated"] += ns.size
+        for n in ns[np.any(lam == 0, axis=1)][:1]:   # the first singular mode
+            raise SpectralPointError(f"0 is in the spectrum of mode {n}", lam=0.0, n=int(n))
         for i in np.flatnonzero(~ok):
+            Ginv = np.linalg.inv(G[i])
             for j, t in enumerate(ts):
-                M = U(i, t) @ Ginv[i]
+                M = U(i, t) @ Ginv
                 vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
             counts["expm_modes"] += 1
             counts["norm_evals"] += ts.size
         if not np.any(ok):
             continue
         sel = slice(None) if np.all(ok) else ok   # views, not copies, where all are
-        prop = _SmoothedPropagators(lam[sel], V[sel], Ginv[sel])
+        prop = _SmoothedPropagators(lam[sel], V[sel], Vinv[sel])
         for j, t in enumerate(ts):
             E = np.exp(prop.lam * t)
             norms, svds = rmod._gated_max(prop.bounds(E), lambda rows: prop.norms(rows, E),
@@ -317,8 +309,8 @@ def decay_fit(ts, values, kind):
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if np.any(values <= 0):
-        raise DomainError("decay fit needs strictly positive values")
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise DomainError("decay fit needs finite, strictly positive values")
     if ts.size < 8:
         raise FitError(f"decay fit needs at least 8 points, got {ts.size}")
     y = np.log(values)

@@ -20,6 +20,29 @@ Memory (convolution) laws are realized two ways:
 Both carry an exact discrete dissipation identity: the energy decay rate
 equals -(varpi/2) times a nonnegative memory functional computed from the
 states (see ``dissipation_rate``).
+
+Energy coordinates.  v = F_n u with F_n^T F_n = W_n (times 2/ell) turns the
+W-norm into the 2-norm, and F_n has a closed form, slot by slot of u:
+
+    defl              sqrt(k) (omega phi + psi + l w)   (strains)
+    rot               sqrt(b) omega psi
+    axial             sqrt(k0) (l phi + omega w)
+    velocities        sqrt(rho1), sqrt(rho2), sqrt(rho1) times the rate
+    temperatures      sqrt(rho3) theta
+    prony state y_j   omega sqrt(varpi / (a_j theta_j)) y_j
+    flux state q      sqrt(relax) q
+    upwind state y_i  omega sqrt(varpi m_i) y_i   (m_i the cell mass)
+
+with phi, psi, w the deflection, rotation and axial stretch, l the curvature
+(0 for the straight beam) and relax = sigma or tau.  The energy-coordinate
+generator F_n G_n F_n^{-1} is then omega_n K1 + K0 (+ omega_n^2 K2 for the
+classical law), where the n-independent K = (K0, K1, K2) of a ``ModeStack``
+comes from one coupling table (``_coupling``): K1 is skew by construction,
+K0 is a skew S0 plus the diagonal D of the memory and flux rates (-1/theta_j,
+-1/(relax varpi)); on the upwind grid K0 also holds the transport block,
+-1/h_i on the diagonal and sqrt(m_i/m_{i-1})/h_i below it; K2 is the
+classical law's -varpi/rho3 on each temperature.  F_n is singular exactly at
+the curvature resonance omega_n = l, where SingularWeightError is raised.
 """
 
 from dataclasses import dataclass
@@ -123,10 +146,12 @@ class ModeStack:
     """The n-independent part of a system's modes, built once by ``_layout``
     and read-only, so threads may share it.
 
-    ``damping`` is the diagonal D of G_n = A_n + diag(D) with A_n W_n-skew
-    (W A + A^T W = 0): -1/theta_j on prony memory rows, -1/(relax*varpi) on
-    flux rows, 0 elsewhere; None for the upwind grid and the classical law,
-    whose damping is not bounded uniformly in n.
+    ``K`` = (K0, K1, K2) gives the energy-coordinate generators
+    omega_n K1 + K0 (+ omega_n^2 K2) (module docstring; K2 is None but for
+    the classical law).  ``damping`` is diag(K0) on prony memory and flux
+    stacks, the D of K0 = S0 + diag(D): -1/theta_j on prony memory rows,
+    -1/(relax*varpi) on flux rows, 0 elsewhere; None for the upwind grid and
+    the classical law, whose damping is not bounded uniformly in n.
     """
 
     spec: mmod.SystemSpec
@@ -135,6 +160,7 @@ class ModeStack:
     blocks: tuple
     scheme: str
     index: MappingProxyType
+    K: tuple
     damping: np.ndarray
 
     @property
@@ -142,11 +168,12 @@ class ModeStack:
         return len(self.labels)
 
     def chunks(self, n_max):
-        """(ns, G, W) for the modes 1..n_max in consecutive chunks of at most
-        CHUNK_ELEMENTS stacked (N, d, d) entries (one mode at least)."""
+        """(ns, Gh) for the modes 1..n_max in consecutive chunks of at most
+        CHUNK_ELEMENTS stacked (N, d, d) entries (one mode at least), Gh
+        their energy-coordinate generators (``_generators``)."""
         for sl in _chunk_slices(n_max, self.dim ** 2):
             ns = np.arange(sl.start + 1, sl.stop + 1)
-            yield (ns, *_mode_arrays(self, ns))
+            yield ns, _generators(self, ns)
 
     def mode(self, n):
         """The mode-n system; raises SingularWeightError when the energy form
@@ -239,10 +266,10 @@ def _memory_scheme(spec, grid):
 
 
 def _layout(spec, grid):
-    """The system's ``ModeStack``: labels, memory/flux blocks and damping
-    diagonal, built once and shared by every mode of the system."""
+    """The system's ``ModeStack``: labels, memory/flux blocks, the coupling
+    matrices K and the damping diagonal, built once and shared by every mode
+    of the system."""
     scheme = _memory_scheme(spec, grid)
-    c = spec.coeffs
     labels = ["defl", "defl_t", "rot", "rot_t"]
     temps = [("b", spec.kernel_g)]
     if spec.is_bresse:
@@ -261,17 +288,53 @@ def _layout(spec, grid):
         blocks.append(_make_block(f"temp_{tag}", len(labels), len(names), scheme,
                                   kernel, grid))
         labels += names
-    damping = None
-    if scheme in ("prony-reduction", "flux"):
-        damping = np.zeros(len(labels))
-        for blk in blocks:
-            damping[blk.start:blk.start + blk.size] = (
-                -1.0 / np.array(blk.thj) if scheme == "prony-reduction"
-                else -1.0 / ((c.sigma if blk.temp == "temp_b" else c.tau) * c.varpi))
-        damping.flags.writeable = False
+    index = {name: i for i, name in enumerate(labels)}
+    K = _coupling(spec, index, blocks, scheme)
+    damping = np.diag(K[0]).copy() if scheme in ("prony-reduction", "flux") else None
+    for a in (*K, damping):
+        if a is not None:
+            a.flags.writeable = False
     return ModeStack(spec=spec, grid=grid, labels=tuple(labels), blocks=tuple(blocks),
-                     scheme=scheme, damping=damping,
-                     index=MappingProxyType({name: i for i, name in enumerate(labels)}))
+                     scheme=scheme, index=MappingProxyType(index), K=K, damping=damping)
+
+
+def _coupling(spec, index, blocks, scheme):
+    """(K0, K1, K2) of the energy coordinates (module docstring) from the
+    closed-form coupling table."""
+    c, l, sq = spec.coeffs, spec.effective_l, np.sqrt
+    d = len(index)
+    # (row, column, K1 entry, K0 entry); each sets K[column, row] = -K[row, column]
+    table = [("defl", "defl_t", sq(c.k / c.rho1), 0.0),
+             ("defl", "rot_t", 0.0, sq(c.k / c.rho2)),
+             ("rot", "rot_t", sq(c.b / c.rho2), 0.0),
+             ("temp_b", "rot_t", c.gamma / sq(c.rho2 * c.rho3), 0.0)]
+    if spec.is_bresse:
+        table += [("defl", "axial_t", 0.0, l * sq(c.k / c.rho1)),
+                  ("axial", "defl_t", 0.0, l * sq(c.k0 / c.rho1)),
+                  ("axial", "axial_t", sq(c.k0 / c.rho1), 0.0),
+                  ("temp_a", "axial_t", c.gamma / sq(c.rho1 * c.rho3), 0.0),
+                  ("temp_a", "defl_t", 0.0, l * c.gamma / sq(c.rho1 * c.rho3))]
+    K0, K1, K2 = np.zeros((d, d)), np.zeros((d, d)), None
+    for row, col, k1, k0 in table:
+        i, j = index[row], index[col]
+        K1[i, j], K1[j, i], K0[i, j], K0[j, i] = k1, -k1, k0, -k0
+    if scheme == "none":   # the classical law: -varpi/rho3 on each temperature
+        K2 = np.diag([-c.varpi / c.rho3 if name.startswith("temp_") else 0.0 for name in index])
+    for blk in blocks:
+        iT, rows = index[blk.temp], np.arange(blk.start, blk.start + blk.size)
+        if blk.scheme == "flux":
+            relax = c.sigma if blk.temp == "temp_b" else c.tau
+            u, rate = 1.0 / sq(c.rho3 * relax), -1.0 / (relax * c.varpi)
+        elif blk.scheme == "prony-reduction":
+            aj, thj = np.array(blk.aj), np.array(blk.thj)
+            u, rate = -sq(c.varpi * aj * thj / c.rho3), -1.0 / thj
+        else:  # sgrid-upwind: the transport block
+            m, h = blk.node_mass, blk.grid.spacing
+            u, rate = -sq(c.varpi * m / c.rho3), -1.0 / h
+            K0[rows[1:], rows[:-1]] = sq(m[1:] / m[:-1]) / h[1:]
+        K1[iT, rows], K1[rows, iT] = u, -u
+        K0[rows, rows] = rate
+    return K0, K1, K2
 
 
 def _make_block(temp, start, size, scheme, kernel, grid):
@@ -292,20 +355,38 @@ def _make_block(temp, start, size, scheme, kernel, grid):
     return MemoryBlock(temp=temp, start=start, size=size, scheme=scheme)
 
 
-def _mode_arrays(stack, ns, check_condition=True):
-    """Stacked real (G, W), each (N, d, d), of the modes ``ns`` of a
-    ``ModeStack``."""
-    spec = stack.spec
-    c = spec.coeffs
+def _mode_indices(spec, ns, check_condition=True):
+    """``ns`` as an int array, refused below 1 and, unless
+    ``check_condition`` is false, at the curvature resonance."""
     ns = np.asarray(ns, dtype=int)
     if np.any(ns < 1):
         raise DomainError("mode indices must be >= 1")
     if check_condition and spec.is_bresse:
-        bad = mmod._resonant_modes(c, ns)
+        bad = mmod._resonant_modes(spec.coeffs, ns)
         if bad.size:
             raise SingularWeightError(
                 f"energy weight is singular at modes {bad.tolist()} "
                 "(l*ell hits a multiple of pi)")
+    return ns
+
+
+def _generators(stack, ns):
+    """Stacked real energy-coordinate generators, (N, d, d), of the modes
+    ``ns`` of a ``ModeStack``: omega_n K1 + K0 (+ omega_n^2 K2)."""
+    ns = _mode_indices(stack.spec, ns)
+    om = (ns * np.pi / stack.spec.coeffs.ell)[:, None, None]
+    K0, K1, K2 = stack.K
+    G = om * K1 + K0
+    return G if K2 is None else G + om ** 2 * K2
+
+
+def _mode_arrays(stack, ns, check_condition=True):
+    """Stacked real (G, W), each (N, d, d), of the modes ``ns`` of a
+    ``ModeStack``: the generators and energy weights in the state
+    coordinates."""
+    spec = stack.spec
+    c = spec.coeffs
+    ns = _mode_indices(spec, ns, check_condition)
     idx = stack.index
     d = stack.dim
     N = ns.size

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import beamstab as bs
 from beamstab import dynamics as dmod
 from beamstab import modal as modal_mod
-from beamstab import resolvent as rmod
 from conftest import admissible_specs, ref1_coeffs, random_states, wnorm
 
 
@@ -127,30 +126,29 @@ class TestSemiuniform:
 
 def _dense_reference(spec, ts, n_max, grid=None):
     """The per-mode loop of ``semiuniform_series`` before batching; a test
-    oracle only."""
+    oracle only.  Each mode's energy-coordinate generator comes from the
+    stack's chunks, so the batched series must match it bit for bit."""
     import scipy.linalg
     ts = np.asarray(ts, dtype=float)
     vals = np.zeros(ts.size)
-    for n in range(1, n_max + 1):
-        mode = modal_mod.assemble(spec, n, grid=grid)
-        # the energy-coordinate generator: the weighted norm is the 2-norm
-        G = rmod._weight_factors(mode.generator[None], mode.weight[None])[0]
-        try:
-            Ginv = np.linalg.solve(G, np.eye(mode.dim))
-        except np.linalg.LinAlgError:
-            raise bs.SpectralPointError(f"0 is in the spectrum of mode {n}",
-                                        lam=0.0, n=n) from None
-        lam, V = np.linalg.eig(G)
-        cond = np.linalg.cond(V)
-        if np.isfinite(cond) and cond < dmod.EIG_COND_LIMIT:
-            R = np.linalg.solve(V, Ginv)
-            for j, t in enumerate(ts):
-                M = (V * np.exp(lam * t)) @ R
-                vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
-        else:
-            for j, t in enumerate(ts):
-                M = scipy.linalg.expm(G * t) @ Ginv
-                vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
+    for ns, Gs in modal_mod._layout(spec, grid).chunks(n_max):
+        for n, G in zip(ns, Gs):
+            lam, V = np.linalg.eig(G)
+            if np.any(lam == 0):
+                raise bs.SpectralPointError(f"0 is in the spectrum of mode {n}",
+                                            lam=0.0, n=int(n))
+            Vinv = np.linalg.inv(V)
+            cond = np.linalg.norm(V, axis=(0, 1)) * np.linalg.norm(Vinv, axis=(0, 1))
+            if np.isfinite(cond) and cond < dmod.EIG_COND_LIMIT:
+                R = Vinv / lam[:, None]
+                for j, t in enumerate(ts):
+                    M = (V * np.exp(lam * t)) @ R
+                    vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
+            else:
+                Ginv = np.linalg.inv(G)
+                for j, t in enumerate(ts):
+                    M = scipy.linalg.expm(G * t) @ Ginv
+                    vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
     return vals
 
 
@@ -202,37 +200,46 @@ class TestBatchedSeriesMatchesDense:
     def test_chunk_boundaries(self, ref1, monkeypatch):
         # 7 modes per chunk at d = 10: n_max 30 spans five chunks
         monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 7 * 100 + 99)
-        chunks = [ns for ns, _, _ in modal_mod._layout(ref1["BMC"], None).chunks(30)]
+        chunks = [ns for ns, _ in modal_mod._layout(ref1["BMC"], None).chunks(30)]
         assert [len(c) for c in chunks] == [7, 7, 7, 7, 2]
         assert np.concatenate(chunks).tolist() == list(range(1, 31))
         for tag in ("BMC", "BGP"):
             assert_series_matches_dense(ref1[tag], TS, 30)
 
-    def test_weight_factors_called_through_the_module(self, ref1, monkeypatch):
-        # one conjugation per chunk, looked up on the resolvent module at call
-        # time, so that a wrapper on resolvent._weight_factors sees it
-        factors, calls = rmod._weight_factors, []
+    def test_generators_formed_through_the_module(self, ref1, monkeypatch):
+        # one formation per chunk, looked up on the modal module at call
+        # time, so that a wrapper on modal._generators sees it
+        generators, calls = modal_mod._generators, []
 
-        def counted(G, W):
-            calls.append(G.shape[0])
-            return factors(G, W)
+        def counted(stack, ns):
+            calls.append(len(ns))
+            return generators(stack, ns)
 
-        monkeypatch.setattr(rmod, "_weight_factors", counted)
+        monkeypatch.setattr(modal_mod, "_generators", counted)
         monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 7 * 100 + 99)
         bs.semiuniform_series(ref1["BMC"], TS, 30)
         assert calls == [7, 7, 7, 7, 2]
 
     def test_mixed_fallback(self, ref1, monkeypatch):
-        # a limit between the modes' eigenvector conditions sends some modes
+        # a limit between the modes' ||V||_F ||V^{-1}||_F sends some modes
         # (and only those) down the expm path
         spec = ref1["BGP"]
-        G = rmod._weight_factors(*modal_mod._mode_arrays(modal_mod._layout(spec, None),
-                                                         np.arange(1, 17)))
-        cond = np.sort(np.linalg.cond(np.linalg.eig(G)[1]))
+        V = np.linalg.eig(modal_mod._generators(modal_mod._layout(spec, None),
+                                                np.arange(1, 17)))[1]
+        cond = np.sort(np.linalg.norm(V, axis=(1, 2))
+                       * np.linalg.norm(np.linalg.inv(V), axis=(1, 2)))
         monkeypatch.setattr(dmod, "EIG_COND_LIMIT", float(np.sqrt(cond[5] * cond[6])))
         monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 5 * 121)
         work = assert_series_matches_dense(spec, TS, 16)
         assert work["expm_modes"] == 10
+
+    def test_condition_test_bounds_cond_2(self, ref1):
+        # ||V||_F ||V^{-1}||_F >= cond_2(V): the cheap test only ever sends
+        # more modes to expm than the SVD-based one did
+        G = modal_mod._generators(modal_mod._layout(ref1["BGP"], None), np.arange(1, 65))
+        _, V, Vinv, ok, _ = dmod._propagator(G)
+        frob = np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(Vinv, axis=(1, 2))
+        assert np.all(frob >= np.linalg.cond(V)) and np.all(ok)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -248,19 +255,19 @@ class TestRankOneBound:
     @given(spec=admissible_specs(ALL_TAGS), t=st.floats(0.0, 1e3))
     def test_bound_covers_the_norm(self, spec, t):
         ns = np.array([1, 2, 3, 7, 40, 300])
-        G = rmod._weight_factors(*modal_mod._mode_arrays(modal_mod._layout(spec, None), ns))
-        lam, V, ok, _ = dmod._propagator(G)
-        stack = dmod._SmoothedPropagators(lam[ok], V[ok], np.linalg.inv(G[ok]))
+        lam, V, Vinv, ok, _ = dmod._propagator(
+            modal_mod._generators(modal_mod._layout(spec, None), ns))
+        stack = dmod._SmoothedPropagators(lam[ok], V[ok], Vinv[ok])
         E = np.exp(stack.lam * t)
         norms = stack.norms(np.arange(E.shape[0]), E)
         assert np.all(norms <= stack.bounds(E) * (1 + 1e-12))
 
     @staticmethod
     def _propagators(spec, ns, grid=None):
-        G = rmod._weight_factors(*modal_mod._mode_arrays(modal_mod._layout(spec, grid), ns))
-        lam, V, ok, _ = dmod._propagator(G)
+        lam, V, Vinv, ok, _ = dmod._propagator(
+            modal_mod._generators(modal_mod._layout(spec, grid), ns))
         assert np.all(ok)
-        return dmod._SmoothedPropagators(lam, V, np.linalg.inv(G))
+        return dmod._SmoothedPropagators(lam, V, Vinv)
 
     @pytest.mark.parametrize("tag, nodes", [("BGP", None), ("TGP", 32)])
     def test_bound_covers_the_norm_where_exp_underflows(self, ref1, tag, nodes):
@@ -297,28 +304,15 @@ class TestRankOneBound:
             if t > 1e2:   # at t = 1e2 the argmax is mode 1, with two live pairs
                 assert ratio[np.argmax(norms)] <= 1 + 1e-5
 
-    def test_inverses_match_per_mode_solves(self, ref1):
-        # chunks of one mode and of exactly d modes are the sizes at which a
-        # 2-D right-hand side would be read as a stack of vectors
-        G, _ = modal_mod._mode_arrays(modal_mod._layout(ref1["BMC"], None),
-                                      np.arange(1, 13))
-        d = G.shape[-1]
-        eye = np.eye(d, dtype=G.dtype)
-        for N in (1, 3, d):
-            Ginv = dmod._inverses(G[:N], np.arange(1, N + 1))
-            assert Ginv.shape == (N, d, d)
-            for g, gi in zip(G[:N], Ginv):
-                assert np.array_equal(gi, np.linalg.solve(g, eye))
-
     def test_singular_generator_names_its_mode(self, ref1, monkeypatch):
-        arrays = modal_mod._mode_arrays
+        generators = modal_mod._generators
 
-        def singular_at_9(stack, ns, **kwargs):
-            G, W = arrays(stack, ns, **kwargs)
+        def singular_at_9(stack, ns):
+            G = generators(stack, ns)
             G[np.asarray(ns) == 9] = 0.0
-            return G, W
+            return G
 
-        monkeypatch.setattr(modal_mod, "_mode_arrays", singular_at_9)
+        monkeypatch.setattr(modal_mod, "_generators", singular_at_9)
         monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 4 * 100)
         with pytest.raises(bs.SpectralPointError) as exc:
             bs.semiuniform_series(ref1["BMC"], TS, 12)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 import beamstab as bs
 from beamstab import modal
-from conftest import ref1_coeffs, random_states, wnorm
+from beamstab import resolvent as rmod
+from conftest import admissible_specs, ref1_coeffs, random_states, wnorm
 
 
 class TestOmega:
@@ -74,6 +77,52 @@ class TestAssembly:
             bs.assemble(spec, 1)
         grid = bs.make_grid(tab, 64)
         assert bs.assemble(spec, 1, grid=grid).dim == 5 + 64
+
+
+ALL_TAGS = ("BGP", "BMC", "TGP", "TMC", "BF", "TF")
+REF1_BGP = bs.SystemSpec("BGP", ref1_coeffs(), kernel_g=bs.prony_kernel([(1.0, 1.0)]),
+                         kernel_h=bs.prony_kernel([(1.0, 1.0)]))
+
+
+class TestEnergyCoordinates:
+    NS = np.array([1, 2, 7, 40, 300, 2500])
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=admissible_specs(ALL_TAGS), upwind=st.booleans())
+    @example(spec=REF1_BGP, upwind=True)
+    def test_closed_form_matches_the_cholesky_coordinates(self, spec, upwind):
+        grid = None
+        if upwind:
+            assume(spec.model in ("BGP", "TGP"))
+            grid = bs.make_grid(spec.kernel_g, 12)
+        try:
+            stack = modal._layout(spec, grid)
+        except bs.AdmissibilityError:   # a grid from kernel_g that cuts kernel_h
+            assume(False)
+        K0, K1, _ = stack.K
+        assert np.array_equal(K1, -K1.T)
+        if stack.damping is not None:   # K0 = S0 + diag(D), S0 skew
+            assert np.array_equal(np.diag(K0), stack.damping)
+            S0 = K0 - np.diag(stack.damping)
+            assert np.array_equal(S0, -S0.T)
+        G = np.concatenate([G for _, G in stack.chunks(int(self.NS[-1]))])[self.NS - 1]
+        ref = rmod._weight_factors(*modal._mode_arrays(stack, self.NS))
+        # the same spectrum, to 1e-12 of the generator's norm
+        ev, ev_ref = np.linalg.eigvals(G), np.linalg.eigvals(ref)
+        gap = np.max(np.min(np.abs(ev[:, :, None] - ev_ref[:, None, :]), axis=2), axis=1)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(G, 2, axis=(1, 2)))
+        # the same resolvent norms, to 1e-12 relative times the condition
+        # number of i lam - G where a resonance makes it large
+        eye = np.eye(stack.dim)
+        for lam in (0.0, 2.7, 30.0, 300.0, 2500.0):
+            got, want = rmod._batched_norms(G, lam=lam), rmod._batched_norms(ref, lam=lam)
+            kappa = np.linalg.norm(1j * lam * eye - G, 2, axis=(1, 2)) * got
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(kappa, 1.0) * want)
+
+    def test_generators_raise_at_the_curvature_resonance(self):
+        stack = modal._layout(bs.SystemSpec("BF", ref1_coeffs(l=1.0)), None)
+        with pytest.raises(bs.SingularWeightError):
+            next(stack.chunks(4))
 
 
 class TestWeightSingularity:

@@ -306,6 +306,16 @@ class TestSweep:
         up = bs.sweep(ref1["BMC"], g, 16)
         assert _triples(bs.sweep(ref1["BMC"], g[::-1], 16)) == _triples(up)[::-1]
 
+    def test_repeated_point_keeps_its_whole_bin(self, ref1):
+        # both copies of 37 get the bin (21.07, 54.41] of the distinct point;
+        # keyed by value, they got (37.0, 54.41] and (21.07, 37.0) was lost
+        lo, hi = rmod._log_bins(np.array([12.0, 37.0, 37.0, 80.0]))
+        lo1, hi1 = rmod._log_bins(np.array([12.0, 37.0, 80.0]))
+        assert lo[1] == lo[2] == lo1[1] < 37.0 and hi[1] == hi[2] == hi1[1]
+        once = _triples(bs.sweep(ref1["BMC"], [12.0, 37.0, 80.0], 16))
+        twice = assert_sweep_matches_dense(ref1["BMC"], [12.0, 37.0, 37.0, 80.0], 16)
+        assert _triples(twice) == [once[0], once[1], once[1], once[2]]
+
     def test_large_mode_index_weight(self):
         # at lam = 3e4 the sweep reaches n = 1.2e5, where the eigenvalues of
         # the weight of a b = 300 beam span 12.6 decades; its Cholesky factor
@@ -429,14 +439,13 @@ class TestSpectralAbscissa:
 def _dense_reference(cache, k):
     """Sweep point k evaluated densely over every mode 1..N(lam) (the body
     of ``_sweep_point`` before certified pruning and the mode cache); a test
-    oracle only.  It reads the cache's plan (lambda, bin, range) but
-    assembles and factors its own modes from the cache's layout, so it does
-    not read the cache's arrays."""
-    stack = cache.stack
+    oracle only.  It reads the cache's plan (lambda, bin, range) but takes
+    every generator of the range from the stack's chunks, so it reads none
+    of the cache's candidates."""
     lam, bin_lo, bin_hi = cache.lam_grid[k], cache.lo[k], cache.hi[k]
     peak_refine = cache.peak_refine
     ns = np.arange(1, cache.counts[k] + 1)
-    G = rmod._weight_factors(*modal_mod._mode_arrays(stack, ns))
+    G = np.concatenate([G for _, G in cache.stack.chunks(ns.size)])
 
     vals = rmod._batched_norms(G, lam=lam)
     best = int(np.argmax(vals))
@@ -659,56 +668,38 @@ class TestGatedMax:
 
 
 class TestModeCache:
-    def test_each_mode_assembled_and_eigen_solved_once(self, ref1, monkeypatch):
-        mode_arrays, eigvals = modal_mod._mode_arrays, np.linalg.eigvals
-        assembled, solved = [], []
+    def test_each_mode_eigen_solved_once(self, ref1, monkeypatch):
+        generators, eigvals = modal_mod._generators, np.linalg.eigvals
+        formed, solved = [], []
 
-        def counting_mode_arrays(stack, ns, *args, **kwargs):
-            assembled.extend(np.asarray(ns).tolist())
-            return mode_arrays(stack, ns, *args, **kwargs)
+        def counting_generators(stack, ns):
+            formed.extend(np.asarray(ns).tolist())
+            return generators(stack, ns)
 
         def counting_eigvals(a):
             solved.extend(m.tobytes() for m in a)
             return eigvals(a)
 
-        monkeypatch.setattr(modal_mod, "_mode_arrays", counting_mode_arrays)
+        monkeypatch.setattr(modal_mod, "_generators", counting_generators)
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         grid = bs.make_grid(ref1["TGP"].kernel_g, 12)
         for spec, g, pruning in ((ref1["BGP"], None, "certified"),
                                  (ref1["TGP"], grid, "none")):
-            assembled.clear()
+            formed.clear()
             solved.clear()
             out = bs.sweep(spec, np.geomspace(5.0, 400.0, 12), 16, grid=g)
             n_total = max(s.work["modes_in_range"] for s in out)
-            assert assembled == list(range(1, n_total + 1))
+            assert set(formed) <= set(range(1, n_total + 1))
             assert sum(s.work["modes_assembled"] for s in out) == n_total
             # distinct modes have distinct generators: no mode is solved twice
             assert len(solved) == len(set(solved)) > 0
             assert sum(s.work["eigvals_computed"] for s in out) == len(solved)
             assert {s.work["pruning"] for s in out} == {pruning}
 
-    def test_assembly_memory_is_one_chunk(self, ref1):
-        # lam_max = 1e4 puts 40,000 modes in range; assembling them in one
-        # stack would peak at 4.3 times the cache
-        stack = modal_mod._layout(ref1["BGP"], None)
-        cache = rmod._ModeCache(stack, np.array([1e4]), 16, True)
-        assert cache.G is None   # planned, not yet assembled
-        tracemalloc.start()
-        try:
-            cache._build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cache.G.shape == (40000, 10, 10) and cache.G.dtype == np.float64
-        assert peak <= 1.25 * cache.G.nbytes
-
     def test_sweep_memory_is_the_cache_and_one_chunk(self, ref1):
-        # the same 40,000 modes: beside the 30.5 MiB cache a sweep keeps the
-        # certificate frequencies s_k ((N, d) real), its candidates and a few
-        # per-mode vectors; no full-range temporary and no (N, d) array of
-        # eigenvalues fits in this budget
-        N, d = 40000, 10
-        cache, spectra, vectors = N * d * d * 8, N * d * 8, 16 * N * 8
+        # lam_max = 1e4 puts 40,000 modes in range; the generators are formed
+        # a chunk at a time and never stored (a generator cache alone was
+        # 30.5 MiB, the parent sweep's peak 36.6 MiB)
         lams = np.geomspace(1e2, 1e4, 13)
         bs.sweep(ref1["BGP"], lams[:2], 64)   # lazy imports and caches first
         tracemalloc.start()
@@ -717,24 +708,23 @@ class TestModeCache:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out[-1].work["modes_in_range"] == N
-        assert peak <= cache + spectra + vectors
+        assert out[-1].work["modes_in_range"] == 40000
+        assert peak <= 16 * 2 ** 20
 
     def test_build_memory_without_a_damping_bound(self, ref1):
         # the classical law keeps every mode in every bin: 500 points read
         # 2.2 million (point, mode) pairs, which the build must not hold
         stack = modal_mod._layout(ref1["TF"], None)
         cache = rmod._ModeCache(stack, np.geomspace(1.0, 1e4, 500), 16, True)
-        N, d = cache.ns.size, stack.dim
         tracemalloc.start()
         try:
             cache._build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (N, d) == (40000, 5) and cache.cert.radius[0] == np.inf
+        assert (cache.ns.size, stack.dim) == (40000, 5) and cache.cert.radius == np.inf
         assert sum(w["modes_eigvals"] for w in cache.work) > 2_000_000
-        assert peak <= cache.G.nbytes + N * d * 8 + 16 * N * 8
+        assert peak <= 4 * 2 ** 20
 
     def test_spectra_solved_once_on_the_calling_thread(self, ref1, monkeypatch):
         build, threads = rmod._ModeCache._build, []
@@ -753,15 +743,32 @@ class TestModeCache:
                 (s.lam, s.value, s.argmax_n, s.work) for s in bs.sweep(spec, lams, 16)]
 
 
+def test_sweep_decay_and_chunks_factor_no_mode(ref1, monkeypatch):
+    # the closed-form energy coordinates need no Cholesky factor, no
+    # per-mode certificate eigenvalues, no SVD-based condition number and
+    # no state-coordinate assembly
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a per-mode factorization ran")
+
+    grid = bs.make_grid(ref1["TGP"].kernel_g, 12)
+    for owner, name in ((np.linalg, "cholesky"), (np.linalg, "eigvalsh"),
+                        (np.linalg, "cond"), (rmod, "_weight_factors"),
+                        (modal_mod, "_mode_arrays")):
+        monkeypatch.setattr(owner, name, unreachable)
+    for spec, g in ((ref1["BGP"], None), (ref1["TMC"], None), (ref1["TF"], None),
+                    (ref1["TGP"], grid)):
+        assert len(bs.sweep(spec, np.geomspace(5.0, 200.0, 6), 16, grid=g)) == 6
+        assert bs.semiuniform_series(spec, [0.0, 10.0], 16, grid=g).shape == (2,)
+        assert sum(len(ns) for ns, _ in modal_mod._layout(spec, g).chunks(40)) == 40
+
+
 def _certificate(spec, ns, grid=None):
-    """(energy-coordinate generators, damping diagonal, certificate), the
-    certificate filled chunk by chunk as a sweep's cache fills it."""
+    """(energy-coordinate generators of the ascending modes ``ns`` from the
+    stack, their omega_n, the stack with its sweep certificate up to the
+    last)."""
     stack = modal_mod._layout(spec, grid)
-    G = rmod._weight_factors(*modal_mod._mode_arrays(stack, ns))
-    cert = rmod._Certificate(len(ns), stack.dim, stack.damping)
-    for rows in modal_mod._chunk_slices(len(ns), stack.dim ** 2):
-        cert.fill(rows, G[rows])
-    return G, stack.damping, cert
+    om = np.asarray(ns) * np.pi / spec.coeffs.ell
+    return modal_mod._generators(stack, ns), om, stack, rmod._Certificate(stack, om[-1])
 
 
 # b = 3000: at n = 3e4 the eigenvalues of the weight span 12.4 decades
@@ -791,11 +798,11 @@ class TestCertificate:
     @given(spec=admissible_specs(BOUNDED_DAMPING), u=st.floats(0.0, 1.0))
     @example(spec=STIFF_ROTATION, u=0.5)
     def test_bounds_enclose_the_exact_norm(self, spec, u):
-        G, D, cert = _certificate(spec, self.NS)
-        s_max = cert.s[:, -1]
-        for lam in (u * s_max[0], u * s_max[-1], cert.s[-1, 4] + 1.5 * cert.radius[-1]):
+        G, om, _, cert = _certificate(spec, self.NS)
+        top, mid = cert.c[-1] * om, cert.c[cert.c.size // 2] * om
+        for lam in (u * top[0], u * top[-1], mid[-1] + 1.5 * cert.radius):
             vals = rmod._batched_norms(G, lam=lam)
-            d = np.concatenate([dist[0] for _, dist in cert._dist(lam, lam, slice(None))])
+            d = cert.dist(lam, lam, om)
             upper = np.where(d > cert.radius, 1.0 / np.maximum(d - cert.radius, 1e-300),
                              np.inf)
             assert np.all(vals <= upper * (1 + rmod.ROUND_REL))
@@ -805,35 +812,27 @@ class TestCertificate:
     @given(spec=admissible_specs(BOUNDED_DAMPING))
     @example(spec=STIFF_ROTATION)
     def test_eigenvalues_lie_near_the_conservative_spectrum(self, spec):
-        ns = self.NS + [8000]
-        G, D, cert = _certificate(spec, ns)
+        G, om, stack, cert = _certificate(spec, sorted(self.NS + [8000]))
         ev = np.linalg.eigvals(G)
-        s = np.concatenate([cert.s, -cert.s], axis=1)
-        gap = np.min(np.abs(ev[:, :, None] - 1j * s[:, None, :]), axis=2)
-        # Bauer-Fike with a wide margin: 1/64 of the rounding allowance suffices
-        delta = np.max(np.abs(D))
-        assert np.all(gap <= delta + rmod.ROUND_REL / 64 * cert.s[:, -1:])
-
-    def test_frequencies_match_the_whole_stack_form(self, ref1, monkeypatch):
-        # chunks of 7 modes at d = 10: 30 modes span five
-        monkeypatch.setattr(modal_mod, "CHUNK_ELEMENTS", 7 * 100 + 99)
-        for tag in ("BGP", "BMC", "TMC"):
-            G, D, cert = _certificate(ref1[tag], np.arange(1, 31))
-            S = G - np.diag(D)
-            whole = np.sqrt(np.maximum(np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S), 0.0))
-            assert np.all(cert.s == whole)
+        bands = cert.c * om[:, None]
+        bands = np.concatenate([bands, -bands], axis=1)
+        gap = np.min(np.abs(ev[:, :, None] - 1j * bands[:, None, :]), axis=2)
+        # Bauer-Fike and Weyl with a wide margin: 1/64 of the rounding
+        # allowance suffices
+        D = stack.damping
+        base = np.max(np.abs(D)) + np.linalg.norm(stack.K[0] - np.diag(D), 2)
+        assert np.all(gap <= base + (cert.radius - base) / 64)
 
     def test_no_bound_for_upwind_and_classical(self, ref1):
         # no damping bound: an infinite radius that keeps every mode
         grid = bs.make_grid(ref1["BGP"].kernel_g, 10)
         for spec, g in ((ref1["BGP"], grid), (ref1["TGP"], grid),
                         (ref1["BF"], None), (ref1["TF"], None)):
-            assert modal_mod._layout(spec, g).damping is None
-            _, _, cert = _certificate(spec, np.arange(1, 31), g)
-            assert np.all(cert.radius == np.inf) and np.all(cert.s == 0)
-            assert all(np.all(dist <= cert.radius) for _, dist in
-                       cert._dist([3.0, 50.0], [4.0, 60.0], slice(None)))
-            assert cert.may_reach(7.0, 1e300, 30).tolist() == list(range(30))
+            _, om, stack, cert = _certificate(spec, np.arange(1, 31), g)
+            assert stack.damping is None
+            assert cert.radius == np.inf and np.all(cert.c == 0)
+            assert np.all(cert.dist(3.0, 60.0, om) <= cert.radius)
+            assert cert.may_reach(7.0, 1e300, om).tolist() == list(range(30))
 
     def test_pruning_cuts_the_work(self, ref1):
         # the reference sweep of the benchmark: 13 bins on [1e2, 1e3]
@@ -842,5 +841,39 @@ class TestCertificate:
                 for key in ("modes_in_range", "modes_assembled", "modes_eigvals",
                             "eigvals_computed", "norm_evals")}
         assert work["modes_in_range"] == 21025
-        assert work["modes_assembled"] == 4000 and work["eigvals_computed"] == 1391
+        assert work["modes_assembled"] == 4000 and work["eigvals_computed"] == 1392
         assert work["modes_eigvals"] <= 5000 and work["norm_evals"] <= 5000
+
+
+def _scaled(spec, **changes):
+    from dataclasses import replace
+    return bs.SystemSpec(spec.model, replace(spec.coeffs, **changes),
+                         kernel_g=spec.kernel_g, kernel_h=spec.kernel_h)
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("tag", ["BGP", "TGP", "BMC"])
+    def test_doubling_the_length_lowers_no_value(self, ref1, tag):
+        # the modes of 2 ell include every omega_n of ell, each with the
+        # same generator, so no sup over them can fall; l * ell stays off pi
+        spec = _scaled(ref1[tag], l=0.3)
+        longer = _scaled(spec, ell=2 * spec.coeffs.ell)
+        lams, ts = np.geomspace(5.0, 300.0, 10), np.geomspace(1.0, 1e3, 6)
+        for a, b in zip(bs.sweep(spec, lams, 16), bs.sweep(longer, lams, 32)):
+            assert b.value >= a.value * (1 - 1e-13)
+        short = bs.semiuniform_series(spec, ts, 16)
+        assert np.all(bs.semiuniform_series(longer, ts, 32) >= short * (1 - 1e-13))
+
+    @pytest.mark.parametrize("tag", ["BGP", "TGP"])
+    def test_scaling_the_coefficients_keeps_every_sample(self, ref1, tag):
+        # a common factor on rho1, rho2, rho3, k, k0, b, gamma and varpi
+        # scales W_n and leaves G_n, so every weighted norm stays
+        spec = ref1[tag]
+        c = spec.coeffs
+        scaled = _scaled(spec, **{name: 3.0 * getattr(c, name) for name in (
+            "rho1", "rho2", "rho3", "k", "k0", "b", "gamma", "varpi")})
+        lams = np.geomspace(5.0, 400.0, 12)
+        for a, b in zip(bs.sweep(spec, lams, 16), bs.sweep(scaled, lams, 16)):
+            assert a.argmax_n == b.argmax_n
+            assert b.lam == pytest.approx(a.lam, rel=1e-13)
+            assert b.value == pytest.approx(a.value, rel=1e-13)

@@ -272,8 +272,7 @@ def cmd_sweep(cfg, args):
         peak_refine=bool(blk["peak_refine"]), threads=args.threads)
     rows = [(s.lam, s.value, s.argmax_n) for s in samples]
     _write_csv(cfg, "sweep", "sweep.csv", ("lambda", "value", "argmax_n"), rows)
-    counts = ("modes_in_range", "modes_assembled", "modes_eigvals", "eigvals_computed",
-              "norm_evals", "svds")
+    counts = ("modes_in_range", "modes_eigvals", "eigvals_computed", "norm_evals", "svds")
     work = {key: sum(s.work[key] for s in samples) for key in counts}
     work["pruning"] = samples[0].work["pruning"]
     payload = {"samples": len(samples),

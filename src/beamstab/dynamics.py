@@ -260,10 +260,9 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     """
     stack = spec if isinstance(spec, modal_mod.ModeStack) else modal_mod._layout(spec, grid)
     ts = np.asarray(ts, dtype=float)
-    if not np.all(np.isfinite(ts) & (ts >= 0)):
-        raise DomainError("times must be finite and nonnegative")
-    if n_max < 1:
-        raise DomainError(f"the decay series needs n_max >= 1, got {n_max}")
+    if ts.ndim != 1 or not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise DomainError("times must be a 1-d array, finite and nonnegative")
+    n_max = modal_mod._count(n_max, "the decay series' n_max")
     vals = np.zeros(ts.size)
     counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
               "pruning": "certified"}
@@ -309,6 +308,8 @@ def decay_fit(ts, values, kind):
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
+    if ts.ndim != 1 or values.shape != ts.shape or not np.all(np.isfinite(ts)):
+        raise DomainError("decay fit needs finite 1-d times, one value per time")
     if not np.all(np.isfinite(values) & (values > 0)):
         raise DomainError("decay fit needs finite, strictly positive values")
     if ts.size < 8:

@@ -21,6 +21,38 @@ Both carry an exact discrete dissipation identity: the energy decay rate
 equals -(varpi/2) times a nonnegative memory functional computed from the
 states (see ``dissipation_rate``).
 
+The beam table.  The beam equations are stated once, in ``_beam``.  With
+phi, psi, w the deflection, rotation and axial stretch and l the curvature
+(the straight beam has l = 0, no w and no theta_a):
+
+    densities   rho1 for phi_t, rho2 for psi_t, rho1 for w_t
+    temps       theta_b, theta_a (each of capacity rho3)
+    strains     (slot, stiffness, form): (defl, k, omega phi + psi + l w),
+                (rot, b, omega psi), (axial, k0, l phi + omega w)
+    couplings   (temperature, displacement, power of omega, factor):
+                (theta_b, psi, 1, gamma), (theta_a, w, 1, gamma),
+                (theta_a, phi, 0, l gamma)
+
+A form maps a displacement to (power of omega, factor), and the strain
+energy is sum stiffness (form u)^2.  ``_elastic`` evaluates the table at
+omega_n: the strain energy S = sum stiffness a a^T, a = factor omega^power,
+and the couplings C[theta, u] = factor omega^power.  Every coordinate system
+takes its beam entries from there:
+
+* state coordinates (``_mode_arrays``): G_n has the velocities in the
+  displacement rows, -(S u + C^T theta)/rho in the velocity rows and
+  C u_t / rho3 in the temperature rows; W_n is S on the displacements, rho
+  on the velocities and rho3 on the temperatures;
+* energy coordinates (``_coupling``): K[slot, u_t] = factor sqrt(stiffness
+  / rho) and K[theta, u_t] = factor / sqrt(rho rho3), in K1 for power 1 and
+  K0 for power 0, with K[u_t, row] = -K[row, u_t];
+* the lower-bound matrix (``resolvent.mn_matrix``): -rho lam^2 + S on the
+  displacements, C^T in the temperature columns and lam^2 C in the
+  temperature rows.
+
+Only the heat-law blocks (memory, flux, the classical diagonal) are written
+per law.
+
 Energy coordinates.  v = F_n u with F_n^T F_n = W_n (times 2/ell) turns the
 W-norm into the 2-norm, and F_n has a closed form, slot by slot of u:
 
@@ -33,11 +65,10 @@ W-norm into the 2-norm, and F_n has a closed form, slot by slot of u:
     flux state q      sqrt(relax) q
     upwind state y_i  omega sqrt(varpi m_i) y_i   (m_i the cell mass)
 
-with phi, psi, w the deflection, rotation and axial stretch, l the curvature
-(0 for the straight beam) and relax = sigma or tau.  The energy-coordinate
-generator F_n G_n F_n^{-1} is then omega_n K1 + K0 (+ omega_n^2 K2 for the
-classical law), where the n-independent K = (K0, K1, K2) of a ``ModeStack``
-comes from one coupling table (``_coupling``): K1 is skew by construction,
+with relax = sigma or tau.  The energy-coordinate generator F_n G_n F_n^{-1}
+is then omega_n K1 + K0 (+ omega_n^2 K2 for the classical law), where the
+n-independent K = (K0, K1, K2) of a ``ModeStack`` comes from the beam table
+and the heat-law blocks (``_coupling``): K1 is skew by construction,
 K0 is a skew S0 plus the diagonal D of the memory and flux rates (-1/theta_j,
 -1/(relax varpi)); on the upwind grid K0 also holds the transport block,
 -1/h_i on the diagonal and sqrt(m_i/m_{i-1})/h_i below it; K2 is the
@@ -45,6 +76,7 @@ classical law's -varpi/rho3 on each temperature.  F_n is singular exactly at
 the curvature resonance omega_n = l, where SingularWeightError is raised.
 """
 
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -203,6 +235,15 @@ class DissipationInfo:
     gamma_form: str = None
 
 
+def _count(value, what, least=1):
+    """``value`` as an int: DomainError unless it is an integer (not a bool)
+    of at least ``least``.  The one check for a mode or node count."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral) \
+            or value < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def omega(ell, n):
     """Modal frequency n*pi/ell for n >= 1."""
     if n < 1 or int(n) != n:
@@ -222,8 +263,7 @@ def make_grid(kernel, M, policy="geometric"):
     A grid may be shared by the two kernels of a curved-beam system; build it
     from the slower-decaying one so the truncation certificate covers both.
     """
-    if M < 8:
-        raise DomainError("grid needs at least 8 nodes")
+    M = _count(M, "grid node count", least=8)
     if kernel.delta <= 0:
         raise AdmissibilityError("kernel lacks a positive envelope decay rate")
     m = kmod.masses(kernel)
@@ -298,26 +338,61 @@ def _layout(spec, grid):
                      scheme=scheme, index=MappingProxyType(index), K=K, damping=damping)
 
 
-def _coupling(spec, index, blocks, scheme):
-    """(K0, K1, K2) of the energy coordinates (module docstring) from the
-    closed-form coupling table."""
-    c, l, sq = spec.coeffs, spec.effective_l, np.sqrt
-    d = len(index)
-    # (row, column, K1 entry, K0 entry); each sets K[column, row] = -K[row, column]
-    table = [("defl", "defl_t", sq(c.k / c.rho1), 0.0),
-             ("defl", "rot_t", 0.0, sq(c.k / c.rho2)),
-             ("rot", "rot_t", sq(c.b / c.rho2), 0.0),
-             ("temp_b", "rot_t", c.gamma / sq(c.rho2 * c.rho3), 0.0)]
+def _beam(spec):
+    """The beam equations (module docstring) as one table (rho, temps,
+    strains, couplings): ``rho`` maps each displacement to the density of
+    its velocity; ``temps`` names the temperatures; a strain is (slot,
+    stiffness, form), ``form`` mapping a displacement to (power of omega,
+    factor); a thermal coupling is (temperature, displacement, power of
+    omega, factor)."""
+    c, l = spec.coeffs, spec.effective_l
+    rho, temps = {"defl": c.rho1, "rot": c.rho2}, ["temp_b"]
+    shear = {"defl": (1, 1.0), "rot": (0, 1.0)}
+    strains = [("defl", c.k, shear), ("rot", c.b, {"rot": (1, 1.0)})]
+    couplings = [("temp_b", "rot", 1, c.gamma)]
     if spec.is_bresse:
-        table += [("defl", "axial_t", 0.0, l * sq(c.k / c.rho1)),
-                  ("axial", "defl_t", 0.0, l * sq(c.k0 / c.rho1)),
-                  ("axial", "axial_t", sq(c.k0 / c.rho1), 0.0),
-                  ("temp_a", "axial_t", c.gamma / sq(c.rho1 * c.rho3), 0.0),
-                  ("temp_a", "defl_t", 0.0, l * c.gamma / sq(c.rho1 * c.rho3))]
+        rho["axial"] = c.rho1
+        temps.append("temp_a")
+        shear["axial"] = (0, l)
+        strains.append(("axial", c.k0, {"defl": (0, l), "axial": (1, 1.0)}))
+        couplings += [("temp_a", "axial", 1, c.gamma), ("temp_a", "defl", 0, l * c.gamma)]
+    return rho, temps, strains, couplings
+
+
+def _elastic(beam, om):
+    """(S, C) of the ``_beam`` table at the frequencies ``om``: the strain
+    energy S = sum stiffness a a^T, (N, u, u) over the displacements in the
+    order of ``rho``, a = factor omega^power, and the thermal couplings C,
+    (N, theta, u) over the temperatures in the order of ``temps``."""
+    rho, temps, strains, couplings = beam
+    col = {u: i for i, u in enumerate(rho)}
+    S = np.zeros((om.size, len(rho), len(rho)))
+    C = np.zeros((om.size, len(temps), len(rho)))
+    for _, stiffness, form in strains:
+        a = np.zeros((om.size, len(rho)))
+        for u, (p, f) in form.items():
+            a[:, col[u]] = f * om ** p
+        S += stiffness * (a[:, :, None] * a[:, None, :])
+    for temp, u, p, f in couplings:
+        C[:, temps.index(temp), col[u]] = f * om ** p
+    return S, C
+
+
+def _coupling(spec, index, blocks, scheme):
+    """(K0, K1, K2) of the energy coordinates (module docstring): the beam
+    entries from the ``_beam`` table, the heat-law blocks from ``blocks``."""
+    c, sq = spec.coeffs, np.sqrt
+    rho, _, strains, couplings = _beam(spec)
+    d = len(index)
     K0, K1, K2 = np.zeros((d, d)), np.zeros((d, d)), None
-    for row, col, k1, k0 in table:
-        i, j = index[row], index[col]
-        K1[i, j], K1[j, i], K0[i, j], K0[j, i] = k1, -k1, k0, -k0
+    # (row, displacement, power of omega, entry); its velocity column gets the
+    # entry, and K[column, row] = -K[row, column]
+    table = [(slot, u, p, f * sq(stiffness / rho[u]))
+             for slot, stiffness, form in strains for u, (p, f) in form.items()]
+    table += [(temp, u, p, f / sq(rho[u] * c.rho3)) for temp, u, p, f in couplings]
+    for row, u, p, v in table:
+        i, j = index[row], index[u + "_t"]
+        (K0, K1)[p][i, j], (K0, K1)[p][j, i] = v, -v
     if scheme == "none":   # the classical law: -varpi/rho3 on each temperature
         K2 = np.diag([-c.varpi / c.rho3 if name.startswith("temp_") else 0.0 for name in index])
     for blk in blocks:
@@ -388,67 +463,29 @@ def _mode_arrays(stack, ns, check_condition=True):
     c = spec.coeffs
     ns = _mode_indices(spec, ns, check_condition)
     idx = stack.index
-    d = stack.dim
-    N = ns.size
     om = ns * np.pi / c.ell
-    l = spec.effective_l
-    bresse = spec.is_bresse
+    rho, temps, _, _ = beam = _beam(spec)
+    disp, vel, temps = (np.array([idx[name] for name in names])
+                        for names in (rho, [u + "_t" for u in rho], temps))
+    dens = np.array([*rho.values()])
 
-    iA, iAt = idx["defl"], idx["defl_t"]
-    iR, iRt = idx["rot"], idx["rot_t"]
-    iTb = idx["temp_b"]
-
-    G = np.zeros((N, d, d))
-    W = np.zeros((N, d, d))
-
-    G[:, iA, iAt] = 1.0
-    G[:, iAt, iA] = -(c.k * om**2 + l * l * c.k0) / c.rho1
-    G[:, iAt, iR] = -c.k * om / c.rho1
-    G[:, iR, iRt] = 1.0
-    G[:, iRt, iA] = -c.k * om / c.rho2
-    G[:, iRt, iR] = -(c.b * om**2 + c.k) / c.rho2
-    G[:, iRt, iTb] = -c.gamma * om / c.rho2
-
-    if bresse:
-        iX, iXt, iTa = idx["axial"], idx["axial_t"], idx["temp_a"]
-        G[:, iAt, iX] = -l * om * (c.k + c.k0) / c.rho1
-        G[:, iAt, iTa] = -l * c.gamma / c.rho1
-        G[:, iRt, iX] = -c.k * l / c.rho2
-        G[:, iX, iXt] = 1.0
-        G[:, iXt, iA] = -l * om * (c.k + c.k0) / c.rho1
-        G[:, iXt, iR] = -c.k * l / c.rho1
-        G[:, iXt, iX] = -(c.k0 * om**2 + l * l * c.k) / c.rho1
-        G[:, iXt, iTa] = -c.gamma * om / c.rho1
-
-    # temperature rows: elastic coupling
-    G[:, iTb, iRt] = c.gamma * om / c.rho3
-    if bresse:
-        G[:, iTa, iXt] = c.gamma * om / c.rho3
-        G[:, iTa, iAt] = c.gamma * l / c.rho3
-
-    # energy weight
-    v = np.zeros((N, d))
-    v[:, iA] = om
-    v[:, iR] = 1.0
-    if bresse:
-        v[:, idx["axial"]] = l
-    W += c.k * v[:, :, None] * v[:, None, :]
-    if bresse:
-        v2 = np.zeros((N, d))
-        v2[:, iA] = l
-        v2[:, idx["axial"]] = om
-        W += c.k0 * v2[:, :, None] * v2[:, None, :]
-        W[:, idx["axial_t"], idx["axial_t"]] += c.rho1
-        W[:, idx["temp_a"], idx["temp_a"]] += c.rho3
-    W[:, iR, iR] += c.b * om**2
-    W[:, iAt, iAt] += c.rho1
-    W[:, iRt, iRt] += c.rho2
-    W[:, iTb, iTb] += c.rho3
+    # the beam (module docstring): the velocities in the displacement rows,
+    # -(S u + C^T theta)/rho in the velocity rows, C u_t / rho3 in the
+    # temperature rows; W = S on the displacements, rho on the velocities
+    # and rho3 on the temperatures.  0 - x keeps empty entries +0
+    S, C = _elastic(beam, om)
+    G, W = np.zeros((2, ns.size, stack.dim, stack.dim))
+    G[:, disp, vel] = 1.0
+    G[:, vel[:, None], disp] = 0.0 - S / dens[:, None]
+    G[:, vel[:, None], temps] = 0.0 - np.swapaxes(C, 1, 2) / dens[:, None]
+    G[:, temps[:, None], vel] = C / c.rho3
+    W[:, disp[:, None], disp] = S
+    W[:, vel, vel] = dens
+    W[:, temps, temps] = c.rho3
 
     # heat law: the classical law is a diagonal on each temperature; the
     # others couple a temperature to its memory/flux block
     if stack.scheme == "none":
-        temps = [iTb, iTa] if bresse else [iTb]
         G[:, temps, temps] = (-c.varpi * om**2 / c.rho3)[:, None]
     for blk in stack.blocks:
         iT = idx[blk.temp]

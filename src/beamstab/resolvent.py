@@ -432,10 +432,8 @@ class _ModeCache:
         # the candidates in ascending mode order
         self.cand_rows, self.cand_bins, self.cand_lams = (np.concatenate(x) for x in zip(*found))
         computed = np.bincount(first[read], minlength=P)
-        prior = np.maximum.accumulate([0, *self.counts])   # modes assembled before each point
-        self.work = [{"modes_eigvals": int(n_eig[k]), "eigvals_computed": int(computed[k]),
-                      "modes_assembled": max(0, count - int(prior[k]))}
-                     for k, count in enumerate(self.counts)]
+        self.work = [{"modes_eigvals": int(n_eig[k]), "eigvals_computed": int(computed[k])}
+                     for k in range(P)]
 
 
 def _sweep_point(cache, k):
@@ -498,18 +496,18 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     are found in one pass, into a read-only cache that the samples and
     ``threads`` workers share; a range past SWEEP_MAX_ENTRIES stacked
     entries raises DomainError before any assembly, and so do a grid that
-    is not 1-d, a lambda that is negative or not finite and n_max < 1.
+    is not 1-d, a lambda that is negative or not finite and an n_max that
+    is not an integer >= 1.
     Each sample's ``work`` counts the modes in range, the modes given to
-    ``eigvals``, the resolvents formed (``norm_evals``) and the SVDs run on
-    them (``svds``), and the modes in range first for it and eigen-solved
-    first for it (``modes_assembled``, ``eigvals_computed``).  Raises with
-    (lambda, n) context when a sample hits the spectrum exactly.
+    ``eigvals``, the modes eigen-solved first for it (``eigvals_computed``),
+    the resolvents formed (``norm_evals``) and the SVDs run on them
+    (``svds``); a sample forms eigvals_computed + norm_evals generators.
+    Raises with (lambda, n) context when a sample hits the spectrum exactly.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.ndim != 1 or not np.all(np.isfinite(lam_grid) & (lam_grid >= 0)):
         raise DomainError("lambda grid must be a 1-d array, finite and nonnegative")
-    if n_max < 1:
-        raise DomainError(f"sweep needs n_max >= 1, got {n_max}")
+    n_max = modal_mod._count(n_max, "sweep n_max")
     stack = modal_mod._layout(spec, grid)
     if lam_grid.size == 0:
         return []
@@ -545,6 +543,8 @@ def fit_growth(samples, window=None):
            if s.lam > 0 and (window is None or window[0] <= s.lam <= window[1])]
     if len(pts) < 8:
         raise FitError(f"growth fit needs at least 8 samples, got {len(pts)}")
+    if not all(np.isfinite(v) and v > 0 for _, v in pts):
+        raise DomainError("growth fit needs finite, strictly positive values")
     slope, intercept, residual = _line_fit(np.log([p[0] for p in pts]),
                                            np.log([p[1] for p in pts]))
     return GrowthFit(exponent=float(slope), intercept=float(intercept),
@@ -567,9 +567,18 @@ def _effective_kernels(spec):
 def mn_matrix(spec, n, lam):
     """Modal coefficient matrix of the eliminated resolvent system.
 
-    5x5 for the curved-beam tags, 3x3 for the straight-beam tags; the heat
-    rows carry the half-line Fourier transform of the kernel at lam.
+    5x5 for the curved-beam tags, 3x3 for the straight-beam tags, on the
+    unknowns (phi, psi, w, theta_b, theta_a).  The elastic block and the
+    coupling entries come from the beam table (``modal._beam``): -rho lam^2
+    plus the strain energy S on the displacements, the thermal couplings
+    C^T in the temperature columns and lam^2 C in the temperature rows.
+    Each temperature's diagonal is -rho3 lam^2 + varpi omega_n^2 (g(0) -
+    muhat), muhat the half-line Fourier transform of its kernel at lam
+    (of the equivalent exponential kernel for the relaxed-flux tags).
+    Raises DomainError for a lam that is not finite.
     """
+    if not np.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     kernels = _effective_kernels(spec)
     om = modal_mod.omega(spec.coeffs.ell, n)
     hats = (kmod.fourier_mu(kernels[0], lam),
@@ -578,36 +587,19 @@ def mn_matrix(spec, n, lam):
 
 
 def _mn_matrix(spec, om, lam, kernels, hats):
-    """``mn_matrix`` at omega_n = om from the kernels and their transforms at lam."""
+    """``mn_matrix`` at omega_n = om from the kernels and their transforms at
+    lam, read from the beam table directly (no ``ModeStack``)."""
     c = spec.coeffs
-    kg, kh = kernels
-    muhat, nuhat = hats
-    g0 = kmod.masses(kg).g0
-    lam2 = lam * lam
-    if spec.is_bresse:
-        l = c.l
-        h0 = kmod.masses(kh).g0
-        p1 = -c.rho1 * lam2 + c.k * om**2 + l * l * c.k0
-        p2 = -c.rho2 * lam2 + c.b * om**2 + c.k
-        p3 = -c.rho1 * lam2 + c.k0 * om**2 + l * l * c.k
-        p4 = -c.rho3 * lam2 + c.varpi * g0 * om**2
-        p5 = -c.rho3 * lam2 + c.varpi * h0 * om**2
-        return np.array([
-            [p1, c.k * om, l * om * (c.k + c.k0), 0.0, l * c.gamma],
-            [c.k * om, p2, c.k * l, c.gamma * om, 0.0],
-            [l * om * (c.k + c.k0), c.k * l, p3, 0.0, c.gamma * om],
-            [0.0, lam2 * om * c.gamma, 0.0, p4 - c.varpi * om**2 * muhat, 0.0],
-            [lam2 * c.gamma * l, 0.0, lam2 * om * c.gamma, 0.0,
-             p5 - c.varpi * om**2 * nuhat],
-        ], dtype=complex)
-    r1 = -c.rho1 * lam2 + c.k * om**2
-    r2 = -c.rho2 * lam2 + c.b * om**2 + c.k
-    r3 = -c.rho3 * lam2 + c.varpi * g0 * om**2
-    return np.array([
-        [r1, c.k * om, 0.0],
-        [c.k * om, r2, c.gamma * om],
-        [0.0, lam2 * om * c.gamma, r3 - c.varpi * om**2 * muhat],
-    ], dtype=complex)
+    rho, temps, _, _ = beam = modal_mod._beam(spec)
+    S, C = (a[0] for a in modal_mod._elastic(beam, np.array([om])))
+    lam2, u = lam * lam, len(rho)
+    M = np.zeros((u + len(temps),) * 2, dtype=complex)
+    M[:u, :u] = S - np.diag([*rho.values()]) * lam2
+    M[:u, u:], M[u:, :u] = C.T, lam2 * C
+    for i, kernel, hat in zip(range(u, len(M)), kernels, hats):
+        M[i, i] = (-c.rho3 * lam2 + c.varpi * kmod.masses(kernel).g0 * om**2
+                   - c.varpi * om**2 * hat)
+    return M
 
 
 def _construction_constants(spec):
@@ -733,8 +725,7 @@ def det_check(spec, n):
 
 def spectral_abscissa(spec, n_max, grid=None):
     """Per-mode max Re of the generator spectrum and the global maximum."""
-    if n_max < 1:
-        raise DomainError(f"spectral abscissa needs n_max >= 1, got {n_max}")
+    n_max = modal_mod._count(n_max, "spectral abscissa n_max")
     stack = modal_mod._layout(spec, grid)
     # state coordinates: on ref1 BGP at n = 4096 their abscissa is off by
     # 1.5e-8 relative, the closed-form energy coordinates' by 1.7e-6

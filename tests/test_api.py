@@ -56,3 +56,37 @@ def test_bad_input_raises_domain_error(ref1, call):
 def test_empty_or_malformed_input_raises_domain_error(ref1, call):
     with pytest.raises(beamstab.DomainError):
         call(ref1["BGP"])
+
+
+def _samples(values):
+    return [beamstab.ResolventSample(lam=lam, value=v, argmax_n=1)
+            for lam, v in zip(np.geomspace(10.0, 1e3, len(values)), values)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: beamstab.sweep(spec, [10.0], np.nan),
+    lambda spec: beamstab.sweep(spec, [10.0], 2.5),
+    lambda spec: beamstab.sweep(spec, [10.0], True),
+    lambda spec: beamstab.spectral_abscissa(spec, 2.5),
+    lambda spec: beamstab.spectral_abscissa(spec, np.nan),
+    lambda spec: beamstab.semiuniform_series(spec, [1.0], 2.5),
+    lambda spec: beamstab.semiuniform_series(spec, [1.0], np.nan),
+    lambda spec: beamstab.semiuniform_norm(spec, 1.0, 2.5),
+    lambda spec: beamstab.semiuniform_norm(spec, 1.0, np.nan),
+    lambda spec: beamstab.semiuniform_series(spec, [[1.0, 2.0], [3.0, 4.0]], 8),
+    lambda spec: beamstab.decay_fit([1.0] * 8 + [np.nan], np.ones(9), "algebraic"),
+    lambda spec: beamstab.decay_fit(np.ones((3, 3)), np.ones((3, 3)), "exponential"),
+    lambda spec: beamstab.fit_growth(_samples([1.0] * 8 + [np.nan])),
+    lambda spec: beamstab.mn_matrix(spec, 1, np.nan),
+    lambda spec: beamstab.make_grid(spec.kernel_g, 8.5),
+], ids=["sweep-n_max-nan", "sweep-n_max-2.5", "sweep-n_max-bool",
+        "spectral_abscissa-n_max-2.5", "spectral_abscissa-n_max-nan",
+        "semiuniform_series-n_max-2.5", "semiuniform_series-n_max-nan",
+        "semiuniform_norm-n_max-2.5", "semiuniform_norm-n_max-nan",
+        "semiuniform_series-2d-times", "decay_fit-nan-time", "decay_fit-2d",
+        "fit_growth-nan-value", "mn_matrix-nan-lambda", "make_grid-fractional-nodes"])
+def test_bad_count_or_value_raises_domain_error(ref1, call):
+    # a count (n_max, grid nodes) is an integer and not a bool; times,
+    # values and lambda are finite, and times and values 1-d
+    with pytest.raises(beamstab.DomainError):
+        call(ref1["BGP"])

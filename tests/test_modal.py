@@ -125,6 +125,92 @@ class TestEnergyCoordinates:
             next(stack.chunks(4))
 
 
+def hand_placed_entries(spec, n, lam):
+    """An independent oracle for the beam table: the elastic and thermal
+    entries of G_n, W_n (without its ell/2 factor) and M_n, written out entry
+    by entry as the hand-placed code had them before ``modal._beam``.  Each
+    matrix maps (row label, column label) to the list of the entry's terms;
+    M_n is None for the classical law."""
+    c, om, lam2 = spec.coeffs, bs.omega(spec.coeffs.ell, n), lam * lam
+    k, k0, b, g, r1, r2, r3 = c.k, c.k0, c.b, c.gamma, c.rho1, c.rho2, c.rho3
+    l = spec.effective_l
+    G = {("defl", "defl_t"): [1.0], ("rot", "rot_t"): [1.0],
+         ("defl_t", "defl"): [-k * om**2 / r1], ("defl_t", "rot"): [-k * om / r1],
+         ("rot_t", "defl"): [-k * om / r2], ("rot_t", "rot"): [-b * om**2 / r2, -k / r2],
+         ("rot_t", "temp_b"): [-g * om / r2], ("temp_b", "rot_t"): [g * om / r3]}
+    W = {("defl", "defl"): [k * om * om], ("defl", "rot"): [k * om],
+         ("rot", "rot"): [k, b * om**2], ("defl_t", "defl_t"): [r1],
+         ("rot_t", "rot_t"): [r2], ("temp_b", "temp_b"): [r3]}
+    M = {("defl", "defl"): [-r1 * lam2, k * om**2], ("defl", "rot"): [k * om],
+         ("rot", "rot"): [-r2 * lam2, b * om**2, k], ("rot", "temp_b"): [g * om],
+         ("temp_b", "rot"): [lam2 * om * g]}
+    if spec.is_bresse:
+        G[("defl_t", "defl")].append(-l * l * k0 / r1)
+        G.update({("defl_t", "axial"): [-l * om * k / r1, -l * om * k0 / r1],
+                  ("defl_t", "temp_a"): [-l * g / r1], ("rot_t", "axial"): [-k * l / r2],
+                  ("axial", "axial_t"): [1.0],
+                  ("axial_t", "defl"): [-l * om * k / r1, -l * om * k0 / r1],
+                  ("axial_t", "rot"): [-k * l / r1],
+                  ("axial_t", "axial"): [-k0 * om**2 / r1, -l * l * k / r1],
+                  ("axial_t", "temp_a"): [-g * om / r1],
+                  ("temp_a", "axial_t"): [g * om / r3], ("temp_a", "defl_t"): [g * l / r3]})
+        W[("defl", "defl")].append(k0 * l * l)
+        W.update({("defl", "axial"): [k * om * l, k0 * l * om], ("rot", "axial"): [k * l],
+                  ("axial", "axial"): [k * l * l, k0 * om * om],
+                  ("axial_t", "axial_t"): [r1], ("temp_a", "temp_a"): [r3]})
+        M[("defl", "defl")].append(l * l * k0)
+        M.update({("defl", "axial"): [l * om * k, l * om * k0], ("defl", "temp_a"): [l * g],
+                  ("rot", "axial"): [k * l], ("axial", "axial"): [-r1 * lam2, k0 * om**2, l * l * k],
+                  ("axial", "temp_a"): [g * om], ("temp_a", "defl"): [lam2 * g * l],
+                  ("temp_a", "axial"): [lam2 * om * g]})
+    for A in (W, M):   # the strain energy is symmetric
+        A.update({(j, i): A[i, j] for i, j in list(A)
+                  if i != j and not {i, j} & {"temp_b", "temp_a"}})
+    if spec.model in ("BF", "TF"):
+        return G, W, None
+    kernels = rmod._effective_kernels(spec)
+    for temp, kernel in zip(("temp_b", "temp_a"), kernels):
+        if kernel is not None:
+            vg0 = c.varpi * bs.masses(kernel).g0
+            M[temp, temp] = [-r3 * lam2, vg0 * om**2, -c.varpi * om**2 * bs.fourier_mu(kernel, lam)]
+    return G, W, M
+
+
+def assert_matches_terms(A, labels, entries, skip=()):
+    """Every entry of A on the labels (but the pairs in ``skip``) is the sum
+    of its terms in ``entries`` (zero where there are none) within
+    4 eps times the sum of their magnitudes."""
+    for i, row in enumerate(labels):
+        for j, col in enumerate(labels):
+            if (row, col) in skip:
+                continue
+            terms = entries.get((row, col), [])
+            bound = 4 * np.finfo(float).eps * sum(abs(t) for t in terms)
+            assert abs(A[i, j] - sum(terms)) <= bound, (row, col, A[i, j], terms)
+
+
+class TestBeamTable:
+    """The generated elastic and thermal entries of G_n, W_n and M_n against
+    the hand-placed oracle, on generic coefficients (the golden configs set
+    every density and stiffness to 1 and cannot tell them apart)."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=admissible_specs(ALL_TAGS), n=st.sampled_from([1, 2, 7, 40, 300, 4096]),
+           lam_per_n=st.floats(0.0, 80.0))
+    def test_matches_the_hand_placed_entries(self, spec, n, lam_per_n):
+        lam = lam_per_n * n
+        G, W, M = hand_placed_entries(spec, n, lam)
+        mode = bs.assemble(spec, n)
+        beam = [name for name in mode.labels if not name.startswith(("hist_", "flux_"))]
+        keep = [mode.index(name) for name in beam]
+        temps = [(i, j) for i in ("temp_b", "temp_a") for j in ("temp_b", "temp_a")]
+        assert_matches_terms(mode.generator[np.ix_(keep, keep)], beam, G, skip=temps)
+        assert_matches_terms(mode.weight[np.ix_(keep, keep)] / (mode.ell / 2), beam, W)
+        if M is not None:
+            unknowns = [name for name in beam if not name.endswith("_t")]
+            assert_matches_terms(bs.mn_matrix(spec, n, lam), unknowns, M)
+
+
 class TestWeightSingularity:
     def test_resonant_curvature_flags_mode_one(self, ref1):
         c = ref1_coeffs(l=1.0)

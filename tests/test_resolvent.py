@@ -132,35 +132,43 @@ class TestMnMatrix:
             bs.mn_matrix(ref1["BF"], 1, 1.0)
 
 
+def assert_elimination_matches(spec, n, lam, rtol=None):
+    """mn_matrix's unit first-row solve equals the displacements and
+    temperatures of (i lam - G_n)^{-1} applied to the modal forcing (the
+    deflection-rate component 1/rho1), to 100 eps relative times the sum of
+    the condition numbers of both systems (measured: at most 1.3 eps times
+    it on 400 random specs), and entry by entry to ``rtol`` if given."""
+    unknowns = [lab for lab in ("defl", "rot", "axial", "temp_b", "temp_a")
+                if spec.is_bresse or lab not in ("axial", "temp_a")]
+    M = bs.mn_matrix(spec, n, lam)
+    sol = np.linalg.solve(M, np.eye(len(unknowns), dtype=complex)[0])
+    m = bs.assemble(spec, n)
+    rhs = np.zeros(m.dim, dtype=complex)
+    rhs[m.index("defl_t")] = 1.0 / spec.coeffs.rho1
+    A = 1j * lam * np.eye(m.dim) - m.generator
+    u = np.linalg.solve(A, rhs)
+    picked = np.array([u[m.index(lab)] for lab in unknowns])
+    kappa = np.linalg.cond(M) + np.linalg.cond(A)
+    bound = 100 * np.finfo(float).eps * kappa * np.linalg.norm(sol)
+    assert np.linalg.norm(picked - sol) <= bound
+    if rtol is not None:
+        np.testing.assert_allclose(picked, sol, rtol=rtol)
+
+
 class TestModalConsistency:
     @pytest.mark.parametrize("tag", ["BMC", "BGP"])
     def test_eliminated_system_matches_mode_resolvent(self, ref1, tag):
-        # unit first-row forcing of the 5-unknown system corresponds to the
-        # modal forcing (deflection-rate component 1/rho1)
-        spec = ref1[tag]
-        c = spec.coeffs
-        n, lam = 6, 5.9
-        sol5 = np.linalg.solve(bs.mn_matrix(spec, n, lam),
-                               np.array([1, 0, 0, 0, 0], dtype=complex))
-        m = bs.assemble(spec, n)
-        rhs = np.zeros(m.dim, dtype=complex)
-        rhs[m.index("defl_t")] = 1.0 / c.rho1
-        u = np.linalg.solve(1j * lam * np.eye(m.dim) - m.generator, rhs)
-        picked = [u[m.index(lab)] for lab in
-                  ("defl", "rot", "axial", "temp_b", "temp_a")]
-        np.testing.assert_allclose(picked, sol5, rtol=1e-10)
+        assert_elimination_matches(ref1[tag], 6, 5.9, rtol=1e-10)
 
     def test_straight_beam_consistency(self, ref1):
-        spec = ref1["TMC"]
-        n, lam = 3, 2.2
-        sol3 = np.linalg.solve(bs.mn_matrix(spec, n, lam),
-                               np.array([1, 0, 0], dtype=complex))
-        m = bs.assemble(spec, n)
-        rhs = np.zeros(m.dim, dtype=complex)
-        rhs[m.index("defl_t")] = 1.0 / spec.coeffs.rho1
-        u = np.linalg.solve(1j * lam * np.eye(m.dim) - m.generator, rhs)
-        picked = [u[m.index(lab)] for lab in ("defl", "rot", "temp_b")]
-        np.testing.assert_allclose(picked, sol3, rtol=1e-10)
+        assert_elimination_matches(ref1["TMC"], 3, 2.2, rtol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=admissible_specs(("BGP", "BMC", "TGP", "TMC")),
+           n=st.sampled_from([1, 2, 7, 40, 300]), lam_per_n=st.floats(0.05, 40.0))
+    def test_random_coefficients(self, spec, n, lam_per_n):
+        # generic densities and couplings: ref1 sets every density and gamma to 1
+        assert_elimination_matches(spec, n, lam_per_n * n)
 
 
 class TestLowerBound:
@@ -690,7 +698,9 @@ class TestModeCache:
             out = bs.sweep(spec, np.geomspace(5.0, 400.0, 12), 16, grid=g)
             n_total = max(s.work["modes_in_range"] for s in out)
             assert set(formed) <= set(range(1, n_total + 1))
-            assert sum(s.work["modes_assembled"] for s in out) == n_total
+            # one generator per eigen-solved mode and per resolvent formed
+            assert len(formed) == sum(s.work["eigvals_computed"] + s.work["norm_evals"]
+                                      for s in out)
             # distinct modes have distinct generators: no mode is solved twice
             assert len(solved) == len(set(solved)) > 0
             assert sum(s.work["eigvals_computed"] for s in out) == len(solved)
@@ -838,10 +848,11 @@ class TestCertificate:
         # the reference sweep of the benchmark: 13 bins on [1e2, 1e3]
         out = bs.sweep(ref1["BGP"], np.geomspace(100.0, 1000.0, 13), 64)
         work = {key: sum(s.work[key] for s in out)
-                for key in ("modes_in_range", "modes_assembled", "modes_eigvals",
-                            "eigvals_computed", "norm_evals")}
+                for key in ("modes_in_range", "modes_eigvals", "eigvals_computed",
+                            "norm_evals")}
         assert work["modes_in_range"] == 21025
-        assert work["modes_assembled"] == 4000 and work["eigvals_computed"] == 1392
+        assert max(s.work["modes_in_range"] for s in out) == 4000
+        assert work["eigvals_computed"] == 1392
         assert work["modes_eigvals"] <= 5000 and work["norm_evals"] <= 5000
 
 

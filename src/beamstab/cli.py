@@ -8,6 +8,10 @@ output file starts with a header recording the tool version and a hash of
 the config, so runs are reproducible byte for byte.
 
 Exit codes: 0 success, 2 config/spec error, 3 numeric error.
+
+Every count field (``n_max``, ``points``, ``memory.nodes``, the entries of
+``lowerbound.n_list``) passes the one count rule, ``kernels._count``, with
+the caps below as its bounds.
 """
 
 import argparse
@@ -23,7 +27,7 @@ from . import __version__, dynamics, kernels, modal, model, resolvent, svg
 from .errors import (AdmissibilityError, BeamstabError, DomainError, FitError,
                      InfeasibleError, NumericError, SpecError,
                      SpectralPointError, UnsupportedMapError)
-from .kernels import _number, _numbers
+from .kernels import MAX_MODES, _count, _number, _numbers
 
 CONFIG_ERRORS = (SpecError, DomainError, AdmissibilityError, InfeasibleError,
                  UnsupportedMapError)
@@ -31,12 +35,12 @@ NUMERIC_ERRORS = (NumericError, SpectralPointError, FitError,
                   np.linalg.LinAlgError)
 
 COEFF_FIELDS = ("rho1", "rho2", "rho3", "k", "k0", "b", "varpi", "gamma", "ell")
-# Request caps, checked before any work: one mode's d x d generator (8 MiB;
-# curved beams on the history grid reach it at 508 nodes), the points of a
-# sweep or decay grid, and the modes 1..n_max a command walks.
-MAX_MODE_ENTRIES = 1 << 20
+# Request caps, checked before any work: the dimension d of one mode's
+# d x d generator (2^20 entries, 8 MiB; curved beams on the history grid
+# reach it at 508 nodes) and the points of a sweep or decay grid.  The cap
+# on the modes 1..n_max a command walks is ``kernels.MAX_MODES``.
+MAX_DIM = 1 << 10
 MAX_POINTS = 10_000
-MAX_MODES = 1 << 20
 
 
 def _fmt(x):
@@ -65,16 +69,9 @@ def _need(dct, field, where):
     return dct[field]
 
 
-def _capped(value, cap, where):
-    if value > cap:
-        raise SpecError(f"config field {where} = {value} is above the cap of {cap}")
-
-
-def _check_n_max(blk, name):
-    n_max = int(_number(blk["n_max"], f"{name}.n_max"))
-    if n_max < 1:
-        raise SpecError(f"config block {name} needs n_max >= 1")
-    _capped(n_max, MAX_MODES, f"{name}.n_max")
+def _field_count(value, where, least=1, most=MAX_MODES):
+    """A config count: the one count rule, ``kernels._count``."""
+    return _count(value, f"config field {where}", least, most, SpecError)
 
 
 def _positive(value, where):
@@ -119,6 +116,8 @@ def load_config(path, out_override=None):
             kernel_h = kernels.kernel_from_config(raw["kernel_h"])
     spec = model.SystemSpec(model=tag, coeffs=coeffs,
                             kernel_g=kernel_g, kernel_h=kernel_h)
+    tolerance = model._tolerance(
+        float(_number(raw.get("tolerance", model.DEFAULT_TOL), "tolerance")))
 
     def block(name, defaults, checks=()):
         got = dict(defaults)
@@ -136,27 +135,19 @@ def load_config(path, out_override=None):
     if mem["scheme"] not in (None, "prony-reduction", "sgrid-upwind"):
         raise SpecError(f"unknown memory.scheme {mem['scheme']!r}; "
                         "expected 'prony-reduction' or 'sgrid-upwind'")
-    grid = None
-    if mem["scheme"] == "sgrid-upwind" or (
-            tag in model.MEMORY_MODELS and kernel_g.kind == "tabulated"):
-        nodes = int(_number(mem["nodes"], "memory.nodes"))
-        # the layout: 4 (6) beam states plus one temperature and its history
-        # nodes per kernel on a straight (curved) beam
-        d = 8 + 2 * nodes if spec.is_bresse else 5 + nodes
-        if d * d > MAX_MODE_ENTRIES:
-            raise SpecError(f"config field memory.nodes = {nodes} gives {d} x {d} mode "
-                            f"matrices, above the cap of {MAX_MODE_ENTRIES} entries")
-        grid = modal.make_grid(kernel_g, nodes, policy=mem["policy"])
+    # the layout: 4 (6) beam states plus one temperature and its history
+    # nodes per kernel on a straight (curved) beam, d = 5 + M (8 + 2M)
+    nodes = _field_count(mem["nodes"], "memory.nodes", 8,
+                         (MAX_DIM - 8) // 2 if spec.is_bresse else MAX_DIM - 5)
+    upwind = mem["scheme"] == "sgrid-upwind" or (
+        tag in model.MEMORY_MODELS and kernel_g.kind == "tabulated")
 
     def ordered_range(b, lo_key, hi_key, name):
         lo, hi = (_number(b[key], f"{name}.{key}") for key in (lo_key, hi_key))
         if not (0 < lo < hi):  # the grids are geometric
             raise SpecError(f"config block {name} needs 0 < {lo_key} < {hi_key}")
-        points = int(_number(b["points"], f"{name}.points"))
-        if points < 2:
-            raise SpecError(f"config block {name} needs points >= 2")
-        _capped(points, MAX_POINTS, f"{name}.points")
-        _check_n_max(b, name)
+        b["points"] = _field_count(b["points"], f"{name}.points", 2, MAX_POINTS)
+        b["n_max"] = _field_count(b["n_max"], f"{name}.n_max")
 
     sweep_blk = block("sweep",
                       dict(lambda_min=1e2, lambda_max=1e4, points=13, n_max=64,
@@ -166,11 +157,13 @@ def load_config(path, out_override=None):
                       dict(t_min=1e2, t_max=1e4, points=9, n_max=128, kind="auto"),
                       [lambda b: ordered_range(b, "t_min", "t_max", "decay")])
     lb_blk = block("lowerbound", dict(n_list=[16, 64, 256]))
-    n_list = _numbers(lb_blk["n_list"], "lowerbound.n_list")
-    if not n_list or any(int(n) < 1 for n in n_list):
-        raise SpecError("config block lowerbound.n_list needs positive mode indices")
+    n_list = lb_blk["n_list"]
+    if not isinstance(n_list, list) or not n_list:
+        raise SpecError(f"config field lowerbound.n_list must be a nonempty list of "
+                        f"mode indices, got {n_list!r}")
+    lb_blk["n_list"] = [_field_count(n, "lowerbound.n_list") for n in n_list]
     spectrum_blk = block("spectrum", dict(n_max=64))
-    _check_n_max(spectrum_blk, "spectrum")
+    spectrum_blk["n_max"] = _field_count(spectrum_blk["n_max"], "spectrum.n_max")
     limit_blk = block("limit", dict(eps_list=[1e-1, 1e-2, 1e-3, 1e-4], m=None))
     if limit_blk["m"] is not None:
         _number(limit_blk["m"], "limit.m")
@@ -190,10 +183,11 @@ def load_config(path, out_override=None):
         raise SpecError(f"config field output.dir must be a string, got {out_dir!r}")
     out_dir = Path(out_override or out_dir)
 
+    # the history grid is the one computation here, made after every check
     return RunConfig(
-        spec=spec, tolerance=float(_number(raw.get("tolerance", model.DEFAULT_TOL),
-                                           "tolerance")),
-        grid=grid, sweep=sweep_blk, lowerbound=lb_blk, decay=decay_blk,
+        spec=spec, tolerance=tolerance,
+        grid=modal.make_grid(kernel_g, nodes, policy=mem["policy"]) if upwind else None,
+        sweep=sweep_blk, lowerbound=lb_blk, decay=decay_blk,
         spectrum=spectrum_blk, limit=limit_blk, out_dir=out_dir,
         formats=tuple(formats), config_hash=cfg_hash)
 
@@ -266,9 +260,9 @@ def cmd_stability(cfg, args):
 
 def cmd_sweep(cfg, args):
     blk = cfg.sweep
-    lams = np.geomspace(blk["lambda_min"], blk["lambda_max"], int(blk["points"]))
+    lams = np.geomspace(blk["lambda_min"], blk["lambda_max"], blk["points"])
     samples = resolvent.sweep(
-        cfg.spec, lams, int(blk["n_max"]), grid=cfg.grid,
+        cfg.spec, lams, blk["n_max"], grid=cfg.grid,
         peak_refine=bool(blk["peak_refine"]), threads=args.threads)
     rows = [(s.lam, s.value, s.argmax_n) for s in samples]
     _write_csv(cfg, "sweep", "sweep.csv", ("lambda", "value", "argmax_n"), rows)
@@ -295,8 +289,7 @@ def cmd_sweep(cfg, args):
 
 
 def cmd_lowerbound(cfg, args):
-    ns = [int(n) for n in cfg.lowerbound["n_list"]]
-    seq = resolvent.lower_bound(cfg.spec, ns)
+    seq = resolvent.lower_bound(cfg.spec, cfg.lowerbound["n_list"])
     rows = [(r.n, r.omega, r.lam, r.muhat.real, r.muhat.imag,
              r.det_m.real, r.det_m.imag, r.det_a.real, r.det_a.imag,
              r.amp, r.amp_cramer, r.ratio, seq.cstar,
@@ -318,10 +311,10 @@ def cmd_lowerbound(cfg, args):
 
 def cmd_decay(cfg, args):
     blk = cfg.decay
-    ts = np.geomspace(blk["t_min"], blk["t_max"], int(blk["points"]))
+    ts = np.geomspace(blk["t_min"], blk["t_max"], blk["points"])
     work = {}
     stack = modal._layout(cfg.spec, cfg.grid)
-    vals = dynamics.semiuniform_series(stack, ts, int(blk["n_max"]), work=work)
+    vals = dynamics.semiuniform_series(stack, ts, blk["n_max"], work=work)
     kind = blk["kind"]
     if kind == "auto":
         rep = model.stability_numbers(cfg.spec, tol=cfg.tolerance)
@@ -336,7 +329,7 @@ def cmd_decay(cfg, args):
                list(zip(traj.t, traj.energy)))
     payload = {"kind": fit.kind, "rate": fit.rate, "constant": fit.constant,
                "residual": fit.residual, "window": list(fit.window),
-               "n_max": int(blk["n_max"]), "work": work}
+               "n_max": blk["n_max"], "work": work}
     _write_json(cfg, "decay", "decay_fit.json", payload)
     _write_svg(cfg, "decay.svg", svg.line_chart(
         ts, [vals], labels=["semiuniform norm"], title="smoothed-propagator decay",
@@ -347,7 +340,7 @@ def cmd_decay(cfg, args):
 
 
 def cmd_spectrum(cfg, args):
-    n_max = int(cfg.spectrum["n_max"])
+    n_max = cfg.spectrum["n_max"]
     sa = resolvent.spectral_abscissa(cfg.spec, n_max, grid=cfg.grid)
     _write_csv(cfg, "spectrum", "spectrum.csv", ("n", "abscissa"),
                list(zip(sa.ns.tolist(), sa.per_mode)))

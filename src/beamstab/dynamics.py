@@ -262,7 +262,7 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or not np.all(np.isfinite(ts) & (ts >= 0)):
         raise DomainError("times must be a 1-d array, finite and nonnegative")
-    n_max = modal_mod._count(n_max, "the decay series' n_max")
+    n_max = kmod._count(n_max, "the decay series' n_max")
     vals = np.zeros(ts.size)
     counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
               "pruning": "certified"}

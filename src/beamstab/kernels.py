@@ -13,6 +13,10 @@ Every kernel carries a rate ``delta`` for the envelope condition
 mu' + delta*mu <= 0, which certifies exponential decay and hence the
 truncation of history integrals.  Kernels are immutable and all operations
 here are pure functions.
+
+This module also holds the input checks that the library and the CLI
+share: ``_number`` for a config number and ``_count``, the one check of a
+mode index, a mode count, a history-node count and a grid-point count.
 """
 
 import sys
@@ -43,6 +47,7 @@ __all__ = [
 ]
 
 UNIT_MASS_TOL = 1e-10
+MAX_MODES = 1 << 20   # the cap on a mode index, and so on the modes 1..n_max a walk visits
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,19 @@ def _number(value, where):
             or not abs(value) <= sys.float_info.max:
         raise SpecError(f"config field {where} must be a number, got {value!r}")
     return value
+
+
+def _count(value, what, least=1, most=MAX_MODES, error=DomainError):
+    """``value`` as an int: ``error`` unless it is an integer, or a float of
+    integral value such as 64.0 (never a bool), in [least, most].  The one
+    count rule, for the library (DomainError) and the config (SpecError)."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+    if value > most:
+        raise error(f"{what} = {value} is above the cap of {most}")
+    return int(value)
 
 
 def _numbers(values, where):

@@ -74,9 +74,11 @@ K0 is a skew S0 plus the diagonal D of the memory and flux rates (-1/theta_j,
 -1/h_i on the diagonal and sqrt(m_i/m_{i-1})/h_i below it; K2 is the
 classical law's -varpi/rho3 on each temperature.  F_n is singular exactly at
 the curvature resonance omega_n = l, where SingularWeightError is raised.
+
+Every mode index, mode count and grid-node count passes the one count rule,
+``kernels._count``; an array of mode indices needs an integer dtype.
 """
 
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -210,11 +212,12 @@ class ModeStack:
     def mode(self, n):
         """The mode-n system; raises SingularWeightError when the energy form
         degenerates (curvature resonance l*ell = n*pi)."""
+        n = kmod._count(n, "mode index")
         G, W = _mode_arrays(self, [n])
         G.flags.writeable = W.flags.writeable = False
         c = self.spec.coeffs
         return ModeSystem(
-            model=self.spec.model, n=int(n), omega=omega(c.ell, n),
+            model=self.spec.model, n=n, omega=omega(c.ell, n),
             generator=G[0], weight=W[0], labels=self.labels, scheme=self.scheme,
             memory=self.blocks, varpi=c.varpi, ell=c.ell)
 
@@ -235,20 +238,9 @@ class DissipationInfo:
     gamma_form: str = None
 
 
-def _count(value, what, least=1):
-    """``value`` as an int: DomainError unless it is an integer (not a bool)
-    of at least ``least``.  The one check for a mode or node count."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral) \
-            or value < least:
-        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def omega(ell, n):
-    """Modal frequency n*pi/ell for n >= 1."""
-    if n < 1 or int(n) != n:
-        raise DomainError(f"mode index must be a positive integer, got {n}")
-    return n * np.pi / ell
+    """Modal frequency n*pi/ell of a mode index n (``kernels._count``)."""
+    return kmod._count(n, "mode index") * np.pi / ell
 
 
 def grid_tail_mass(kernel, s_max):
@@ -263,7 +255,7 @@ def make_grid(kernel, M, policy="geometric"):
     A grid may be shared by the two kernels of a curved-beam system; build it
     from the slower-decaying one so the truncation certificate covers both.
     """
-    M = _count(M, "grid node count", least=8)
+    M = kmod._count(M, "grid node count", least=8)
     if kernel.delta <= 0:
         raise AdmissibilityError("kernel lacks a positive envelope decay rate")
     m = kmod.masses(kernel)
@@ -431,11 +423,15 @@ def _make_block(temp, start, size, scheme, kernel, grid):
 
 
 def _mode_indices(spec, ns, check_condition=True):
-    """``ns`` as an int array, refused below 1 and, unless
-    ``check_condition`` is false, at the curvature resonance."""
-    ns = np.asarray(ns, dtype=int)
-    if np.any(ns < 1):
-        raise DomainError("mode indices must be >= 1")
+    """``ns`` as an array of mode indices: DomainError unless its dtype is an
+    integer one and its extremes are mode indices (``kernels._count``), and
+    unless ``check_condition`` is false, SingularWeightError at the
+    curvature resonance."""
+    ns = np.asarray(ns)
+    if ns.dtype.kind not in "iu":
+        raise DomainError(f"mode indices need an integer dtype, got {ns.dtype}")
+    for n in (ns.min(), ns.max()):
+        kmod._count(n, "mode index")
     if check_condition and spec.is_bresse:
         bad = mmod._resonant_modes(spec.coeffs, ns)
         if bad.size:
@@ -524,7 +520,8 @@ def assemble(spec, n, grid=None):
 def weight_matrix(spec, n, grid=None):
     """The energy Gram matrix alone, without the resonance check; a singular
     weight is reported by the caller's factorization, never raised here."""
-    return _mode_arrays(_layout(spec, grid), [n], check_condition=False)[1][0]
+    ns = [kmod._count(n, "mode index")]
+    return _mode_arrays(_layout(spec, grid), ns, check_condition=False)[1][0]
 
 
 def weight_sqrt(W):

@@ -226,6 +226,8 @@ def stability_numbers(spec, tol=DEFAULT_TOL):
 
     chi0/chi1 depend on the elastic constants only; the thermal numbers fold
     in varpi*g(0) (memory laws) or the relaxation times (relaxed laws).
+    ``classify`` judges them with ``tol``, and raises DomainError for a
+    ``tol`` outside [0, 1).
     """
     c = spec.coeffs
     scales = {}
@@ -267,8 +269,20 @@ def governing_factors(report, model):
     return out
 
 
+def _tolerance(tol):
+    """``tol`` if it lies in [0, 1), else DomainError: below 0 (or NaN) no
+    number vanishes, and at 1 or above every one does, since |chi| never
+    exceeds the sum of its terms' magnitudes.  The CLI's check of the config
+    field ``tolerance`` too."""
+    if not 0 <= tol < 1:
+        raise DomainError(f"tolerance must lie in [0, 1), got {tol!r}")
+    return tol
+
+
 def classify(report, model, tol=DEFAULT_TOL):
-    """Vanishing test on the governing number(s), relative to their scales."""
+    """Vanishing test on the governing number(s), relative to their scales,
+    with a relative tolerance ``tol`` in [0, 1) (``_tolerance``)."""
+    _tolerance(tol)
     for _name, value, scale in governing_factors(report, model):
         if abs(value) <= tol * scale:
             return EXPONENTIAL
@@ -294,9 +308,9 @@ def check_physical(coeffs, report):
 
 
 def mode_condition(coeffs, n_max, tol=1e-9):
-    """All n <= n_max with l*ell within tol of n*pi (degenerate energy weight)."""
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
+    """All n <= n_max with l*ell within tol of n*pi (degenerate energy weight);
+    n_max is a mode count (``kernels._count``)."""
+    n_max = kmod._count(n_max, "n_max")
     return _resonant_modes(coeffs, np.arange(1, n_max + 1), tol).tolist()
 
 

@@ -95,8 +95,8 @@ Mode cache.  Every range 1..N(lam) starts at mode 1, and the eigenvalues of
 Gh_n do not depend on lam.  ``sweep`` therefore plans every point once (its
 log bin and range N(lam)) in a read-only ``_ModeCache`` of the modes
 1..N_max, N_max the largest N(lam) on the grid, that its samples and
-threads share; a range past SWEEP_MAX_ENTRIES stacked entries (N_max d^2)
-raises DomainError before any assembly.  The first point builds its
+threads share; a range past 2^20 modes or SWEEP_MAX_ENTRIES entries (N_max
+d^2) raises DomainError before any assembly.  The first point builds its
 candidates, before any worker thread starts: per searching point, the modes
 of its range whose bands come within r of its bin (a distance per distinct
 c_k and mode), then one ``eigvals`` on their union, formed a chunk at a
@@ -144,7 +144,7 @@ __all__ = [
 WINDOW_FACTOR = 4.0
 CRAMER_TOL = 1e-8
 ROUND_REL = 2.0 ** -20   # rounding allowance of the pruning certificate
-SWEEP_MAX_ENTRIES = 2 ** 26   # stacked d x d entries of one sweep's mode cache
+SWEEP_MAX_ENTRIES = 2 ** 26   # d x d entries that one sweep forms over its modes 1..N_max
 
 
 @dataclass(frozen=True)
@@ -362,14 +362,13 @@ class _ModeCache:
     modes 1..N_max (module docstring), read-only once built.
 
     The constructor plans each grid point k, its bin (``lo[k]``, ``hi[k]``]
-    and range ``counts[k]``, and refuses a range past SWEEP_MAX_ENTRIES
-    before any assembly.  The bins of the points that search them
+    and range ``counts[k]``, and refuses a range past 2^20 modes or
+    SWEEP_MAX_ENTRIES entries before any assembly.  The bins of the points that search them
     (``search``) are disjoint, or equal for copies of one point, so the bin
-    holding an eigenvalue is the last one in the sorted lower edges
+    holding an eigenvalue is the last one in the distinct sorted lower edges
     ``edges`` below its imaginary part, if that bin's top (``tops``) is not
-    below it.  Equal lower edges belong to copies of one point, or to one
-    empty bin and one other, and the widest comes last; a point reads the
-    candidates of that last bin within its own.  ``point(k)`` builds the
+    below it; a point reads the candidates of its bin within its range.
+    ``point(k)`` builds the
     candidates on its first call, which ``sweep`` makes from point 0 before
     any worker starts, so that a traced run counts the build inside
     ``_sweep_point``.
@@ -379,19 +378,16 @@ class _ModeCache:
         self.stack, self.lam_grid, self.peak_refine = stack, lam_grid, peak_refine
         self.lo, self.hi = _log_bins(lam_grid)
         self.counts = [_sweep_count(stack.spec, lam, n_max) for lam in lam_grid]
-        n_total = max(self.counts)
-        if n_total * stack.dim ** 2 > SWEEP_MAX_ENTRIES:
-            raise DomainError(
-                f"sweep needs the modes 1..{n_total} at dimension {stack.dim}, "
-                f"{n_total * stack.dim ** 2:.3g} stacked entries, over the cap of "
-                f"{SWEEP_MAX_ENTRIES}; lower lambda_max={float(np.max(lam_grid)):g} "
-                f"or n_max={n_max}")
+        n_total = kmod._count(
+            max(self.counts), f"the last mode of a sweep at dimension {stack.dim} (lower "
+            f"lambda_max={float(np.max(lam_grid)):g} or n_max={n_max})",
+            most=min(kmod.MAX_MODES, SWEEP_MAX_ENTRIES // stack.dim ** 2))
         self.ns = np.arange(1, n_total + 1)
         self.om = self.ns * np.pi / stack.spec.coeffs.ell
         self.cert = _Certificate(stack, self.om[-1])
         self.search = np.flatnonzero(lam_grid > 0) if peak_refine else np.arange(0)
-        by_edge = self.search[np.lexsort((self.hi[self.search], self.lo[self.search]))]
-        self.edges, self.tops = self.lo[by_edge], self.hi[by_edge]   # equal edges: widest last
+        self.edges, first = np.unique(self.lo[self.search], return_index=True)
+        self.tops = self.hi[self.search][first]
         self.work = None
 
     def point(self, k):
@@ -403,7 +399,6 @@ class _ModeCache:
             self._build()
         b = np.searchsorted(self.edges, self.lo[k], side="right") - 1   # -1: k does not search
         keep = (self.cand_bins == b) & (self.cand_rows < self.counts[k])
-        keep &= self.cand_lams <= self.hi[k]
         return self.cand_rows[keep], self.cand_lams[keep], self.work[k]
 
     def _build(self):
@@ -494,10 +489,10 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     bins on the log axis; within each bin the sample may move to a resonance
     (see module docstring).  The peak candidates of the modes 1..max N(lam)
     are found in one pass, into a read-only cache that the samples and
-    ``threads`` workers share; a range past SWEEP_MAX_ENTRIES stacked
+    ``threads`` workers share; a range past 2^20 modes or SWEEP_MAX_ENTRIES
     entries raises DomainError before any assembly, and so do a grid that
     is not 1-d, a lambda that is negative or not finite and an n_max that
-    is not an integer >= 1.
+    is not a mode count (``kernels._count``).
     Each sample's ``work`` counts the modes in range, the modes given to
     ``eigvals``, the modes eigen-solved first for it (``eigvals_computed``),
     the resolvents formed (``norm_evals``) and the SVDs run on them
@@ -507,7 +502,7 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     lam_grid = np.asarray(lam_grid, dtype=float)
     if lam_grid.ndim != 1 or not np.all(np.isfinite(lam_grid) & (lam_grid >= 0)):
         raise DomainError("lambda grid must be a 1-d array, finite and nonnegative")
-    n_max = modal_mod._count(n_max, "sweep n_max")
+    n_max = kmod._count(n_max, "sweep n_max")
     stack = modal_mod._layout(spec, grid)
     if lam_grid.size == 0:
         return []
@@ -649,10 +644,7 @@ def _construction_constants(spec):
 
 def _lambda_n(spec, c0, om):
     c = spec.coeffs
-    if spec.is_bresse:
-        rad = (c.k * om**2 + c.l**2 * c.k0 - c0) / c.rho1
-    else:
-        rad = (c.k * om**2 - c0) / c.rho1
+    rad = (c.k * om**2 + spec.effective_l**2 * c.k0 - c0) / c.rho1
     return np.sqrt(rad) if rad > 0 else None
 
 
@@ -672,6 +664,7 @@ def lower_bound(spec, ns):
     rows = []
     notes = []
     for n in ns:
+        n = kmod._count(n, "mode index")
         om = modal_mod.omega(c.ell, n)
         lam = _lambda_n(spec, c0, om)
         if lam is None:
@@ -697,14 +690,14 @@ def lower_bound(spec, ns):
         defect = max(kmod._rl_defect(k, lam, hat)
                      for k, hat in zip(kernels, hats) if k is not None)
         check = DetCheck(
-            n=int(n), lam=float(lam),
+            n=n, lam=float(lam),
             det_m=det_m, det_m_predicted=complex(pred_m),
             gap_m=float(abs(det_m - pred_m) / abs(pred_m)),
             det_a=det_a, det_a_predicted=complex(pred_a),
             gap_a=float(abs(det_a - pred_a) / abs(pred_a)),
             tol_hint=float(10.0 * defect))
         rows.append(LowerBoundRow(
-            n=int(n), omega=float(om), lam=float(lam), muhat=hats[0],
+            n=n, omega=float(om), lam=float(lam), muhat=hats[0],
             nuhat=complex("nan") if hats[1] is None else hats[1],
             det_m=det_m, det_a=det_a, amp=float(amp),
             amp_cramer=float(amp_cramer), ratio=float(amp / lam), check=check))
@@ -725,7 +718,7 @@ def det_check(spec, n):
 
 def spectral_abscissa(spec, n_max, grid=None):
     """Per-mode max Re of the generator spectrum and the global maximum."""
-    n_max = modal_mod._count(n_max, "spectral abscissa n_max")
+    n_max = kmod._count(n_max, "spectral abscissa n_max")
     stack = modal_mod._layout(spec, grid)
     # state coordinates: on ref1 BGP at n = 4096 their abscissa is off by
     # 1.5e-8 relative, the closed-form energy coordinates' by 1.7e-6

@@ -135,6 +135,9 @@ def load_config(path, out_override=None):
     if mem["scheme"] not in (None, "prony-reduction", "sgrid-upwind"):
         raise SpecError(f"unknown memory.scheme {mem['scheme']!r}; "
                         "expected 'prony-reduction' or 'sgrid-upwind'")
+    if mem["policy"] not in ("geometric", "uniform"):   # checked even when no grid is built
+        raise SpecError(f"unknown memory.policy {mem['policy']!r}; "
+                        "expected 'geometric' or 'uniform'")
     # the layout: 4 (6) beam states plus one temperature and its history
     # nodes per kernel on a straight (curved) beam, d = 5 + M (8 + 2M)
     nodes = _field_count(mem["nodes"], "memory.nodes", 8,
@@ -165,8 +168,9 @@ def load_config(path, out_override=None):
     spectrum_blk = block("spectrum", dict(n_max=64))
     spectrum_blk["n_max"] = _field_count(spectrum_blk["n_max"], "spectrum.n_max")
     limit_blk = block("limit", dict(eps_list=[1e-1, 1e-2, 1e-3, 1e-4], m=None))
-    if limit_blk["m"] is not None:
-        _number(limit_blk["m"], "limit.m")
+    if limit_blk["m"] is not None and not 0 < _number(limit_blk["m"], "limit.m") < 1:
+        raise SpecError(f"config field limit.m, the mixture share, must lie in (0, 1), "
+                        f"got {limit_blk['m']!r}")
     eps = [float(e) for e in _numbers(limit_blk["eps_list"], "limit.eps_list")]
     if not eps or any(e <= 0 for e in eps) or any(nxt >= prev for prev, nxt in zip(eps, eps[1:])):
         raise SpecError("config block limit.eps_list must be positive and decreasing")

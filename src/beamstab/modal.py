@@ -81,6 +81,7 @@ Every mode index, mode count and grid-node count passes the one count rule,
 
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,6 +176,27 @@ class ModeSystem:
         return self.labels.index(label)
 
 
+class HeatBlock(NamedTuple):
+    """The energy-coordinate generators of a stack with memory or flux
+    states, split into the beam indices b (strains, velocities,
+    temperatures) and the heat indices h (the states of the stack's
+    ``blocks``):
+
+        Gh_n = [[B_n, omega_n U], [-omega_n U^T, H]],
+
+    B_n = omega_n B1 + B0 with B1 = K1[b, b], B0 = K0[b, b]; U = K1[b, h]
+    and H = K0[h, h], lower triangular with the memory, flux or transport
+    rates on its diagonal.  ``_coupling`` leaves K0[b, h], K0[h, b] and
+    K1[h, h] zero.  ``gram`` = (||K0||_F^2, <K0, K1>, ||K1||_F^2), so that
+    ||Gh_n||_F^2 = ||K0||_F^2 + 2 omega_n <K0, K1> + omega_n^2 ||K1||_F^2."""
+
+    B0: np.ndarray
+    B1: np.ndarray
+    U: np.ndarray
+    H: np.ndarray
+    gram: tuple
+
+
 @dataclass(frozen=True, eq=False)
 class ModeStack:
     """The n-independent part of a system's modes, built once by ``_layout``
@@ -186,6 +208,8 @@ class ModeStack:
     stacks, the D of K0 = S0 + diag(D): -1/theta_j on prony memory rows,
     -1/(relax*varpi) on flux rows, 0 elsewhere; None for the upwind grid and
     the classical law, whose damping is not bounded uniformly in n.
+    ``heat`` is the heat-block partition of the generators (``HeatBlock``),
+    None for the classical law, which has no heat block.
     """
 
     spec: mmod.SystemSpec
@@ -196,6 +220,7 @@ class ModeStack:
     index: MappingProxyType
     K: tuple
     damping: np.ndarray
+    heat: HeatBlock
 
     @property
     def dim(self):
@@ -220,6 +245,24 @@ class ModeStack:
             model=self.spec.model, n=n, omega=omega(c.ell, n),
             generator=G[0], weight=W[0], labels=self.labels, scheme=self.scheme,
             memory=self.blocks, varpi=c.varpi, ell=c.ell)
+
+
+def _heat_block(K, blocks):
+    """The ``HeatBlock`` of coupling matrices K whose heat states are those
+    of ``blocks``."""
+    K0, K1, _ = K
+    heat = np.zeros(len(K0), dtype=bool)
+    for blk in blocks:
+        heat[blk.start:blk.start + blk.size] = True
+    b, h = np.flatnonzero(~heat), np.flatnonzero(heat)
+    U = K1[np.ix_(b, h)]
+    assert not (K0[np.ix_(b, h)].any() or K0[np.ix_(h, b)].any()
+                or K1[np.ix_(h, h)].any()) and np.array_equal(K1[np.ix_(h, b)], -U.T)
+    parts = [K0[np.ix_(b, b)], K1[np.ix_(b, b)], U, K0[np.ix_(h, h)]]
+    for a in parts:
+        a.flags.writeable = False
+    gram = tuple(float(np.vdot(x, y)) for x, y in ((K0, K0), (K0, K1), (K1, K1)))
+    return HeatBlock(*parts, gram=gram)
 
 
 def _chunk_slices(N, row):
@@ -299,8 +342,8 @@ def _memory_scheme(spec, grid):
 
 def _layout(spec, grid):
     """The system's ``ModeStack``: labels, memory/flux blocks, the coupling
-    matrices K and the damping diagonal, built once and shared by every mode
-    of the system."""
+    matrices K, the damping diagonal and the heat-block partition, built
+    once and shared by every mode of the system."""
     scheme = _memory_scheme(spec, grid)
     labels = ["defl", "defl_t", "rot", "rot_t"]
     temps = [("b", spec.kernel_g)]
@@ -327,7 +370,8 @@ def _layout(spec, grid):
         if a is not None:
             a.flags.writeable = False
     return ModeStack(spec=spec, grid=grid, labels=tuple(labels), blocks=tuple(blocks),
-                     scheme=scheme, index=MappingProxyType(index), K=K, damping=damping)
+                     scheme=scheme, index=MappingProxyType(index), K=K, damping=damping,
+                     heat=_heat_block(K, blocks) if blocks else None)
 
 
 def _beam(spec):

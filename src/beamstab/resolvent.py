@@ -39,6 +39,27 @@ d = dist(lam, {c_k omega_n}):
 No mode is assembled for these bounds (Trefethen & Embree, Spectra and
 Pseudospectra, 2005).
 
+Eliminated bound.  Every stack with a heat block (prony memory, flux, the
+upwind grid) splits Gh_n on its beam indices b and heat indices h as
+[[B_n, omega_n U], [-omega_n U^T, H]], B_n = omega_n B1 + B0, with B1, B0,
+U and H n-independent (``modal.HeatBlock``).  With D = i lam - H,
+triangular with diagonal i lam - rate != 0, T = U D^{-1} U^T and the Schur
+complement S_n = i lam - B_n + omega_n^2 T, the exact block inverse is
+
+    (i lam - Gh_n)^{-1} = blockdiag(0, D^{-1}) + L S_n^{-1} R,
+    L = [I; -omega_n D^{-1} U^T],  R = [I, omega_n U D^{-1}],
+
+with ||L|| = sqrt(1 + omega_n^2 p^2), ||R|| = sqrt(1 + omega_n^2 q^2),
+p = ||D^{-1} U^T|| and q = ||U D^{-1}||, hence
+
+    ||(i lam - G_n)^{-1}||_W <= b_n = ||D^{-1}||
+        + sqrt((1 + omega_n^2 p^2)(1 + omega_n^2 q^2)) ||S_n^{-1}||_F.
+
+D^{-1}, T, p and q are computed once per lambda for every mode; b_n then
+costs the inverse of the d_b x d_b matrix S_n (d_b <= 8), not of the
+d x d resolvent (``_eliminated_bound``).  The classical law has no heat
+block and no such bound.
+
 The pruning rule.  Every decision to skip a mode, here and in the decay
 series of ``dynamics``, is one test, ``_below(upper, known)``: a computed
 upper bound of a mode's norm against a computed lower bound ``known`` of the
@@ -61,10 +82,18 @@ Candidates come first.  Only modes whose bin lies within r of some band
 centre c_k omega_n can hold an eigenvalue there, so only they go to
 ``eigvals``.  The other two maxima skip the modes whose Neumann bound is
 below the larger of a known lower bound of the max (the best candidate
-value) and the largest Weyl bound (``may_reach``).  Two more bounds, valid for every scheme, gate the
-SVD or the resolvent itself (Trefethen & Embree, Spectra and Pseudospectra,
-2005):
+value) and the largest Weyl bound (``may_reach``).  Three more bounds gate
+the resolvent itself or its SVD, in this order (Trefethen & Embree,
+Spectra and Pseudospectra, 2005):
 
+* Eliminated gate (steps 2 and 3): a mode whose b_n is below the running
+  max is not formed and reports b_n.  It runs where the heat block is at
+  least as large as the beam block (the upwind grid; prony kernels of as
+  many terms as beam states), so that b_n costs an inverse of at most half
+  the size of the resolvent it saves, plus its share of the setup per
+  lambda, which does not pay on prony memory of few terms or on flux (an
+  8 x 8 S_n against a 10 x 10 resolvent on the curved beam).  The
+  candidates (step 1) each have their own lambda, so they are not gated.
 * Frobenius gate (``_batched_norms`` given ``known``): every mode's
   X = (i lam - Gh_n)^{-1} is formed, and ||X||_2 <= ||X||_F is the bound of
   a gated max over the stack.  A sweep point runs it per chunk, from the
@@ -74,7 +103,7 @@ SVD or the resolvent itself (Trefethen & Embree, Spectra and Pseudospectra,
 * Resolvent-identity gate (step 3): R(lam') = (I + i(lam' - lam)
   R(lam))^{-1} R(lam), so ||R(lam')|| <= r / (1 - |lam' - lam| r) whenever
   |lam' - lam| r < 1, for any r >= ||R(lam)||.  With r the mode's step-2
-  value (exact, or ||X||_F where gated) widened by ROUND_REL, a mode is
+  value (exact, or b_n or ||X||_F where gated) widened by ROUND_REL, a mode is
   formed again at lam' only if that bound is not below the candidate value;
   the candidate's own mode is always kept.
 
@@ -84,12 +113,21 @@ constant per sweep.  The allowance covers the computed c_k and ||S0||, the
 rounding of Gh_n, whose norm is at most c_max omega_n + ||K0||, and the
 backward error of its computed eigenvalues tested against the bin.  The
 computed ||X||_F and largest singular value of X carry relative errors of
-about d^2 eps, well inside the rule's margins.  The upwind history grid and
-the classical law have no uniform bound on D: their certificate has an
-infinite radius and no c_k, so the bin test and ``may_reach`` keep every
-mode.  Either way the sup is taken over the modes 1..N(lam), N(lam) =
-max(n_max, ceil(WINDOW_FACTOR * c)) with c = lam sqrt(rho1/k) ell/pi the
-index at which omega_n sqrt(k/rho1) = lam, not over all n.
+about d^2 eps, well inside the rule's margins.  The eliminated bound b_n is
+taken as inf where S_n does not invert, where b_n is not finite, and where
+d eps (|lam| + ||Gh_n||_F) b_n or d eps kappa exceeds ROUND_REL/4, kappa the
+larger of the Frobenius condition numbers of S_n and D and ||Gh_n||_F from
+its closed form (``HeatBlock.gram``).  The first term bounds the relative
+error of the mode's computed dense value, whose condition number is at most
+(|lam| + ||Gh_n||) b_n, the second that of the computed b_n, so a mode
+skipped on b_n has its computed dense value below the max as well.  The
+upwind history grid and the classical law have no uniform bound on D: their
+certificate has an infinite radius and no c_k, so the bin test and
+``may_reach`` keep every mode (``pruning`` is ``none``); of the two, only
+the upwind grid has the eliminated gate.  Either way the sup is taken over
+the modes 1..N(lam), N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with
+c = lam sqrt(rho1/k) ell/pi the index at which omega_n sqrt(k/rho1) = lam,
+not over all n.
 
 Mode cache.  Every range 1..N(lam) starts at mode 1, and the eigenvalues of
 Gh_n do not depend on lam.  ``sweep`` therefore plans every point once (its
@@ -282,6 +320,36 @@ def _batched_norms(G, lam, known=None, work=None):
     return out
 
 
+def _eliminated_bound(stack, lam):
+    """Upper bounds of ||(i lam - Gh_n)^{-1}||_2 per mode from the
+    elimination of the heat block (module docstring), as a function of the
+    modes' omega_n: inf where S_n does not invert or the rounding guard
+    fails.  The n-independent part, D = i lam - H, is factored here once."""
+    heat, eps = stack.heat, np.finfo(float).eps
+    D = 1j * lam * np.eye(len(heat.H)) - heat.H   # triangular, diagonal i lam - rate != 0
+    Dinv = np.linalg.inv(D)
+    DU = Dinv @ heat.U.T
+    T = heat.U @ DU
+    d_inv, p, q = (np.linalg.norm(a, 2) for a in (Dinv, DU, heat.U @ Dinv))
+    kappa_D = np.linalg.norm(D) * np.linalg.norm(Dinv)
+    shift = 1j * lam * np.eye(len(heat.B0)) - heat.B0
+    s00, s01, s11 = heat.gram
+
+    def bound(om):
+        w = om[:, None, None]
+        S = shift - w * heat.B1 + w * w * T
+        try:
+            s_inv = np.linalg.norm(np.linalg.inv(S), axis=(1, 2))
+        except np.linalg.LinAlgError:
+            return np.full(om.size, np.inf)
+        b = d_inv + np.sqrt((1.0 + (om * p) ** 2) * (1.0 + (om * q) ** 2)) * s_inv
+        kappa = np.maximum(np.linalg.norm(S, axis=(1, 2)) * s_inv, kappa_D)
+        g_norm = np.sqrt(s00 + 2.0 * om * s01 + om * om * s11)
+        guard = stack.dim * eps * np.maximum((abs(lam) + g_norm) * b, kappa)
+        return np.where(np.isfinite(b) & (guard <= ROUND_REL / 4), b, np.inf)
+    return bound
+
+
 def mode_resolvent_norm(mode, lam):
     """Weighted resolvent norm of a single mode at i*lam."""
     if not np.isfinite(lam):
@@ -385,6 +453,10 @@ class _ModeCache:
         self.ns = np.arange(1, n_total + 1)
         self.om = self.ns * np.pi / stack.spec.coeffs.ell
         self.cert = _Certificate(stack, self.om[-1])
+        # the eliminated bound pays where S_n is at most half a mode's size
+        # (module docstring)
+        heat = stack.heat
+        self.eliminate = heat is not None and len(heat.H) >= len(heat.B0)
         self.search = np.flatnonzero(lam_grid > 0) if peak_refine else np.arange(0)
         self.edges, first = np.unique(self.lo[self.search], return_index=True)
         self.tops = self.hi[self.search][first]
@@ -439,19 +511,32 @@ def _sweep_point(cache, k):
     work = {"modes_in_range": count, "norm_evals": 0, "svds": 0,
             "pruning": "none" if cache.stack.damping is None else "certified", **counted}
 
-    def max_norm(sel, at, known):
+    def max_norm(sel, at, known, keep=0):
         """(value, n, per-mode values) of the max over the modes of the index
-        array ``sel`` at ``at`` (a scalar or one value per mode),
-        Frobenius-gated from a lower bound ``known`` that the running max
-        raises chunk by chunk; the generators are formed a chunk at a
-        time."""
+        array ``sel`` at ``at`` (a scalar or one value per mode), gated from
+        a lower bound ``known`` that the running max raises chunk by chunk.
+        At a scalar ``at``, where the cache eliminates, a mode whose
+        eliminated bound is below ``known`` is not formed and reports its
+        bound, mode ``keep`` (if given) excepted; the others' generators
+        are formed a chunk at a time and Frobenius-gated."""
         vals = np.empty(sel.size)
         if not sel.size:
             return -np.inf, None, vals
+        def norms(rows, lam):
+            G = modal_mod._generators(cache.stack, ns[rows])
+            return _batched_norms(G, lam=lam, known=known, work=work)
+
+        scalar, bound = np.ndim(at) == 0, None
         for sl in modal_mod._chunk_slices(sel.size, cache.stack.dim ** 2):
-            G = modal_mod._generators(cache.stack, ns[sel[sl]])
-            vals[sl] = _batched_norms(G, lam=at if np.ndim(at) == 0 else at[sl],
-                                      known=known, work=work)
+            part = sel[sl]
+            if scalar and known > -np.inf and cache.eliminate:
+                bound = bound or _eliminated_bound(cache.stack, at)
+                vals[sl] = bound(om[part])
+                formed = ~_below(vals[sl], known) | (ns[part] == keep)
+                if np.any(formed):
+                    vals[sl][formed] = norms(part[formed], at)
+            else:
+                vals[sl] = norms(part, at if scalar else at[sl])
             known = max(known, float(np.max(vals[sl])))   # gated rows lie below it
         b = int(np.argmax(vals))
         return float(vals[b]), int(ns[sel][b]), vals
@@ -463,7 +548,7 @@ def _sweep_point(cache, k):
 
     # 2. the value at lam; a candidate wins only by exceeding it
     rows = cert.may_reach(lam, known, om)
-    upper = np.full(count, np.inf)   # per mode at lam: exact, or ||X||_F where gated
+    upper = np.full(count, np.inf)   # per mode at lam: exact, or its bound where gated
     value, n, upper[rows] = max_norm(rows, lam, known)   # -inf where no mode can reach it
     if cand is None or not cand[0] > value:
         return ResolventSample(lam=float(lam), value=value, argmax_n=n, work=work)
@@ -477,7 +562,7 @@ def _sweep_point(cache, k):
         gap = 1.0 - abs(best_lam - lam) * r
         bound = np.divide(r, gap, out=np.full(r.shape, np.inf), where=gap > 0)
         rows = rows[~_below(bound, value) | (ns[rows] == n)]
-        value, n, _ = max_norm(rows, best_lam, value)
+        value, n, _ = max_norm(rows, best_lam, value, keep=n)
     return ResolventSample(lam=best_lam, value=value, argmax_n=n, work=work)
 
 

@@ -142,6 +142,20 @@ class TestConfigErrors:
             capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, extra, message", [
+        ("spectrum", {"memory": {"policy": "bogus"}}, "unknown memory.policy 'bogus'"),
+        ("stability", {"limit": {"m": 5}}, "limit.m, the mixture share, must lie in (0, 1)"),
+        ("limit", {"limit": {"m": 0}}, "limit.m, the mixture share, must lie in (0, 1)"),
+        ("sweep", {"limit": {"m": "x"}}, "limit.m must be a number"),
+    ], ids=["policy", "share", "share-zero", "share-string"])
+    def test_unread_field_is_checked(self, tmp_path, capsys, command, extra, message):
+        # every command checks the fields only another command reads
+        path = write_config(tmp_path, output={"dir": str(tmp_path / "out")}, **extra)
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_mode_cache_is_capped(self, tmp_path, capsys, no_work):
         # N_max = 4e6 modes at d = 10: 4e8 stacked entries, about 13 GB to assemble
         path = write_config(tmp_path, output={"dir": str(tmp_path / "out")},
@@ -360,7 +374,7 @@ class TestGoldenSweep:
     WORK_KEYS = ("eigvals_computed", "modes_eigvals", "modes_in_range", "norm_evals", "svds")
     WORK = {"bgp_prony": (677, 1624, 3731, 1968, 20),
             "bmc": (782, 1674, 4478, 2029, 23),
-            "tgp_tabulated": (240, 928, 928, 1273, 16)}
+            "tgp_tabulated": (240, 928, 928, 180, 16)}
 
     @pytest.mark.parametrize("name, pruning", [("bgp_prony", "certified"),
                                                ("bmc", "certified"),

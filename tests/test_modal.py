@@ -119,6 +119,39 @@ class TestEnergyCoordinates:
             kappa = np.linalg.norm(1j * lam * eye - G, 2, axis=(1, 2)) * got
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(kappa, 1.0) * want)
 
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=admissible_specs(ALL_TAGS), upwind=st.booleans())
+    @example(spec=REF1_BGP, upwind=True)
+    @example(spec=bs.SystemSpec("TF", ref1_coeffs()), upwind=False)
+    def test_heat_block_partition(self, spec, upwind):
+        # K0[b, h], K0[h, b] and K1[h, h] are zero bit for bit, and the
+        # blocks rebuild every generator bit for bit
+        grid = bs.make_grid(spec.kernel_g, 12) if upwind and spec.model[1:] == "GP" else None
+        try:
+            stack = modal._layout(spec, grid)
+        except bs.AdmissibilityError:   # a grid from kernel_g that cuts kernel_h
+            assume(False)
+        if stack.scheme == "none":
+            assert stack.heat is None and stack.K[2] is not None
+            return
+        K0, K1, K2 = stack.K
+        h = np.concatenate([np.arange(blk.start, blk.start + blk.size) for blk in stack.blocks])
+        b = np.setdiff1d(np.arange(stack.dim), h)
+        assert K2 is None and h.size + b.size == stack.dim
+        assert np.all(K0[np.ix_(b, h)] == 0) and np.all(K0[np.ix_(h, b)] == 0)
+        assert np.all(K1[np.ix_(h, h)] == 0)
+        heat = stack.heat
+        ns = np.array([1, 2, 7, 40, 300])
+        for n, G in zip(ns, modal._generators(stack, ns)):
+            om = n * np.pi / spec.coeffs.ell
+            rebuilt = np.empty_like(G)
+            rebuilt[np.ix_(b, b)] = om * heat.B1 + heat.B0
+            rebuilt[np.ix_(b, h)] = om * heat.U
+            rebuilt[np.ix_(h, b)] = om * -heat.U.T
+            rebuilt[np.ix_(h, h)] = heat.H
+            assert np.array_equal(rebuilt, G)
+        assert np.array_equal(np.tril(heat.H), heat.H)
+
     def test_generators_raise_at_the_curvature_resonance(self):
         stack = modal._layout(bs.SystemSpec("BF", ref1_coeffs(l=1.0)), None)
         with pytest.raises(bs.SingularWeightError):

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import beamstab as bs
@@ -485,6 +485,7 @@ def _dense_reference(cache, k):
 
 
 BOUNDED_DAMPING = ("BGP", "BMC", "TGP", "TMC")
+TWO_TERM = bs.normalized(bs.prony_kernel([(1.0, 1.0), (0.5, 3.0)]))
 
 
 def _triples(samples):
@@ -538,6 +539,26 @@ class TestPrunedSweepMatchesDense:
             assert {s.work["pruning"] for s in out} == {"none"}
             assert all(s.work["modes_eigvals"] == s.work["modes_in_range"]
                        for s in out)
+            if spec.model == "TF":   # no heat block, so no eliminated bound
+                assert sum(s.work["norm_evals"] for s in out) == 526
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_eliminated_heat_blocks(self, threads):
+        # the eliminated gate on a 64-node table, on two kernels sharing one
+        # 16-node grid and on a five-term prony kernel (as many memory states
+        # as beam states)
+        kern = bs.normalized(bs.prony_kernel([(1.0, 0.5 * j) for j in range(1, 6)]))
+        spec = bs.SystemSpec("TGP", ref1_coeffs(), kernel_g=kern)
+        heat = modal_mod._layout(spec, None).heat
+        assert heat.H.shape == heat.B0.shape == (5, 5)
+        assert_sweep_matches_dense(spec, np.geomspace(5.0, 200.0, 8), 16, threads=threads)
+        spec, grid = _tabulated_history(64)
+        assert_sweep_matches_dense(spec, np.geomspace(12.0, 40.0, 4), 8, grid=grid,
+                                   threads=threads)
+        spec = bs.SystemSpec("BGP", ref1_coeffs(), kernel_g=TWO_TERM,
+                             kernel_h=bs.prony_kernel([(1.0, 1.0)]))
+        assert_sweep_matches_dense(spec, np.geomspace(5.0, 60.0, 6), 8,
+                                   grid=bs.make_grid(TWO_TERM, 16), threads=threads)
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -571,8 +592,9 @@ class TestGates:
             out = assert_sweep_matches_dense(spec, lams, 64, grid=grid, threads=threads)
             work = {key: sum(s.work[key] for s in out)
                     for key in ("modes_in_range", "norm_evals", "svds")}
-            # ungated: 2,304 resolvents formed, each with its SVD
-            assert work == {"modes_in_range": 1088, "norm_evals": 1339, "svds": 16}
+            # ungated: 2,304 resolvents formed, each with its SVD; 1,339
+            # formed without the eliminated bound
+            assert work == {"modes_in_range": 1088, "norm_evals": 136, "svds": 16}
 
     def test_frobenius_gate_keeps_the_max(self, ref1):
         ns = np.arange(1, 41)
@@ -619,6 +641,62 @@ class TestGates:
             below += np.linalg.norm(X, axis=(1, 2))[0] < exact[0]
             assert rmod._batched_norms(G, lam=0.0, known=exact[0]).tolist() == exact.tolist()
         assert below > 0
+
+
+@st.composite
+def heat_block_systems(draw):
+    """(spec, grid) over every scheme with a heat block: prony memory, relaxed
+    flux, TGP on an upwind grid of 8 to 64 nodes and BGP with both kernels
+    on one upwind grid of 16 nodes."""
+    scheme = draw(st.sampled_from(["prony", "flux", "upwind", "shared-upwind"]))
+    tags = {"prony": ("BGP", "TGP"), "flux": ("BMC", "TMC"), "upwind": ("TGP",),
+            "shared-upwind": ("BGP",)}[scheme]
+    spec = draw(admissible_specs(tags))
+    if scheme == "upwind":
+        return spec, bs.make_grid(spec.kernel_g, draw(st.sampled_from([8, 16, 32, 64])))
+    if scheme == "shared-upwind":   # the grid of the slower-decaying kernel
+        slower = min((spec.kernel_g, spec.kernel_h), key=lambda k: k.delta)
+        return spec, bs.make_grid(slower, 16)
+    return spec, None
+
+
+class TestEliminatedBound:
+    @staticmethod
+    def assert_bound_covers_dense(stack, lam):
+        """Over the modes 1..N(lam) of a sweep with n_max 8, the eliminated
+        bound is infinite or, widened by ROUND_REL, not below the dense norm;
+        returns the bounds and the dense norms."""
+        bound = rmod._eliminated_bound(stack, lam)
+        got, dense = [], []
+        for ns, G in stack.chunks(rmod._sweep_count(stack.spec, lam, 8)):
+            got.append(bound(ns * np.pi / stack.spec.coeffs.ell))
+            dense.append(rmod._batched_norms(G, lam=lam))
+        got, dense = np.concatenate(got), np.concatenate(dense)
+        assert np.all((got * (1.0 + rmod.ROUND_REL) >= dense) | (got == np.inf))
+        return got, dense
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(system=heat_block_systems(), u=st.floats(0.0, 1.0), n=st.integers(1, 4))
+    @example(system=(bs.SystemSpec("BGP", ref1_coeffs(), kernel_g=TWO_TERM,
+                                   kernel_h=TWO_TERM), None), u=0.5, n=3)
+    @example(system=_tabulated_history(64), u=0.5, n=2)
+    def test_covers_the_dense_norm(self, system, u, n):
+        try:
+            stack = modal_mod._layout(*system)
+        except bs.AdmissibilityError:   # the shared grid cuts the faster kernel
+            assume(False)
+        ev = np.linalg.eigvals(modal_mod._generators(stack, [n])[0])
+        least_damped = abs(ev[np.argmax(ev.real)].imag)
+        for lam in (0.0, 30.0 * u, least_damped):
+            self.assert_bound_covers_dense(stack, lam)
+
+    def test_tight_on_the_benchmark_system(self):
+        # finite on every mode, and within a factor 10 of the dense norm
+        stack = modal_mod._layout(*_tabulated_history(32))
+        for lam in (0.0, 17.8, 56.2):
+            got, dense = self.assert_bound_covers_dense(stack, lam)
+            assert np.all(got <= 10.0 * dense)
 
 
 # exact values with ties, NaN and zero; each bound is its exact value times

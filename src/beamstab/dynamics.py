@@ -3,9 +3,11 @@
 Per-mode propagators are dense matrix exponentials, and ``_propagator`` is
 the one evaluator of exp(t G_n): over a stack of generators it uses an
 eigendecomposition where the eigenvector basis is well conditioned, otherwise
-the scaling-and-squaring routine takes over.  All decay statements are made on
-the n <= N_max truncation; block diagonality makes the truncated operator
-norm equal to the max over modes, so ``semiuniform_series`` is exact there.
+the scaling-and-squaring routine takes over.  Block diagonality makes the
+operator norm equal to the sup over modes; ``semiuniform_series`` takes the
+max over the modes it walks, n <= N_max a ceiling, and on prony-memory and
+relaxed-flux stacks a tail certificate says whether that max is the sup over
+all n (below).
 
 Batched smoothed propagator.  ``semiuniform_series`` walks the modes in
 chunks (``ModeStack.chunks``: at most CHUNK_ELEMENTS = 25,600 entries per
@@ -65,6 +67,41 @@ eigendecomposition comes from ``_propagator``; modes whose
 ||V||_F ||V^{-1}||_F, an upper bound of the eigenvector condition number
 cond_2(V), is not below EIG_COND_LIMIT take its ``expm`` and one inverse of
 Gh_n at every time point, without pruning.
+
+Certified tail.  Where ``ModeStack.damping`` is set (prony memory, relaxed
+flux), Gh_n = omega_n K1 + S0 + diag(D) with K1 and S0 skew and D <= 0
+(asserted once per stack by ``resolvent._Certificate``), so
+Gh_n + Gh_n^T = 2 diag(D) <= 0 and ||exp(t Gh_n)||_2 <= 1 for t >= 0.  By
+Weyl, sigma_min(Gh_n) >= c_min omega_n - ||S0|| - ||D||, c_min the least
+singular value of K1, hence at every t
+
+    ||exp(t Gh_n) Gh_n^{-1}||_2 <= b_n = 1 / (c_min omega_n - r),
+
+r the certificate's radius for the modes up to n_max + 1, and b_n = inf
+where c_min omega_n <= r (every mode of a multi-term prony stack, whose K1
+is singular up to rounding, and every mode of a stack without ``damping``:
+the upwind grid and the classical law keep the full walk).  Before a chunk is
+eigendecomposed, its modes whose b_n is below the smallest value so far
+(``resolvent._below``) are dropped.  b_n does not increase with n and the
+values only grow, so the modes kept form a prefix, and once one mode is
+dropped every later mode lies below the max at every t: the walk ends
+there and forms no later chunk.  ``tail`` is "certified" when the first
+mode not walked (the stop, or n_max + 1) has b_n below the smallest value,
+which then bounds every mode not walked, up to every n; otherwise
+"truncated".
+
+Rounding.  r carries the allowance ROUND_REL (c_max omega_n + ||S0||),
+which covers the computed c_min and ||S0|| and a backward error delta of
+order d eps ||Gh_n|| in the generator, so b_n also bounds
+||(Gh_n + delta)^{-1}||; ||exp(t (Gh_n + delta))|| <= exp(t ||delta||).  A
+mode's computed value is the norm of its propagator through the computed
+eigendecomposition, whose relative error is of order cond_2(V) d eps
+(below EIG_COND_LIMIT d eps, else ``expm``), times exp(t ||delta||).  The
+bound is therefore used only where (EIG_COND_LIMIT + t_max ||Gh_n||) d eps
+<= ROUND_REL for every n <= n_max + 1, with ||Gh_n|| <= c_max omega_n + r
+(b_n = inf elsewhere); the rule's margins of 2 ROUND_REL then keep a
+dropped mode's computed value below the max, so it could not have changed
+it, and the samples keep their bits.
 
 For a one-term exponential kernel the auxiliary prony state y of a memory
 mode maps linearly onto the relaxed-flux variable, flux = -varpi*omega*y.
@@ -249,14 +286,64 @@ class _SmoothedPropagators:
         return np.linalg.svd(M, compute_uv=False)[:, 0]
 
 
+def _tail_bounds(stack, ts, n_max):
+    """b(ns): per mode index, the contraction bound b_n >= ||exp(t Gh_n)
+    Gh_n^{-1}||_2 at every t in ``ts`` (module docstring), inf where the
+    band gap c_min omega_n - r is not positive, and everywhere on a stack
+    without ``damping`` or where the rounding guard fails."""
+    ell = stack.spec.coeffs.ell
+    om_top = (n_max + 1) * np.pi / ell
+    cert = rmod._Certificate(stack, om_top)
+    g_norm = cert.c[-1] * om_top + cert.radius   # >= ||Gh_n|| for n <= n_max + 1
+    guard = np.isfinite(g_norm) and ((EIG_COND_LIMIT + np.max(ts, initial=0.0) * g_norm)
+                                     * stack.dim * np.finfo(float).eps <= rmod.ROUND_REL)
+
+    def bound(ns):
+        gap = cert.dist(0.0, 0.0, ns * np.pi / ell) - cert.radius
+        return np.divide(1.0, gap, out=np.full(gap.shape, np.inf), where=guard & (gap > 0))
+    return bound
+
+
+def _chunk_max(G, ns, ts, vals, counts):
+    """Raise ``vals`` to the max over the chunk's modes, counting the work."""
+    lam, V, Vinv, ok, U = _propagator(G)
+    counts["modes_propagated"] += ns.size
+    for n in ns[np.any(lam == 0, axis=1)][:1]:   # the first singular mode
+        raise SpectralPointError(f"0 is in the spectrum of mode {n}", lam=0.0, n=int(n))
+    for i in np.flatnonzero(~ok):
+        Ginv = np.linalg.inv(G[i])
+        for j, t in enumerate(ts):
+            M = U(i, t) @ Ginv
+            vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
+        counts["expm_modes"] += 1
+        counts["norm_evals"] += ts.size
+    if not np.any(ok):
+        return
+    sel = slice(None) if np.all(ok) else ok   # views, not copies, where all are
+    prop = _SmoothedPropagators(lam[sel], V[sel], Vinv[sel])
+    for j, t in enumerate(ts):
+        E = np.exp(prop.lam * t)
+        norms, svds = rmod._gated_max(prop.bounds(E), lambda rows: prop.norms(rows, E),
+                                      vals[j])
+        # fmax skips NaN norms like the per-mode max() does; gated rows lie below
+        vals[j] = max(vals[j], np.fmax.reduce(norms))
+        counts["norm_evals"] += svds
+
+
 def semiuniform_series(spec, ts, n_max, grid=None, work=None):
-    """sup_{n <= n_max} ||exp(t G_n) G_n^{-1}||_{W_n} on a time grid.
+    """sup_n ||exp(t G_n) G_n^{-1}||_{W_n} over n <= n_max on a time grid.
 
     Exact per-mode weighted operator norms, batched over chunks of modes with
-    certified pruning (see the module docstring); the truncation level must
-    be reported with any decay claim derived from this.  A ``work`` dict, when
-    given, receives the counters modes_propagated, norm_evals (SVDs run),
-    expm_modes and pruning.  ``spec`` may be the system's ``ModeStack``.
+    certified pruning; on a stack with ``damping`` the walk ends at the first
+    mode whose tail bound is below the smallest value so far (see the module
+    docstring).  n_max is a ceiling: ``tail`` says whether the values are
+    the sup over all n.  A ``work`` dict, when given, receives the counters
+    modes_propagated (modes eigendecomposed), norm_evals (SVDs run),
+    expm_modes and pruning, and the tail report: ``tail`` is "certified"
+    when the first mode not walked has a tail bound below the smallest value
+    (then so does every later mode, at every t), "truncated" otherwise, and
+    ``tail_bound`` is that mode's bound, None where it is infinite.
+    ``spec`` may be the system's ``ModeStack``.
     """
     stack = spec if isinstance(spec, modal_mod.ModeStack) else modal_mod._layout(spec, grid)
     ts = np.asarray(ts, dtype=float)
@@ -266,33 +353,29 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     vals = np.zeros(ts.size)
     counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
               "pruning": "certified"}
+    bound = _tail_bounds(stack, ts, n_max)
+
+    def smallest():
+        # a NaN value never prunes; with no times nothing does
+        return np.min(vals) if vals.size else -np.inf
+
     for ns, G in stack.chunks(n_max):
-        lam, V, Vinv, ok, U = _propagator(G)
-        counts["modes_propagated"] += ns.size
-        for n in ns[np.any(lam == 0, axis=1)][:1]:   # the first singular mode
-            raise SpectralPointError(f"0 is in the spectrum of mode {n}", lam=0.0, n=int(n))
-        for i in np.flatnonzero(~ok):
-            Ginv = np.linalg.inv(G[i])
-            for j, t in enumerate(ts):
-                M = U(i, t) @ Ginv
-                vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
-            counts["expm_modes"] += 1
-            counts["norm_evals"] += ts.size
-        if not np.any(ok):
-            continue
-        sel = slice(None) if np.all(ok) else ok   # views, not copies, where all are
-        prop = _SmoothedPropagators(lam[sel], V[sel], Vinv[sel])
-        for j, t in enumerate(ts):
-            E = np.exp(prop.lam * t)
-            norms, svds = rmod._gated_max(prop.bounds(E), lambda rows: prop.norms(rows, E),
-                                          vals[j])
-            # fmax skips NaN norms like the per-mode max() does; gated rows lie below
-            vals[j] = max(vals[j], np.fmax.reduce(norms))
-            counts["norm_evals"] += svds
+        # the bounds do not increase with n, so the modes not below form a prefix
+        below = rmod._below(bound(ns), smallest())
+        walked = int(np.argmax(below)) if below.any() else ns.size
+        if walked:
+            _chunk_max(G[:walked], ns[:walked], ts, vals, counts)
+        if walked < ns.size:
+            first = ns[walked]
+            break
+    else:
+        first = n_max + 1
     if not np.all(np.isfinite(vals)):
         raise NumericError("semiuniform norm overflowed")
     if work is not None:
-        work.update(counts)
+        tail = float(bound(np.array([first]))[0])
+        work.update(counts, tail="certified" if rmod._below(tail, smallest()) else "truncated",
+                    tail_bound=tail if np.isfinite(tail) else None)
     return vals
 
 

@@ -398,14 +398,20 @@ class _Certificate:
     distinct singular values ``c`` of K1 and one ``radius`` for the modes
     up to frequency ``om_max``.  Without a damping bound (``damping`` None:
     upwind grid, classical law) the radius is infinite (and one zero stands
-    for the c_k), so every query keeps every mode."""
+    for the c_k), so every query keeps every mode.  The decay series' tail
+    bound (``dynamics``) reads the same c and radius."""
 
     def __init__(self, stack, om_max):
         self.c, self.radius = np.zeros(1), np.inf
         if stack.damping is not None:
             K0, K1, _ = stack.K
+            S0 = K0 - np.diag(stack.damping)
+            # the premise of the bands and of the decay tail: K1 and S0 skew
+            # and D <= 0, so Gh_n + Gh_n^T = 2 diag(D) <= 0
+            assert (np.array_equal(K1, -K1.T) and np.array_equal(S0, -S0.T)
+                    and np.all(stack.damping <= 0))
             self.c = np.unique(np.linalg.svd(K1, compute_uv=False))
-            s0 = np.linalg.norm(K0 - np.diag(stack.damping), 2)
+            s0 = np.linalg.norm(S0, 2)
             self.radius = (np.max(np.abs(stack.damping)) + s0
                            + ROUND_REL * (self.c[-1] * om_max + s0))
 

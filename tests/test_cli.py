@@ -406,11 +406,14 @@ class TestGoldenDecay:
                          "--out", str(out)]) == 0
         for csv_name in ("decay.csv", "decay_energy.csv"):
             assert (out / csv_name).read_bytes() == (src / csv_name).read_bytes()
-        fit = json.loads((out / "decay_fit.json").read_text(encoding="utf-8"))
+        raw = (out / "decay_fit.json").read_text(encoding="utf-8")
+        assert "Infinity" not in raw and "NaN" not in raw
+        fit = json.loads(raw)
         work = fit.pop("work")
         text = json.dumps(fit, indent=2, sort_keys=True) + "\n"
         assert text.encode("utf-8") == (src / "decay_fit.json").read_bytes()
-        assert work["modes_propagated"] == fit["n_max"] and work["expm_modes"] == 0
+        assert work["modes_propagated"] <= fit["n_max"] and work["expm_modes"] == 0
+        assert work["modes_propagated"] == fit["n_max"] or work["tail"] == "certified"
         assert 0 < work["norm_evals"] < fit["n_max"] * 9
         assert work["pruning"] == "certified"
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import beamstab as bs
 from beamstab import dynamics as dmod
 from beamstab import modal as modal_mod
+from beamstab.resolvent import ROUND_REL
 from conftest import admissible_specs, ref1_coeffs, random_states, wnorm
 
 
@@ -124,31 +125,35 @@ class TestSemiuniform:
         assert fit.rate == pytest.approx(-sa.global_max, rel=0.1)
 
 
-def _dense_reference(spec, ts, n_max, grid=None):
-    """The per-mode loop of ``semiuniform_series`` before batching; a test
-    oracle only.  Each mode's energy-coordinate generator comes from the
-    stack's chunks, so the batched series must match it bit for bit."""
+def _dense_mode_norms(G, ts, n):
+    """||exp(t G) G^{-1}||_2 per t for the generator G of mode n, by the
+    per-mode loop of ``semiuniform_series`` before batching; a test oracle
+    only."""
     import scipy.linalg
+    lam, V = np.linalg.eig(G)
+    if np.any(lam == 0):
+        raise bs.SpectralPointError(f"0 is in the spectrum of mode {n}", lam=0.0, n=int(n))
+    Vinv = np.linalg.inv(V)
+    cond = np.linalg.norm(V, axis=(0, 1)) * np.linalg.norm(Vinv, axis=(0, 1))
+    if np.isfinite(cond) and cond < dmod.EIG_COND_LIMIT:
+        R = Vinv / lam[:, None]
+        Ms = [(V * np.exp(lam * t)) @ R for t in ts]
+    else:
+        Ginv = np.linalg.inv(G)
+        Ms = [scipy.linalg.expm(G * t) @ Ginv for t in ts]
+    return np.array([np.linalg.svd(M, compute_uv=False)[0] for M in Ms])
+
+
+def _dense_reference(spec, ts, n_max, grid=None):
+    """The sup over the modes 1..n_max of ``_dense_mode_norms``, each mode's
+    generator from the stack's chunks, so the batched series must match it
+    bit for bit."""
     ts = np.asarray(ts, dtype=float)
     vals = np.zeros(ts.size)
     for ns, Gs in modal_mod._layout(spec, grid).chunks(n_max):
         for n, G in zip(ns, Gs):
-            lam, V = np.linalg.eig(G)
-            if np.any(lam == 0):
-                raise bs.SpectralPointError(f"0 is in the spectrum of mode {n}",
-                                            lam=0.0, n=int(n))
-            Vinv = np.linalg.inv(V)
-            cond = np.linalg.norm(V, axis=(0, 1)) * np.linalg.norm(Vinv, axis=(0, 1))
-            if np.isfinite(cond) and cond < dmod.EIG_COND_LIMIT:
-                R = Vinv / lam[:, None]
-                for j, t in enumerate(ts):
-                    M = (V * np.exp(lam * t)) @ R
-                    vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
-            else:
-                Ginv = np.linalg.inv(G)
-                for j, t in enumerate(ts):
-                    M = scipy.linalg.expm(G * t) @ Ginv
-                    vals[j] = max(vals[j], np.linalg.svd(M, compute_uv=False)[0])
+            for j, v in enumerate(_dense_mode_norms(G, ts, n)):
+                vals[j] = max(vals[j], v)
     return vals
 
 
@@ -162,7 +167,10 @@ def assert_series_matches_dense(spec, ts, n_max, grid=None):
     work = {}
     got = bs.semiuniform_series(spec, ts, n_max, grid=grid, work=work)
     assert got.tolist() == _dense_reference(spec, ts, n_max, grid=grid).tolist()
-    assert work["modes_propagated"] == n_max and work["pruning"] == "certified"
+    assert work["modes_propagated"] <= n_max and work["pruning"] == "certified"
+    # a walk that ends before n_max certifies its tail with a finite bound
+    assert work["modes_propagated"] == n_max or work["tail"] == "certified"
+    assert work["tail"] == "truncated" or np.isfinite(work["tail_bound"])
     assert 0 < work["norm_evals"] <= n_max * len(ts)
     return work
 
@@ -322,10 +330,87 @@ class TestRankOneBound:
         assert exc.value.n == 9
 
     def test_pruning_cuts_the_work(self, ref1):
+        # the tail bound stops the walk at mode 307, below n_max
         work = {}
         bs.semiuniform_series(ref1["BGP"], np.geomspace(100.0, 1e4, 9), 512, work=work)
-        assert work["modes_propagated"] == 512 and work["expm_modes"] == 0
+        assert work["modes_propagated"] == 307 and work["expm_modes"] == 0
+        assert work["tail"] == "certified"
         assert work["norm_evals"] <= 2 * 9
+
+
+class TestTailCertificate:
+    DAMPED_TAGS = ("BGP", "TGP", "BMC", "TMC")
+    TS = np.geomspace(100.0, 1e4, 9)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=admissible_specs(DAMPED_TAGS), n=st.integers(1, 10_000),
+           ts=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3))
+    def test_bound_is_sound(self, spec, n, ts):
+        stack = modal_mod._layout(spec, None)
+        K0, K1, _ = stack.K
+        D = stack.damping
+        S0 = K0 - np.diag(D)
+        assert np.array_equal(S0, -S0.T) and np.all(D <= 0)
+        ts = np.array(ts)
+        b = dmod._tail_bounds(stack, ts, n)(np.array([n]))[0]
+        if not np.isfinite(b):
+            assert b == np.inf
+            return
+        G = modal_mod._generators(stack, [n])[0]
+        s_min = np.linalg.svd(G, compute_uv=False)[-1]
+        assert b * (1 + ROUND_REL) >= 1.0 / s_min
+        assert np.all(b * (1 + ROUND_REL) >= _dense_mode_norms(G, ts, n))
+
+    @staticmethod
+    def _golden_bmc():
+        # tests/data/golden_decay/bmc/config.json
+        return bs.SystemSpec("BMC", ref1_coeffs(sigma=1.5, tau=0.7))
+
+    def _series(self, spec, n_max):
+        work = {}
+        vals = bs.semiuniform_series(spec, self.TS, n_max, work=work)
+        return vals, work
+
+    @pytest.mark.parametrize("tag, ceilings, stop", [("BGP", (512, 1024, 2048), 307),
+                                                     ("golden BMC", (1024, 2048, 4096), 660)])
+    def test_certified_ceilings_agree(self, ref1, tag, ceilings, stop):
+        # past its certified stop, raising n_max changes no value and no work
+        spec = self._golden_bmc() if tag == "golden BMC" else ref1[tag]
+        runs = [self._series(spec, n_max) for n_max in ceilings]
+        for vals, work in runs:
+            assert vals.tolist() == runs[0][0].tolist()
+            assert work["tail"] == "certified" and work["modes_propagated"] == stop
+            assert work["tail_bound"] < np.min(vals)
+        if tag == "golden BMC":
+            fit = bs.decay_fit(self.TS, runs[0][0], "algebraic")
+            assert fit.rate == pytest.approx(-0.5, abs=0.1)
+
+    @pytest.mark.parametrize("tag, n_max", [("BGP", 128), ("golden BMC", 64)])
+    def test_truncated_tail_bounds_the_rest(self, ref1, tag, n_max):
+        # the default ceilings stop short; the tail bound covers what they miss
+        spec = self._golden_bmc() if tag == "golden BMC" else ref1[tag]
+        vals, work = self._series(spec, n_max)
+        full, _ = self._series(spec, 2048)
+        assert work["tail"] == "truncated" and work["modes_propagated"] == n_max
+        assert np.all(np.maximum(vals, work["tail_bound"]) >= full)
+        assert np.any(vals < full)
+
+    def test_undamped_stacks_walk_every_mode(self, ref1):
+        # the classical law and the upwind grid have no damping bound
+        kern = _tabulated_exp_kernel()
+        upwind = bs.SystemSpec("TGP", ref1_coeffs(), kernel_g=kern)
+        for spec, grid in ((ref1["TF"], None), (upwind, bs.make_grid(kern, 16))):
+            work = {}
+            bs.semiuniform_series(spec, self.TS, 24, grid=grid, work=work)
+            assert work["modes_propagated"] == 24
+            assert work["tail"] == "truncated" and work["tail_bound"] is None
+
+    def test_empty_time_grid(self, ref1):
+        work = {}
+        vals = bs.semiuniform_series(ref1["BGP"], [], 16, work=work)
+        assert vals.shape == (0,)
+        assert work["modes_propagated"] == 16 and work["tail"] == "truncated"
 
 
 class TestDecayFit:

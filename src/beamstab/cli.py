@@ -11,7 +11,10 @@ Exit codes: 0 success, 2 config/spec error, 3 numeric error.
 
 Every count field (``n_max``, ``points``, ``memory.nodes``, the entries of
 ``lowerbound.n_list``) passes the one count rule, ``kernels._count``, with
-the caps below as its bounds.
+the caps below as its bounds.  A rule the library also applies is checked
+by its owner there, before any work: the memory scheme, the history grid
+and the states of one mode in ``modal``, the mixture share in ``kernels``,
+the coefficients and kernels a model needs in ``model``.
 """
 
 import argparse
@@ -27,7 +30,7 @@ from . import __version__, dynamics, kernels, modal, model, resolvent, svg
 from .errors import (AdmissibilityError, BeamstabError, DomainError, FitError,
                      InfeasibleError, NumericError, SpecError,
                      SpectralPointError, UnsupportedMapError)
-from .kernels import MAX_MODES, _count, _number, _numbers
+from .kernels import MAX_MODES, _count, _number, _numbers, _share
 
 CONFIG_ERRORS = (SpecError, DomainError, AdmissibilityError, InfeasibleError,
                  UnsupportedMapError)
@@ -35,11 +38,9 @@ NUMERIC_ERRORS = (NumericError, SpectralPointError, FitError,
                   np.linalg.LinAlgError)
 
 COEFF_FIELDS = ("rho1", "rho2", "rho3", "k", "k0", "b", "varpi", "gamma", "ell")
-# Request caps, checked before any work: the dimension d of one mode's
-# d x d generator (2^20 entries, 8 MiB; curved beams on the history grid
-# reach it at 508 nodes) and the points of a sweep or decay grid.  The cap
-# on the modes 1..n_max a command walks is ``kernels.MAX_MODES``.
-MAX_DIM = 1 << 10
+# The cap on the points of a sweep or decay grid, checked before any work.
+# The cap on the modes 1..n_max a command walks is ``kernels.MAX_MODES``,
+# and on the states of one mode ``modal.MAX_DIM``.
 MAX_POINTS = 10_000
 
 
@@ -74,12 +75,6 @@ def _field_count(value, where, least=1, most=MAX_MODES):
     return _count(value, f"config field {where}", least, most, SpecError)
 
 
-def _positive(value, where):
-    if not _number(value, where) > 0:
-        raise SpecError(f"config field {where} must be a positive number, got {value!r}")
-    return float(value)
-
-
 def load_config(path, out_override=None):
     """Parse and fully validate a run config; no computation happens here."""
     raw_text = Path(path).read_text(encoding="utf-8")
@@ -97,25 +92,18 @@ def load_config(path, out_override=None):
     csrc = _need(raw, "coefficients", "")
     if not isinstance(csrc, dict):
         raise SpecError("config field coefficients must be an object")
-    kwargs = {f: _positive(_need(csrc, f, "coefficients"), f"coefficients.{f}")
+    kwargs = {f: float(_number(_need(csrc, f, "coefficients"), f"coefficients.{f}"))
               for f in COEFF_FIELDS}
     kwargs["l"] = float(_number(csrc.get("l", 0.0), "coefficients.l"))
     for opt in ("sigma", "tau"):
         if csrc.get(opt) is not None:
-            kwargs[opt] = _positive(csrc[opt], f"coefficients.{opt}")
-    coeffs = model.BeamCoefficients(**kwargs)
+            kwargs[opt] = float(_number(csrc[opt], f"coefficients.{opt}"))
 
-    kernel_g = kernel_h = None
-    if tag in model.MEMORY_MODELS:
-        if "kernel_g" not in raw:
-            raise SpecError(f"config is missing required field kernel_g for model {tag}")
-        kernel_g = kernels.kernel_from_config(raw["kernel_g"])
-        if tag == "BGP":
-            if "kernel_h" not in raw:
-                raise SpecError("config is missing required field kernel_h for model BGP")
-            kernel_h = kernels.kernel_from_config(raw["kernel_h"])
-    spec = model.SystemSpec(model=tag, coeffs=coeffs,
-                            kernel_g=kernel_g, kernel_h=kernel_h)
+    def kernel(name, tags):   # a kernel the model ignores is not read
+        return kernels.kernel_from_config(raw[name]) if tag in tags and name in raw else None
+    spec = model.SystemSpec(model=tag, coeffs=model.BeamCoefficients(**kwargs),
+                            kernel_g=kernel("kernel_g", model.MEMORY_MODELS),
+                            kernel_h=kernel("kernel_h", ("BGP",)))
     tolerance = model._tolerance(
         float(_number(raw.get("tolerance", model.DEFAULT_TOL), "tolerance")))
 
@@ -130,20 +118,12 @@ def load_config(path, out_override=None):
         return got
 
     mem = block("memory", dict(scheme=None, nodes=128, policy="geometric"))
-    if mem["scheme"] is not None and tag not in model.MEMORY_MODELS:
-        raise SpecError(f"memory.scheme applies to memory-law models, not {tag}")
-    if mem["scheme"] not in (None, "prony-reduction", "sgrid-upwind"):
-        raise SpecError(f"unknown memory.scheme {mem['scheme']!r}; "
-                        "expected 'prony-reduction' or 'sgrid-upwind'")
-    if mem["policy"] not in ("geometric", "uniform"):   # checked even when no grid is built
-        raise SpecError(f"unknown memory.policy {mem['policy']!r}; "
-                        "expected 'geometric' or 'uniform'")
-    # the layout: 4 (6) beam states plus one temperature and its history
-    # nodes per kernel on a straight (curved) beam, d = 5 + M (8 + 2M)
-    nodes = _field_count(mem["nodes"], "memory.nodes", 8,
-                         (MAX_DIM - 8) // 2 if spec.is_bresse else MAX_DIM - 5)
-    upwind = mem["scheme"] == "sgrid-upwind" or (
-        tag in model.MEMORY_MODELS and kernel_g.kind == "tabulated")
+    scheme = modal._memory_scheme(spec, mem["scheme"])
+    # the grid's fields are checked even when no grid is built; the
+    # scheme's layout is capped too, where prony terms count like nodes
+    modal._grid_policy(mem["policy"], "memory.policy", SpecError)
+    nodes = _field_count(mem["nodes"], "memory.nodes", 8, modal._node_cap(spec))
+    modal._labels(spec, scheme, nodes)
 
     def ordered_range(b, lo_key, hi_key, name):
         lo, hi = (_number(b[key], f"{name}.{key}") for key in (lo_key, hi_key))
@@ -168,9 +148,9 @@ def load_config(path, out_override=None):
     spectrum_blk = block("spectrum", dict(n_max=64))
     spectrum_blk["n_max"] = _field_count(spectrum_blk["n_max"], "spectrum.n_max")
     limit_blk = block("limit", dict(eps_list=[1e-1, 1e-2, 1e-3, 1e-4], m=None))
-    if limit_blk["m"] is not None and not 0 < _number(limit_blk["m"], "limit.m") < 1:
-        raise SpecError(f"config field limit.m, the mixture share, must lie in (0, 1), "
-                        f"got {limit_blk['m']!r}")
+    if limit_blk["m"] is not None:
+        _share(_number(limit_blk["m"], "limit.m"), "config field limit.m, the mixture share,",
+               SpecError)
     eps = [float(e) for e in _numbers(limit_blk["eps_list"], "limit.eps_list")]
     if not eps or any(e <= 0 for e in eps) or any(nxt >= prev for prev, nxt in zip(eps, eps[1:])):
         raise SpecError("config block limit.eps_list must be positive and decreasing")
@@ -190,7 +170,8 @@ def load_config(path, out_override=None):
     # the history grid is the one computation here, made after every check
     return RunConfig(
         spec=spec, tolerance=tolerance,
-        grid=modal.make_grid(kernel_g, nodes, policy=mem["policy"]) if upwind else None,
+        grid=modal.make_grid(modal._grid_kernel(spec), nodes, policy=mem["policy"])
+        if scheme == "sgrid-upwind" else None,
         sweep=sweep_blk, lowerbound=lb_blk, decay=decay_blk,
         spectrum=spectrum_blk, limit=limit_blk, out_dir=out_dir,
         formats=tuple(formats), config_hash=cfg_hash)
@@ -406,8 +387,7 @@ def _battery(cfg, stack, rng):
             if info.identity_gap is not None:
                 scale = max(abs(info.rate), 1e-30)
                 worst_gap = max(worst_gap, info.identity_gap / scale)
-        *_, U = dynamics._propagator(
-            resolvent._weight_factors(mode.generator[None], mode.weight[None]))
+        *_, U = dynamics._propagator(modal._generators(stack, [n]))
         for t in (0.5, 5.0, 50.0):  # ||exp(tG)||_W is the 2-norm in energy coordinates
             contraction = max(contraction, float(np.linalg.svd(U(0, t), compute_uv=False)[0]))
     yield ("dissipativity", worst <= 1e-10, f"max Re<Gu,u>/|u|^2 = {worst:.3e}")

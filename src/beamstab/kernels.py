@@ -164,6 +164,13 @@ def _count(value, what, least=1, most=MAX_MODES, error=DomainError):
     return int(value)
 
 
+def _share(m, what, error=DomainError):
+    """The one mixture-share rule, for the library (DomainError) and the
+    config (SpecError): ``error`` unless 0 < m < 1."""
+    if not 0.0 < m < 1.0:
+        raise error(f"{what} must lie in (0, 1), got {m!r}")
+
+
 def _numbers(values, where):
     """A JSON list of numbers, checked with ``_number``."""
     if not isinstance(values, list):
@@ -439,8 +446,7 @@ def cg_mix(kernel, eps, m):
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    if not 0.0 < m < 1.0:
-        raise DomainError("mixture share m must lie in (0, 1)")
+    _share(m, "mixture share m")
     if kernel.kind == "prony":
         fast = [((1.0 - m) * a / eps**2, eps * th) for a, th in kernel.terms]
         slow = [(m * a, th) for a, th in kernel.terms]

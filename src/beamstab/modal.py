@@ -12,10 +12,15 @@ Memory (convolution) laws are realized two ways:
 
 * ``prony-reduction``: one auxiliary state per exponential term,
   y_j = int a_j exp(-s/theta_j) d(s) ds, which closes exactly and is the
-  default for prony kernels;
+  default where every kernel is prony;
 * ``sgrid-upwind``: first-order upwind transport of history samples on a
-  geometric grid, the only route for tabulated kernels and an independent
-  cross-check for prony ones.
+  geometric grid built from the slower-decaying kernel, the only route
+  where either kernel is tabulated and an independent cross-check for
+  prony ones.
+
+``_memory_scheme`` makes this choice for the library and the config alike,
+and no layout has more than MAX_DIM states per mode (``_labels``); prony
+terms count like history nodes.
 
 Both carry an exact discrete dissipation identity: the energy decay rate
 equals -(varpi/2) times a nonnegative memory functional computed from the
@@ -106,6 +111,7 @@ __all__ = [
 
 GRID_TAIL_REL = 1e-10
 CHUNK_ELEMENTS = 25_600   # entries of one stacked (N, d, d) array: 256 modes at d = 10
+MAX_DIM = 1 << 10   # states of one mode: its d x d generator holds at most 2^20 entries, 8 MiB
 
 
 @dataclass(frozen=True)
@@ -291,13 +297,22 @@ def grid_tail_mass(kernel, s_max):
     return kmod.mu_integral(kernel, s_max, np.inf)
 
 
+def _grid_policy(policy, what="grid policy", error=DomainError):
+    """The one policy rule, for the library (DomainError) and the config
+    (SpecError): ``error`` unless ``policy`` names one."""
+    if policy not in ("geometric", "uniform"):
+        raise error(f"unknown {what} {policy!r}; expected 'geometric' or 'uniform'")
+
+
 def make_grid(kernel, M, policy="geometric"):
     """History grid for a kernel: refined near s = 0, truncated where the
     envelope certifies a relative tail mass below 1e-10.
 
     A grid may be shared by the two kernels of a curved-beam system; build it
-    from the slower-decaying one so the truncation certificate covers both.
+    from the slower-decaying one (``_grid_kernel``) so the truncation
+    certificate covers both.
     """
+    _grid_policy(policy)
     M = kmod._count(M, "grid node count", least=8)
     if kernel.delta <= 0:
         raise AdmissibilityError("kernel lacks a positive envelope decay rate")
@@ -306,12 +321,9 @@ def make_grid(kernel, M, policy="geometric"):
         raise AdmissibilityError("kernel mass must be positive and finite")
     s_max = np.log(m.mu0 / (kernel.delta * GRID_TAIL_REL * m.g0)) / kernel.delta
     if policy == "geometric":
-        ratio = 1e-4 ** (1.0 - np.arange(1, M + 1) / M)
-        s = s_max * ratio
-    elif policy == "uniform":
-        s = s_max * np.arange(1, M + 1) / M
+        s = s_max * 1e-4 ** (1.0 - np.arange(1, M + 1) / M)
     else:
-        raise DomainError(f"unknown grid policy {policy!r}")
+        s = s_max * np.arange(1, M + 1) / M
     cell = _cell_masses(kernel, s)
     mu_nodes = kmod.mu_at(kernel, s)
     h = np.diff(np.concatenate([[0.0], s]))
@@ -327,49 +339,81 @@ def _cell_masses(kernel, s):
     return np.array([kmod.mu_integral(kernel, a, b) for a, b in zip(edges[:-1], edges[1:])])
 
 
-def _memory_scheme(spec, grid):
-    if spec.model in mmod.MEMORY_MODELS:
-        if grid is not None:
-            return "sgrid-upwind"
-        if spec.kernel_g.kind == "prony" and (
-                spec.model != "BGP" or spec.kernel_h.kind == "prony"):
-            return "prony-reduction"
-        raise SpecError("tabulated kernels need a history grid (make_grid)")
-    if spec.model in mmod.RELAXED_MODELS:
-        return "flux"
-    return "none"
+def _temps(spec):
+    """(tag, kernel) of each temperature: theta_b with kernel_g and, on a
+    curved beam, theta_a with kernel_h."""
+    return [("b", spec.kernel_g)] + ([("a", spec.kernel_h)] if spec.is_bresse else [])
+
+
+def _grid_kernel(spec):
+    """The kernel a memory system's history grid is built from: the
+    slower-decaying one (the smallest ``delta``; kernel_g on a tie)."""
+    return min((kernel for _, kernel in _temps(spec)), key=lambda kernel: kernel.delta)
+
+
+def _memory_scheme(spec, requested=None):
+    """The scheme realizing spec's heat law: 'flux' for a relaxed flux,
+    'none' for the classical law; a memory law takes ``requested``, by
+    default 'prony-reduction' where every kernel is prony and else
+    'sgrid-upwind', the only scheme for a tabulated kernel."""
+    if spec.model not in mmod.MEMORY_MODELS:
+        if requested is not None:
+            raise SpecError(f"memory scheme {requested!r} applies to memory-law models, "
+                            f"not {spec.model}")
+        return "flux" if spec.model in mmod.RELAXED_MODELS else "none"
+    if requested not in (None, "prony-reduction", "sgrid-upwind"):
+        raise SpecError(f"unknown memory.scheme {requested!r}; "
+                        "expected 'prony-reduction' or 'sgrid-upwind'")
+    prony = all(kernel.kind == "prony" for _, kernel in _temps(spec))
+    if requested == "prony-reduction" and not prony:
+        raise SpecError("memory scheme 'prony-reduction' needs prony kernels; "
+                        "a tabulated kernel takes 'sgrid-upwind'")
+    return requested or ("prony-reduction" if prony else "sgrid-upwind")
+
+
+def _labels(spec, scheme, nodes=0):
+    """The state labels of spec's modes under ``scheme``: the beam's, then
+    each temperature followed by its heat states, a flux, one per prony
+    term or ``nodes`` on the upwind grid.  DomainError above MAX_DIM."""
+    labels = ["defl", "defl_t", "rot", "rot_t"] + (["axial", "axial_t"] if spec.is_bresse else [])
+    for tag, kernel in _temps(spec):
+        labels.append(f"temp_{tag}")
+        if scheme == "flux":
+            labels.append(f"flux_{tag}")
+        elif scheme != "none":
+            size = len(kernel.terms) if scheme == "prony-reduction" else nodes
+            labels += [f"hist_{tag}{i}" for i in range(size)]
+    kmod._count(len(labels), f"states per {spec.model} mode on the {scheme} layout",
+                most=MAX_DIM)
+    return tuple(labels)
+
+
+def _node_cap(spec):
+    """The most history nodes per temperature of an upwind layout within
+    MAX_DIM states (``_labels``)."""
+    return (MAX_DIM - len(_labels(spec, "sgrid-upwind"))) // len(_temps(spec))
 
 
 def _layout(spec, grid):
     """The system's ``ModeStack``: labels, memory/flux blocks, the coupling
     matrices K, the damping diagonal and the heat-block partition, built
     once and shared by every mode of the system."""
-    scheme = _memory_scheme(spec, grid)
-    labels = ["defl", "defl_t", "rot", "rot_t"]
-    temps = [("b", spec.kernel_g)]
-    if spec.is_bresse:
-        labels += ["axial", "axial_t"]
-        temps.append(("a", spec.kernel_h))
-    blocks = []
-    for tag, kernel in temps:
-        labels.append(f"temp_{tag}")
-        if scheme == "none":
-            continue
-        if scheme == "flux":
-            names = [f"flux_{tag}"]
-        else:
-            size = len(kernel.terms) if scheme == "prony-reduction" else grid.size
-            names = [f"hist_{tag}{i}" for i in range(size)]
-        blocks.append(_make_block(f"temp_{tag}", len(labels), len(names), scheme,
-                                  kernel, grid))
-        labels += names
+    scheme = _memory_scheme(spec, None if grid is None else "sgrid-upwind")
+    if scheme == "sgrid-upwind" and grid is None:
+        raise SpecError("tabulated kernels need a history grid (make_grid)")
+    labels = _labels(spec, scheme, grid and grid.size)
     index = {name: i for i, name in enumerate(labels)}
+    # each temperature's heat states run up to the next temperature
+    temps = _temps(spec) if scheme != "none" else []
+    ends = [index[f"temp_{tag}"] for tag, _ in temps] + [len(labels)]
+    blocks = tuple(_make_block(f"temp_{tag}", lo + 1, hi - lo - 1, scheme, kernel, grid)
+                   for (tag, kernel), lo, hi in zip(temps, ends, ends[1:]))
     K = _coupling(spec, index, blocks, scheme)
     damping = np.diag(K[0]).copy() if scheme in ("prony-reduction", "flux") else None
     for a in (*K, damping):
         if a is not None:
             a.flags.writeable = False
-    return ModeStack(spec=spec, grid=grid, labels=tuple(labels), blocks=tuple(blocks),
+    return ModeStack(spec=spec, grid=grid, labels=labels, blocks=blocks,
                      scheme=scheme, index=MappingProxyType(index), K=K, damping=damping,
                      heat=_heat_block(K, blocks) if blocks else None)
 

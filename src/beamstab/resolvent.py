@@ -182,7 +182,9 @@ __all__ = [
 WINDOW_FACTOR = 4.0
 CRAMER_TOL = 1e-8
 ROUND_REL = 2.0 ** -20   # rounding allowance of the pruning certificate
-SWEEP_MAX_ENTRIES = 2 ** 26   # d x d entries that one sweep forms over its modes 1..N_max
+# the cap on N_max d^2, the generator entries of a sweep's modes 1..N_max: it
+# bounds the work, since a sweep forms generators a chunk at a time and keeps none
+SWEEP_MAX_ENTRIES = 2 ** 26
 
 
 @dataclass(frozen=True)

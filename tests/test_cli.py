@@ -157,7 +157,8 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     def test_sweep_mode_cache_is_capped(self, tmp_path, capsys, no_work):
-        # N_max = 4e6 modes at d = 10: 4e8 stacked entries, about 13 GB to assemble
+        # N_max = 4e6 modes at d = 10 span 4e8 generator entries, above the
+        # cap of 2^26 that bounds a sweep's work (it forms them a chunk at a time)
         path = write_config(tmp_path, output={"dir": str(tmp_path / "out")},
                             sweep={"lambda_min": 10, "lambda_max": 1e6, "points": 8,
                                    "n_max": 16})
@@ -176,14 +177,17 @@ class TestConfigErrors:
             assert d == (8 + 2 * nodes if tag == "BGP" else 5 + nodes)
         built = []
         monkeypatch.setattr(modal, "make_grid", lambda kernel, M, policy: built.append(M))
-        for nodes in (largest, largest + 1):
-            path = write_config(tmp_path, model=tag,
-                                memory={"scheme": "sgrid-upwind", "nodes": nodes})
-            if nodes == largest:
-                cli.load_config(path)
-            else:
-                with pytest.raises(cli.SpecError, match="memory.nodes"):
+        # a prony-reduction config builds no grid, and its node cap is the
+        # upwind layout's all the same
+        for scheme in ("sgrid-upwind", None):
+            for nodes in (largest, largest + 1):
+                path = write_config(tmp_path, model=tag,
+                                    memory={"scheme": scheme, "nodes": nodes})
+                if nodes == largest:
                     cli.load_config(path)
+                else:
+                    with pytest.raises(cli.SpecError, match="memory.nodes"):
+                        cli.load_config(path)
         assert built == [largest]
 
     def test_no_partial_output_on_config_error(self, tmp_path):
@@ -192,6 +196,69 @@ class TestConfigErrors:
                             limit={"eps_list": [0.1, 0.2]})
         assert cli.main(["limit", "--config", str(path)]) == 2
         assert not out.exists()
+
+
+def _golden_config(tmp_path, name="cfg.json", base="bgp_prony", **extra):
+    """A golden sweep config with ``extra`` fields, writing to tmp_path/out."""
+    cfg = json.loads((GOLDEN / base / "config.json").read_text())
+    cfg.update(extra, output={"dir": str(tmp_path / "out")})
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+TABULATED = json.loads((GOLDEN / "tgp_tabulated" / "config.json").read_text())["kernel_g"]
+PRONY_TWO = json.loads((GOLDEN / "bgp_prony" / "config.json").read_text())["kernel_g"]
+
+
+class TestLayoutRules:
+    """The library decides the scheme, the grid's kernel and the states of
+    a mode; a config gets the same answers."""
+
+    def assert_refused(self, tmp_path, capsys, path, message):
+        assert cli.main(["spectrum", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_prony_reduction_refuses_a_tabulated_kernel(self, tmp_path, capsys):
+        path = _golden_config(tmp_path, base="tgp_tabulated",
+                              memory={"scheme": "prony-reduction", "nodes": 16})
+        self.assert_refused(tmp_path, capsys, path, "'prony-reduction' needs prony kernels")
+
+    def test_tabulated_kernel_h_takes_the_upwind_grid(self, tmp_path, capsys):
+        bodies = []
+        for scheme in (None, "sgrid-upwind"):
+            out = tmp_path / f"out_{scheme}"
+            path = _golden_config(tmp_path, kernel_h=TABULATED,
+                                  memory={"scheme": scheme, "nodes": 16})
+            assert cli.main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+            # the first line holds the config's hash
+            bodies.append((out / "spectrum.csv").read_text().split("\n", 1)[1])
+        assert bodies[0] == bodies[1]
+        assert not capsys.readouterr().err
+
+    def test_grid_comes_from_the_slower_kernel(self, tmp_path, capsys):
+        # the prony kernel_h (delta 1/3) decays slower than the table (delta 1)
+        path = _golden_config(tmp_path, kernel_g=TABULATED, kernel_h=PRONY_TWO,
+                              memory={"nodes": 16})
+        cfg = cli.load_config(path)
+        assert cfg.spec.kernel_h.delta < cfg.spec.kernel_g.delta
+        assert cfg.grid.s_max == cli.modal.make_grid(cfg.spec.kernel_h, 16).s_max
+        assert cli.main(["spectrum", "--config", str(path)]) == 0
+        assert not capsys.readouterr().err
+
+    def test_prony_terms_count_like_nodes(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a capped layout reached the computation")
+
+        monkeypatch.setattr(cli.modal, "_mode_arrays", unreachable)
+        monkeypatch.setattr(cli.modal, "_coupling", unreachable)
+        # 1,100 terms of one unit-mass kernel: 6 beam states, 2 temperatures
+        # and 1,100 + 1 prony states (kernel_h has one term)
+        path = _golden_config(tmp_path, kernel_g={"type": "prony",
+                                                  "terms": [[1.0 / 1100, 1.0]] * 1100})
+        self.assert_refused(tmp_path, capsys, path, "= 1109 is above the cap of 1024")
 
 
 def _singular_mode_9(monkeypatch):

@@ -78,6 +78,37 @@ class TestAssembly:
         grid = bs.make_grid(tab, 64)
         assert bs.assemble(spec, 1, grid=grid).dim == 5 + 64
 
+    def test_scheme_follows_either_kernel(self, unit_exp):
+        s = np.linspace(0.0, 23.0, 401)
+        tab = bs.normalized(bs.tabulated_kernel(s, np.exp(-s), delta_tail=1.0, delta=1.0))
+        slow = bs.prony_kernel([(1.0 / 16.0, 4.0)])   # unit g-mass, delta 1/4
+        spec = bs.SystemSpec("BGP", ref1_coeffs(), kernel_g=slow, kernel_h=tab)
+        assert modal._memory_scheme(spec) == "sgrid-upwind"
+        with pytest.raises(bs.SpecError, match="grid"):
+            bs.assemble(spec, 1)
+        with pytest.raises(bs.SpecError, match="needs prony kernels"):
+            modal._memory_scheme(spec, "prony-reduction")
+        assert modal._grid_kernel(spec) is slow
+        grid = bs.make_grid(modal._grid_kernel(spec), 16)
+        assert bs.assemble(spec, 1, grid=grid).dim == 8 + 2 * 16
+        # a grid on a model without memory is refused, not ignored
+        with pytest.raises(bs.SpecError, match="memory-law models, not BMC"):
+            bs.assemble(bs.SystemSpec("BMC", ref1_coeffs()), 1, grid=grid)
+
+    def test_layout_is_capped(self, ref1, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a capped layout reached the coupling matrices")
+
+        monkeypatch.setattr(modal, "_coupling", unreachable)
+        # 600 nodes per temperature: d = 8 + 2 * 600
+        grid = bs.make_grid(ref1["BGP"].kernel_g, 600)
+        with pytest.raises(bs.DomainError, match="= 1208 is above the cap of 1024"):
+            bs.assemble(ref1["BGP"], 1, grid=grid)
+        many = bs.prony_kernel([(1.0 / 1020, 1.0)] * 1020)   # d = 5 + 1020
+        with pytest.raises(bs.DomainError, match="= 1025 is above the cap of 1024"):
+            bs.assemble(bs.SystemSpec("TGP", ref1_coeffs(), kernel_g=many), 1)
+        assert modal._node_cap(ref1["BGP"]) == 508 and modal._node_cap(ref1["TF"]) == 1019
+
 
 ALL_TAGS = ("BGP", "BMC", "TGP", "TMC", "BF", "TF")
 REF1_BGP = bs.SystemSpec("BGP", ref1_coeffs(), kernel_g=bs.prony_kernel([(1.0, 1.0)]),

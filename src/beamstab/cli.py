@@ -7,14 +7,18 @@ A single JSON config describes the system and the per-command blocks; every
 output file starts with a header recording the tool version and a hash of
 the config, so runs are reproducible byte for byte.
 
-Exit codes: 0 success, 2 config/spec error, 3 numeric error.
+Exit codes: 0 success, 2 config/spec error, 3 numeric error
+(``NUMERIC_ERRORS``); every other package error exits 2, and a malformed or
+out-of-range config field does so from ``load_config``, before any work.
 
 Every count field (``n_max``, ``points``, ``memory.nodes``, the entries of
 ``lowerbound.n_list``) passes the one count rule, ``kernels._count``, with
 the caps below as its bounds.  A rule the library also applies is checked
 by its owner there, before any work: the memory scheme, the history grid
 and the states of one mode in ``modal``, the mixture share in ``kernels``,
-the coefficients and kernels a model needs in ``model``.
+the coefficients and kernels a model needs in ``model``.  ``decay.points``
+and ``decay.kind`` take the fit's sample floor from ``resolvent`` and its
+kinds from ``dynamics``.
 """
 
 import argparse
@@ -27,13 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dynamics, kernels, modal, model, resolvent, svg
-from .errors import (AdmissibilityError, BeamstabError, DomainError, FitError,
-                     InfeasibleError, NumericError, SpecError,
-                     SpectralPointError, UnsupportedMapError)
+from .errors import (BeamstabError, FitError, NumericError, SpecError, SpectralPointError,
+                     UnsupportedMapError)
 from .kernels import MAX_MODES, _count, _number, _numbers, _share
 
-CONFIG_ERRORS = (SpecError, DomainError, AdmissibilityError, InfeasibleError,
-                 UnsupportedMapError)
 NUMERIC_ERRORS = (NumericError, SpectralPointError, FitError,
                   np.linalg.LinAlgError)
 
@@ -77,7 +78,10 @@ def _field_count(value, where, least=1, most=MAX_MODES):
 
 def load_config(path, out_override=None):
     """Parse and fully validate a run config; no computation happens here."""
-    raw_text = Path(path).read_text(encoding="utf-8")
+    try:
+        raw_text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise SpecError(f"config file not found: {exc.filename}") from None
     try:
         raw = json.loads(raw_text)
     except json.JSONDecodeError as exc:
@@ -125,20 +129,28 @@ def load_config(path, out_override=None):
     nodes = _field_count(mem["nodes"], "memory.nodes", 8, modal._node_cap(spec))
     modal._labels(spec, scheme, nodes)
 
-    def ordered_range(b, lo_key, hi_key, name):
+    def ordered_range(b, lo_key, hi_key, name, least_points):
         lo, hi = (_number(b[key], f"{name}.{key}") for key in (lo_key, hi_key))
         if not (0 < lo < hi):  # the grids are geometric
             raise SpecError(f"config block {name} needs 0 < {lo_key} < {hi_key}")
-        b["points"] = _field_count(b["points"], f"{name}.points", 2, MAX_POINTS)
+        b["points"] = _field_count(b["points"], f"{name}.points", least_points, MAX_POINTS)
         b["n_max"] = _field_count(b["n_max"], f"{name}.n_max")
 
+    # a sweep too short for a growth fit reports no fit; a decay run needs its fit
     sweep_blk = block("sweep",
                       dict(lambda_min=1e2, lambda_max=1e4, points=13, n_max=64,
                            peak_refine=True),
-                      [lambda b: ordered_range(b, "lambda_min", "lambda_max", "sweep")])
+                      [lambda b: ordered_range(b, "lambda_min", "lambda_max", "sweep", 2)])
+    if not isinstance(sweep_blk["peak_refine"], bool):
+        raise SpecError(f"config field sweep.peak_refine must be true or false, "
+                        f"got {sweep_blk['peak_refine']!r}")
     decay_blk = block("decay",
                       dict(t_min=1e2, t_max=1e4, points=9, n_max=128, kind="auto"),
-                      [lambda b: ordered_range(b, "t_min", "t_max", "decay")])
+                      [lambda b: ordered_range(b, "t_min", "t_max", "decay",
+                                               resolvent.FIT_MIN_POINTS)])
+    if decay_blk["kind"] not in ("auto", *dynamics.FIT_KINDS):
+        raise SpecError(f"config field decay.kind must be auto, "
+                        f"{' or '.join(dynamics.FIT_KINDS)}, got {decay_blk['kind']!r}")
     lb_blk = block("lowerbound", dict(n_list=[16, 64, 256]))
     n_list = lb_blk["n_list"]
     if not isinstance(n_list, list) or not n_list:
@@ -248,7 +260,7 @@ def cmd_sweep(cfg, args):
     lams = np.geomspace(blk["lambda_min"], blk["lambda_max"], blk["points"])
     samples = resolvent.sweep(
         cfg.spec, lams, blk["n_max"], grid=cfg.grid,
-        peak_refine=bool(blk["peak_refine"]), threads=args.threads)
+        peak_refine=blk["peak_refine"], threads=args.threads)
     rows = [(s.lam, s.value, s.argmax_n) for s in samples]
     _write_csv(cfg, "sweep", "sweep.csv", ("lambda", "value", "argmax_n"), rows)
     counts = ("modes_in_range", "modes_eigvals", "eigvals_computed", "norm_evals", "svds")
@@ -469,17 +481,7 @@ def main(argv=None):
         return 2
     try:
         cfg = load_config(args.config, out_override=args.out)
-    except FileNotFoundError as exc:
-        print(f"error: config file not found: {exc.filename}", file=sys.stderr)
-        return 2
-    except CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return COMMANDS[args.command](cfg, args)
-    except CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NUMERIC_ERRORS as exc:
         ctx = ""
         if isinstance(exc, SpectralPointError):

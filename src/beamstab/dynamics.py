@@ -118,9 +118,8 @@ from . import kernels as kmod
 from . import modal as modal_mod
 from . import model as mmod
 from . import resolvent as rmod
-from .errors import (DomainError, FitError, NumericError, SpecError,
+from .errors import (DomainError, NumericError, SpecError,
                      SpectralPointError, UnsupportedMapError)
-from .resolvent import _line_fit
 
 __all__ = [
     "ModalState",
@@ -138,6 +137,7 @@ __all__ = [
 ]
 
 EIG_COND_LIMIT = 1e8
+FIT_KINDS = ("exponential", "algebraic")   # the decay fits (``decay_fit``)
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class DecayFit:
-    kind: str        # "exponential" | "algebraic"
+    kind: str        # one of FIT_KINDS
     rate: float      # decay rate omega (exponential) or log-log slope (algebraic)
     constant: float
     residual: float  # max abs deviation in log space
@@ -206,9 +206,9 @@ def propagate(mode, u0, ts):
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != (mode.dim,):
         raise DomainError(f"state has shape {u0.shape}, mode dimension is {mode.dim}")
-    ts = np.asarray(ts, dtype=float)
-    if not np.all(np.isfinite(ts) & (ts >= 0)) or np.any(np.diff(ts) < 0):
-        raise DomainError("time grid must be finite, nondecreasing and nonnegative")
+    ts = kmod._grid(ts, "time grid")
+    if np.any(np.diff(ts) < 0):
+        raise DomainError("time grid must be nondecreasing")
     *_, U = _propagator(mode.generator[None])
     states = np.empty((ts.size, mode.dim), dtype=complex)
     energy = np.empty(ts.size)
@@ -297,11 +297,7 @@ def _tail_bounds(stack, ts, n_max):
     g_norm = cert.c[-1] * om_top + cert.radius   # >= ||Gh_n|| for n <= n_max + 1
     guard = np.isfinite(g_norm) and ((EIG_COND_LIMIT + np.max(ts, initial=0.0) * g_norm)
                                      * stack.dim * np.finfo(float).eps <= rmod.ROUND_REL)
-
-    def bound(ns):
-        gap = cert.dist(0.0, 0.0, ns * np.pi / ell) - cert.radius
-        return np.divide(1.0, gap, out=np.full(gap.shape, np.inf), where=guard & (gap > 0))
-    return bound
+    return lambda ns: cert.upper(0.0, ns * np.pi / ell, where=guard)
 
 
 def _chunk_max(G, ns, ts, vals, counts):
@@ -346,9 +342,7 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     ``spec`` may be the system's ``ModeStack``.
     """
     stack = spec if isinstance(spec, modal_mod.ModeStack) else modal_mod._layout(spec, grid)
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or not np.all(np.isfinite(ts) & (ts >= 0)):
-        raise DomainError("times must be a 1-d array, finite and nonnegative")
+    ts = kmod._grid(ts, "times")
     n_max = kmod._count(n_max, "the decay series' n_max")
     vals = np.zeros(ts.size)
     counts = {"modes_propagated": 0, "norm_evals": 0, "expm_modes": 0,
@@ -384,29 +378,19 @@ def semiuniform_norm(spec, t, n_max, grid=None):
 
 
 def decay_fit(ts, values, kind):
-    """Least-squares decay fit.
+    """Least-squares decay fit of one of the FIT_KINDS, from at least
+    ``resolvent.FIT_MIN_POINTS`` (8) times, one value per time.
 
     exponential: log v ~ log C - rate * t      (rate reported positive)
     algebraic:   log v ~ log C + rate * log t  (rate is the slope)
     """
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if ts.ndim != 1 or values.shape != ts.shape or not np.all(np.isfinite(ts)):
-        raise DomainError("decay fit needs finite 1-d times, one value per time")
-    if not np.all(np.isfinite(values) & (values > 0)):
-        raise DomainError("decay fit needs finite, strictly positive values")
-    if ts.size < 8:
-        raise FitError(f"decay fit needs at least 8 points, got {ts.size}")
-    y = np.log(values)
-    if kind == "exponential":
-        x = ts
-    elif kind == "algebraic":
-        if np.any(ts <= 0):
-            raise DomainError("algebraic fit needs strictly positive times")
-        x = np.log(ts)
-    else:
+    if kind not in FIT_KINDS:
         raise DomainError(f"unknown fit kind {kind!r}")
-    slope, intercept, residual = _line_fit(x, y)
+    ts = np.asarray(ts, dtype=float)
+    if kind == "algebraic" and np.any(ts <= 0):
+        raise DomainError("algebraic fit needs strictly positive times")
+    x = ts if kind == "exponential" else np.log(ts)
+    slope, intercept, residual = rmod._line_fit(x, values, "decay fit")
     rate = -slope if kind == "exponential" else slope
     return DecayFit(kind=kind, rate=float(rate), constant=float(np.exp(intercept)),
                     residual=residual, window=(float(ts[0]), float(ts[-1])))

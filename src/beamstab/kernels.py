@@ -164,6 +164,15 @@ def _count(value, what, least=1, most=MAX_MODES, error=DomainError):
     return int(value)
 
 
+def _grid(values, what):
+    """``values`` as a float array: DomainError unless it is 1-d, finite and
+    nonnegative.  The one grid rule, for lambda and time grids."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or not np.all(np.isfinite(grid) & (grid >= 0)):
+        raise DomainError(f"{what} must be a 1-d array, finite and nonnegative")
+    return grid
+
+
 def _share(m, what, error=DomainError):
     """The one mixture-share rule, for the library (DomainError) and the
     config (SpecError): ``error`` unless 0 < m < 1."""

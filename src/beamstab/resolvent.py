@@ -181,6 +181,7 @@ __all__ = [
 
 WINDOW_FACTOR = 4.0
 CRAMER_TOL = 1e-8
+FIT_MIN_POINTS = 8       # the sample floor of every log-line fit (``_line_fit``)
 ROUND_REL = 2.0 ** -20   # rounding allowance of the pruning certificate
 # the cap on N_max d^2, the generator entries of a sweep's modes 1..N_max: it
 # bounds the work, since a sweep forms generators a chunk at a time and keeps none
@@ -423,14 +424,19 @@ class _Certificate:
         co = self.c[:, None] * om   # (k, mode)
         return np.maximum(np.min(np.maximum(lo - co, co - hi), axis=0), 0.0)
 
+    def upper(self, lam, om, where=True):
+        """Per mode of frequency ``om``, the Neumann bound 1 / (d - r) of the
+        resolvent norm at lam, d the distance to the nearest band centre:
+        inf where d <= r or ``where`` is False."""
+        gap = self.dist(lam, lam, om) - self.radius
+        return np.divide(1.0, gap, out=np.full(gap.shape, np.inf), where=where & (gap > 0))
+
     def may_reach(self, lam, known, om):
         """Modes of frequency ``om`` whose Neumann bound at lam is not below
         the larger of a lower bound ``known`` of the max and the largest
-        Weyl bound."""
-        d = self.dist(lam, lam, om)
-        gap = d - self.radius
-        upper = np.divide(1.0, gap, out=np.full(gap.shape, np.inf), where=gap > 0)
-        return np.flatnonzero(~_below(upper, max(known, 1.0 / np.min(d + self.radius))))
+        Weyl bound, 1 / (min d + r)."""
+        weyl = 1.0 / np.min(self.dist(lam, lam, om) + self.radius)
+        return np.flatnonzero(~_below(self.upper(lam, om), max(known, weyl)))
 
 
 class _ModeCache:
@@ -564,7 +570,11 @@ def _sweep_point(cache, k):
     if best_lam != lam:
         # 3. certify the sup over all candidate modes at the achieved lambda.
         # Resolvent identity: ||R(lam')|| <= r / (1 - |lam' - lam| r) for
-        # r >= ||R(lam)||, with the computed r trusted to ROUND_REL
+        # r >= ||R(lam)||, with the computed r trusted to ROUND_REL.  Where
+        # may_reach prunes, the gate saves little (7 of 2,036 resolvents on the
+        # golden BMC sweep, none on the bench sweeps); on the classical law it
+        # is the only bound here (526 instead of 831 TF resolvents in
+        # test_unpruned_schemes).  A TF/BF band certificate would make it redundant.
         rows = cert.may_reach(best_lam, value, om)
         r = upper[rows] * (1.0 + ROUND_REL)
         gap = 1.0 - abs(best_lam - lam) * r
@@ -592,9 +602,7 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     (``svds``); a sample forms eigvals_computed + norm_evals generators.
     Raises with (lambda, n) context when a sample hits the spectrum exactly.
     """
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    if lam_grid.ndim != 1 or not np.all(np.isfinite(lam_grid) & (lam_grid >= 0)):
-        raise DomainError("lambda grid must be a 1-d array, finite and nonnegative")
+    lam_grid = kmod._grid(lam_grid, "lambda grid")
     n_max = kmod._count(n_max, "sweep n_max")
     stack = modal_mod._layout(spec, grid)
     if lam_grid.size == 0:
@@ -617,24 +625,32 @@ def sweep(spec, lam_grid, n_max, grid=None, peak_refine=True, threads=None):
     return [first, *map(run, rest)]
 
 
-def _line_fit(x, y):
-    """Least-squares line y ~ slope * x + intercept: (slope, intercept,
-    max abs residual)."""
+def _line_fit(x, values, what):
+    """The one log-line fitter: the least-squares line log(values) ~ slope * x
+    + intercept, as (slope, intercept, max abs residual).  DomainError
+    unless x is finite and 1-d with one value per point; FitError below
+    FIT_MIN_POINTS points; DomainError unless the values are finite and
+    strictly positive."""
+    x, values = np.asarray(x, dtype=float), np.asarray(values, dtype=float)
+    if x.ndim != 1 or values.shape != x.shape or not np.all(np.isfinite(x)):
+        raise DomainError(f"{what} needs finite 1-d abscissae, one value per point")
+    if x.size < FIT_MIN_POINTS:
+        raise FitError(f"{what} needs at least {FIT_MIN_POINTS} points, got {x.size}")
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise DomainError(f"{what} needs finite, strictly positive values")
+    y = np.log(values)
     A = np.vstack([x, np.ones_like(x)]).T
     (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
     return slope, intercept, float(np.max(np.abs(A @ np.array([slope, intercept]) - y)))
 
 
 def fit_growth(samples, window=None):
-    """Least squares of log(value) against log(lambda) over a sample window."""
-    pts = [(s.lam, s.value) for s in samples
+    """Least squares of log(value) against log(lambda) over the samples of
+    positive lambda in a window, at least FIT_MIN_POINTS (8) of them."""
+    pts = [s for s in samples
            if s.lam > 0 and (window is None or window[0] <= s.lam <= window[1])]
-    if len(pts) < 8:
-        raise FitError(f"growth fit needs at least 8 samples, got {len(pts)}")
-    if not all(np.isfinite(v) and v > 0 for _, v in pts):
-        raise DomainError("growth fit needs finite, strictly positive values")
-    slope, intercept, residual = _line_fit(np.log([p[0] for p in pts]),
-                                           np.log([p[1] for p in pts]))
+    slope, intercept, residual = _line_fit(np.log([s.lam for s in pts]),
+                                           [s.value for s in pts], "growth fit")
     return GrowthFit(exponent=float(slope), intercept=float(intercept),
                      residual=residual, count=len(pts))
 

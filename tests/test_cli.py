@@ -147,7 +147,13 @@ class TestConfigErrors:
         ("stability", {"limit": {"m": 5}}, "limit.m, the mixture share, must lie in (0, 1)"),
         ("limit", {"limit": {"m": 0}}, "limit.m, the mixture share, must lie in (0, 1)"),
         ("sweep", {"limit": {"m": "x"}}, "limit.m must be a number"),
-    ], ids=["policy", "share", "share-zero", "share-string"])
+        ("stability", {"decay": {"kind": "bogus"}},
+         "decay.kind must be auto, exponential or algebraic, got 'bogus'"),
+        ("stability", {"decay": {"points": 5}}, "decay.points must be an integer >= 8"),
+        ("spectrum", {"sweep": {"peak_refine": "false"}},
+         "sweep.peak_refine must be true or false, got 'false'"),
+    ], ids=["policy", "share", "share-zero", "share-string", "decay-kind",
+            "decay-points", "peak-refine-string"])
     def test_unread_field_is_checked(self, tmp_path, capsys, command, extra, message):
         # every command checks the fields only another command reads
         path = write_config(tmp_path, output={"dir": str(tmp_path / "out")}, **extra)
@@ -282,8 +288,8 @@ SMALL_DECAY = {"decay": {"t_min": 1, "t_max": 50, "points": 8, "n_max": 16}}
 
 
 @pytest.mark.parametrize("base, extra, argv, patch, rc, message", [
-    ("ref1", {"decay": {"points": 5}}, ["decay"], None, 3,
-     "numeric error: decay fit needs at least 8 points"),
+    ("ref1", {"decay": {"points": 5}}, ["decay"], None, 2,
+     "error: config field decay.points must be an integer >= 8, got 5"),
     ("ref1", SMALL_DECAY, ["decay"], _singular_mode_9, 3, "(lambda=0.0, n=9)"),
     ("ref1", {}, ["stability", "--threads", "0"], None, 2, "--threads must be >= 1"),
     ("tgp_tabulated", TABULATED_UNIFORM, ["check"], None, 0, ""),

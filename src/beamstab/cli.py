@@ -10,6 +10,12 @@ the config, so runs are reproducible byte for byte.
 Exit codes: 0 success, 2 config/spec error, 3 numeric error
 (``NUMERIC_ERRORS``); every other package error exits 2, and a malformed or
 out-of-range config field does so from ``load_config``, before any work.
+Each config object declares its fields once (``TOP_FIELDS``,
+``COEFF_FIELDS``, ``BLOCKS``, ``kernels.KERNEL_FIELDS``) and passes the one
+object rule, ``kernels._object``, so an unknown or misspelled field exits 2
+too, as does a config file that cannot be read or is not UTF-8 JSON.
+``output.formats`` decides the CSV tables and SVG charts a command writes;
+its JSON summary is always written.
 
 Every count field (``n_max``, ``points``, ``memory.nodes``, the entries of
 ``lowerbound.n_list``) passes the one count rule, ``kernels._count``, with
@@ -22,6 +28,7 @@ kinds from ``dynamics``.
 """
 
 import argparse
+import copy
 import hashlib
 import json
 import sys
@@ -33,12 +40,23 @@ import numpy as np
 from . import __version__, dynamics, kernels, modal, model, resolvent, svg
 from .errors import (BeamstabError, FitError, NumericError, SpecError, SpectralPointError,
                      UnsupportedMapError)
-from .kernels import MAX_MODES, _count, _number, _numbers, _share
+from .kernels import MAX_MODES, _count, _number, _numbers, _object, _share
 
 NUMERIC_ERRORS = (NumericError, SpectralPointError, FitError,
                   np.linalg.LinAlgError)
 
 COEFF_FIELDS = ("rho1", "rho2", "rho3", "k", "k0", "b", "varpi", "gamma", "ell")
+# every optional block, with its fields and their defaults
+BLOCKS = {
+    "memory": dict(scheme=None, nodes=128, policy="geometric"),
+    "sweep": dict(lambda_min=1e2, lambda_max=1e4, points=13, n_max=64, peak_refine=True),
+    "decay": dict(t_min=1e2, t_max=1e4, points=9, n_max=128, kind="auto"),
+    "lowerbound": dict(n_list=[16, 64, 256]),
+    "spectrum": dict(n_max=64),
+    "limit": dict(eps_list=[1e-1, 1e-2, 1e-3, 1e-4], m=None),
+    "output": dict(formats=["csv"], dir="out"),
+}
+TOP_FIELDS = ("model", "coefficients", "kernel_g", "kernel_h", "tolerance", *BLOCKS)
 # The cap on the points of a sweep or decay grid, checked before any work.
 # The cap on the modes 1..n_max a command walks is ``kernels.MAX_MODES``,
 # and on the states of one mode ``modal.MAX_DIM``.
@@ -65,12 +83,6 @@ class RunConfig:
     config_hash: str
 
 
-def _need(dct, field, where):
-    if field not in dct:
-        raise SpecError(f"config is missing required field {where}.{field}")
-    return dct[field]
-
-
 def _field_count(value, where, least=1, most=MAX_MODES):
     """A config count: the one count rule, ``kernels._count``."""
     return _count(value, f"config field {where}", least, most, SpecError)
@@ -80,48 +92,38 @@ def load_config(path, out_override=None):
     """Parse and fully validate a run config; no computation happens here."""
     try:
         raw_text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(raw_text)
     except FileNotFoundError as exc:
         raise SpecError(f"config file not found: {exc.filename}") from None
-    try:
-        raw = json.loads(raw_text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"config is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise SpecError(f"config file {path} cannot be read: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
+        raise SpecError(f"config file {path} is not valid JSON: {exc}") from None
     cfg_hash = hashlib.sha256(raw_text.encode("utf-8")).hexdigest()[:12]
-    if not isinstance(raw, dict):
-        raise SpecError("config must be a JSON object")
+    _object(raw, TOP_FIELDS, "config", required=("model", "coefficients"))
 
-    tag = _need(raw, "model", "")
+    tag = raw["model"]
     if not isinstance(tag, str):
         raise SpecError(f"config field model must be a string, got {tag!r}")
-    csrc = _need(raw, "coefficients", "")
-    if not isinstance(csrc, dict):
-        raise SpecError("config field coefficients must be an object")
-    kwargs = {f: float(_number(_need(csrc, f, "coefficients"), f"coefficients.{f}"))
-              for f in COEFF_FIELDS}
-    kwargs["l"] = float(_number(csrc.get("l", 0.0), "coefficients.l"))
-    for opt in ("sigma", "tau"):
-        if csrc.get(opt) is not None:
-            kwargs[opt] = float(_number(csrc[opt], f"coefficients.{opt}"))
+    csrc = {"l": 0.0, **_object(raw["coefficients"], (*COEFF_FIELDS, "l", "sigma", "tau"),
+                                "config field coefficients", required=COEFF_FIELDS)}
+    kwargs = {f: float(_number(v, f"coefficients.{f}")) for f, v in csrc.items()
+              if not (v is None and f in ("sigma", "tau"))}  # relaxation times may be null
 
-    def kernel(name, tags):   # a kernel the model ignores is not read
-        return kernels.kernel_from_config(raw[name]) if tag in tags and name in raw else None
+    def kernel(name, tags):  # every kernel is read; the spec takes those its model uses
+        kern = kernels.kernel_from_config(raw[name]) if name in raw else None
+        return kern if tag in tags else None
     spec = model.SystemSpec(model=tag, coeffs=model.BeamCoefficients(**kwargs),
                             kernel_g=kernel("kernel_g", model.MEMORY_MODELS),
                             kernel_h=kernel("kernel_h", ("BGP",)))
     tolerance = model._tolerance(
         float(_number(raw.get("tolerance", model.DEFAULT_TOL), "tolerance")))
+    # the blocks in BLOCKS order, each given field over a copy of its default
+    mem, sweep_blk, decay_blk, lb_blk, spectrum_blk, limit_blk, out_blk = (
+        {**copy.deepcopy(defaults),
+         **_object(raw.get(name, {}), defaults, f"config block {name}")}
+        for name, defaults in BLOCKS.items())
 
-    def block(name, defaults, checks=()):
-        got = dict(defaults)
-        given = raw.get(name, {})
-        if not isinstance(given, dict):
-            raise SpecError(f"config block {name} must be an object")
-        got.update(given)
-        for check in checks:
-            check(got)
-        return got
-
-    mem = block("memory", dict(scheme=None, nodes=128, policy="geometric"))
     scheme = modal._memory_scheme(spec, mem["scheme"])
     # the grid's fields are checked even when no grid is built; the
     # scheme's layout is capped too, where prony terms count like nodes
@@ -129,37 +131,27 @@ def load_config(path, out_override=None):
     nodes = _field_count(mem["nodes"], "memory.nodes", 8, modal._node_cap(spec))
     modal._labels(spec, scheme, nodes)
 
-    def ordered_range(b, lo_key, hi_key, name, least_points):
+    # a sweep too short for a growth fit reports no fit; a decay run needs its fit
+    for b, name, lo_key, hi_key, least_points in (
+            (sweep_blk, "sweep", "lambda_min", "lambda_max", 2),
+            (decay_blk, "decay", "t_min", "t_max", resolvent.FIT_MIN_POINTS)):
         lo, hi = (_number(b[key], f"{name}.{key}") for key in (lo_key, hi_key))
         if not (0 < lo < hi):  # the grids are geometric
             raise SpecError(f"config block {name} needs 0 < {lo_key} < {hi_key}")
         b["points"] = _field_count(b["points"], f"{name}.points", least_points, MAX_POINTS)
         b["n_max"] = _field_count(b["n_max"], f"{name}.n_max")
-
-    # a sweep too short for a growth fit reports no fit; a decay run needs its fit
-    sweep_blk = block("sweep",
-                      dict(lambda_min=1e2, lambda_max=1e4, points=13, n_max=64,
-                           peak_refine=True),
-                      [lambda b: ordered_range(b, "lambda_min", "lambda_max", "sweep", 2)])
     if not isinstance(sweep_blk["peak_refine"], bool):
         raise SpecError(f"config field sweep.peak_refine must be true or false, "
                         f"got {sweep_blk['peak_refine']!r}")
-    decay_blk = block("decay",
-                      dict(t_min=1e2, t_max=1e4, points=9, n_max=128, kind="auto"),
-                      [lambda b: ordered_range(b, "t_min", "t_max", "decay",
-                                               resolvent.FIT_MIN_POINTS)])
     if decay_blk["kind"] not in ("auto", *dynamics.FIT_KINDS):
         raise SpecError(f"config field decay.kind must be auto, "
                         f"{' or '.join(dynamics.FIT_KINDS)}, got {decay_blk['kind']!r}")
-    lb_blk = block("lowerbound", dict(n_list=[16, 64, 256]))
     n_list = lb_blk["n_list"]
     if not isinstance(n_list, list) or not n_list:
         raise SpecError(f"config field lowerbound.n_list must be a nonempty list of "
                         f"mode indices, got {n_list!r}")
     lb_blk["n_list"] = [_field_count(n, "lowerbound.n_list") for n in n_list]
-    spectrum_blk = block("spectrum", dict(n_max=64))
     spectrum_blk["n_max"] = _field_count(spectrum_blk["n_max"], "spectrum.n_max")
-    limit_blk = block("limit", dict(eps_list=[1e-1, 1e-2, 1e-3, 1e-4], m=None))
     if limit_blk["m"] is not None:
         _share(_number(limit_blk["m"], "limit.m"), "config field limit.m, the mixture share,",
                SpecError)
@@ -167,7 +159,6 @@ def load_config(path, out_override=None):
     if not eps or any(e <= 0 for e in eps) or any(nxt >= prev for prev, nxt in zip(eps, eps[1:])):
         raise SpecError("config block limit.eps_list must be positive and decreasing")
 
-    out_blk = block("output", dict(formats=["csv"], dir="out"))
     formats, out_dir = out_blk["formats"], out_blk["dir"]
     if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
         raise SpecError(f"config field output.formats must be a list of strings, "
@@ -193,40 +184,34 @@ def _header(cfg, command):
     return f"# beamstab {__version__} config={cfg.config_hash} command={command}"
 
 
-def _write_csv(cfg, command, name, columns, rows):
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / name
-    lines = [_header(cfg, command), ",".join(columns)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(_fmt(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-def _write_json(cfg, command, name, payload):
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / name
-    body = {"tool": f"beamstab {__version__}", "config_hash": cfg.config_hash,
-            "command": command}
-    body.update(payload)
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
-
-
-def _write_svg(cfg, name, text):
-    if "svg" not in cfg.formats:
-        return None
+def _write(cfg, name, text):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _write_csv(cfg, command, name, columns, rows):
+    if "csv" not in cfg.formats:
+        return None
+    lines = [_header(cfg, command), ",".join(columns)]
+    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return _write(cfg, name, "\n".join(lines) + "\n")
+
+
+def _write_json(cfg, command, name, payload):
+    body = {"tool": f"beamstab {__version__}", "config_hash": cfg.config_hash,
+            "command": command}
+    body.update(payload)
+    return _write(cfg, name, json.dumps(body, indent=2, sort_keys=True) + "\n")
+
+
+def _write_svg(cfg, name, *series, **style):
+    """Render ``svg.line_chart(*series, **style)`` only if svg is listed."""
+    if "svg" not in cfg.formats:
+        return None
+    return _write(cfg, name, svg.line_chart(*series, **style))
 
 
 def cmd_stability(cfg, args):
@@ -278,10 +263,9 @@ def cmd_sweep(cfg, args):
     except FitError:
         print(f"sweep: {len(samples)} samples (too few for a growth fit)")
     _write_json(cfg, "sweep", "sweep_fit.json", payload)
-    _write_svg(cfg, "sweep.svg", svg.line_chart(
-        [s.lam for s in samples], [[s.value for s in samples]],
-        labels=["sup_n resolvent norm"], title="resolvent sweep",
-        logx=True, logy=True))
+    _write_svg(cfg, "sweep.svg", [s.lam for s in samples], [[s.value for s in samples]],
+               labels=["sup_n resolvent norm"], title="resolvent sweep",
+               logx=True, logy=True)
     return 0
 
 
@@ -328,9 +312,8 @@ def cmd_decay(cfg, args):
                "residual": fit.residual, "window": list(fit.window),
                "n_max": blk["n_max"], "work": work}
     _write_json(cfg, "decay", "decay_fit.json", payload)
-    _write_svg(cfg, "decay.svg", svg.line_chart(
-        ts, [vals], labels=["semiuniform norm"], title="smoothed-propagator decay",
-        logx=(fit.kind == "algebraic"), logy=True))
+    _write_svg(cfg, "decay.svg", ts, [vals], labels=["semiuniform norm"],
+               title="smoothed-propagator decay", logx=(fit.kind == "algebraic"), logy=True)
     print(f"decay: kind={fit.kind} rate={fit.rate:.6f} residual={fit.residual:.3e} "
           f"(n_max={blk['n_max']})")
     return 0

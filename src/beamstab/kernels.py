@@ -15,8 +15,9 @@ truncation of history integrals.  Kernels are immutable and all operations
 here are pure functions.
 
 This module also holds the input checks that the library and the CLI
-share: ``_number`` for a config number and ``_count``, the one check of a
-mode index, a mode count, a history-node count and a grid-point count.
+share: ``_object`` for a config object, ``_number`` for a config number
+and ``_count``, the one check of a mode index, a mode count, a
+history-node count and a grid-point count.
 """
 
 import sys
@@ -167,8 +168,11 @@ def _count(value, what, least=1, most=MAX_MODES, error=DomainError):
 def _grid(values, what):
     """``values`` as a float array: DomainError unless it is 1-d, finite and
     nonnegative.  The one grid rule, for lambda and time grids."""
-    grid = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or not np.all(np.isfinite(grid) & (grid >= 0)):
+    try:
+        grid = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        grid = None
+    if grid is None or grid.ndim != 1 or not np.all(np.isfinite(grid) & (grid >= 0)):
         raise DomainError(f"{what} must be a 1-d array, finite and nonnegative")
     return grid
 
@@ -187,34 +191,53 @@ def _numbers(values, where):
     return [_number(v, where) for v in values]
 
 
+def _object(value, fields, what, required=()):
+    """A JSON object holding every ``required`` key and no key outside
+    ``fields``; anything else is a SpecError.  The one object rule, for the
+    config and each object in it."""
+    if not isinstance(value, dict):
+        raise SpecError(f"{what} must be an object")
+    for key in required:
+        if key not in value:
+            raise SpecError(f"{what} is missing required field {key!r}")
+    for key in value:
+        if key not in fields:
+            raise SpecError(f"{what} has unknown field {key!r}, not one of {', '.join(fields)}")
+    return value
+
+
+KERNEL_FIELDS = {"prony": (("type", "terms"), ("delta",)),  # (required, optional)
+                 "tabulated": (("type", "s", "mu", "delta_tail", "delta"), ()),
+                 "exponential": (("type", "varpi", "sigma"), ())}
+
+
 def kernel_from_config(cfg):
-    """Build a kernel from its JSON/dict description; a missing or malformed
-    field is a SpecError."""
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise SpecError("kernel config must be a dict with a 'type' field")
-    kind = cfg["type"]
+    """Build a kernel from its JSON/dict description, whose fields are
+    ``KERNEL_FIELDS[type]``; a missing, unknown or malformed field is a
+    SpecError."""
+    kind = cfg.get("type") if isinstance(cfg, dict) else None
+    if isinstance(cfg, dict) and kind not in tuple(KERNEL_FIELDS):  # kind may be unhashable
+        raise SpecError(f"kernel config type must be one of {', '.join(KERNEL_FIELDS)}, "
+                        f"got {kind!r}")
+    required, optional = KERNEL_FIELDS.get(kind, ((), ()))
+    _object(cfg, required + optional, "kernel config", required)
 
     def number(key):
         return _number(cfg[key], f"kernel.{key}")
 
-    try:
-        if kind == "prony":
-            terms = cfg["terms"]
-            if not isinstance(terms, list) or not all(
-                    isinstance(t, list) and len(t) == 2 for t in terms):
-                raise SpecError("config field kernel.terms must be a list of "
-                                f"[a, theta] pairs, got {terms!r}")
-            delta = None if cfg.get("delta") is None else number("delta")
-            return prony_kernel([_numbers(t, "kernel.terms") for t in terms], delta=delta)
-        if kind == "tabulated":
-            return tabulated_kernel(_numbers(cfg["s"], "kernel.s"),
-                                    _numbers(cfg["mu"], "kernel.mu"),
-                                    number("delta_tail"), number("delta"))
-        if kind == "exponential":
-            return exponential_kernel(number("varpi"), number("sigma"))
-    except KeyError as exc:
-        raise SpecError(f"kernel config is missing field {exc.args[0]!r}") from None
-    raise SpecError(f"unknown kernel type {kind!r}")
+    if kind == "prony":
+        terms = cfg["terms"]
+        if not isinstance(terms, list) or not all(
+                isinstance(t, list) and len(t) == 2 for t in terms):
+            raise SpecError("config field kernel.terms must be a list of "
+                            f"[a, theta] pairs, got {terms!r}")
+        delta = None if cfg.get("delta") is None else number("delta")
+        return prony_kernel([_numbers(t, "kernel.terms") for t in terms], delta=delta)
+    if kind == "tabulated":
+        return tabulated_kernel(_numbers(cfg["s"], "kernel.s"),
+                                _numbers(cfg["mu"], "kernel.mu"),
+                                number("delta_tail"), number("delta"))
+    return exponential_kernel(number("varpi"), number("sigma"))
 
 
 def mu_at(kernel, s):

@@ -53,8 +53,14 @@ def test_bad_input_raises_domain_error(ref1, call):
     lambda spec: beamstab.sweep(spec, [[10.0, 20.0], [30.0, 40.0]], 8),
     lambda spec: beamstab.propagate(beamstab.assemble(spec, 1),
                                     np.ones(10, dtype=complex), [[0.0, 1.0]]),
+    lambda spec: beamstab.sweep(spec, [[1.0], [2.0, 3.0]], 8),
+    lambda spec: beamstab.sweep(spec, "abc", 8),
+    lambda spec: beamstab.propagate(beamstab.assemble(spec, 1),
+                                    np.ones(10, dtype=complex), [[1.0], [2.0, 3.0]]),
+    lambda spec: beamstab.semiuniform_series(spec, "abc", 8),
 ], ids=["semiuniform_series-n_max-0", "semiuniform_norm-n_max-0", "decay_fit-nan",
-        "propagate-nan", "sweep-2d-grid", "propagate-2d-times"])
+        "propagate-nan", "sweep-2d-grid", "propagate-2d-times", "sweep-ragged-grid",
+        "sweep-string-grid", "propagate-ragged-times", "semiuniform_series-string-times"])
 def test_empty_or_malformed_input_raises_domain_error(ref1, call):
     with pytest.raises(beamstab.DomainError):
         call(ref1["BGP"])

@@ -52,9 +52,19 @@ class TestConfigErrors:
         path = write_config(tmp_path, model="QQQ")
         assert cli.main(["stability", "--config", str(path)]) == 2
 
-    def test_missing_file(self, tmp_path, capsys):
-        rc = cli.main(["stability", "--config", str(tmp_path / "nope.json")])
-        assert rc == 2
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: None, "config file not found"),
+        (lambda path: path.mkdir(), "cannot be read: Is a directory"),
+        (lambda path: path.write_bytes(b"\xff\xfe{}"), "is not valid JSON: 'utf-8' codec"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_missing_file(self, tmp_path, capsys, make, message):
+        path = tmp_path / "cfg.json"
+        make(path)
+        out = tmp_path / "out"
+        assert cli.main(["stability", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not out.exists()
 
     def test_bad_sweep_block(self, tmp_path, capsys):
         path = write_config(tmp_path,
@@ -76,7 +86,7 @@ class TestConfigErrors:
         ({"output": []}, "block output must be an object"),
         ({"output": {"formats": [["csv"]]}}, "output.formats"),
         ({"coefficients": 5}, "coefficients must be an object"),
-        (5, "config must be a JSON object"),
+        (5, "config must be an object"),
         ({"kernel_g": {"type": "prony", "terms": 5}}, "kernel.terms"),
         ({"kernel_g": {"type": "prony", "terms": [[1.0]]}}, "kernel.terms"),
         ({"kernel_g": {"type": "prony", "terms": [["a", 1.0]]}}, "kernel.terms"),
@@ -84,11 +94,20 @@ class TestConfigErrors:
          "kernel.delta"),
         ({"kernel_h": {"type": "exponential", "varpi": "a", "sigma": 1}},
          "kernel.varpi"),
+        ({"kernal_h": REF1_BASE["kernel_h"]}, "config has unknown field 'kernal_h'"),
+        ({"decay": {"n_maxx": 2048}}, "config block decay has unknown field 'n_maxx'"),
+        ({"coefficients": dict(REF1_BASE["coefficients"], rho4=1)},
+         "config field coefficients has unknown field 'rho4'"),
+        ({"kernel_g": {"type": "prony", "terms": [[1.0, 1.0]], "thetas": [1.0]}},
+         "kernel config has unknown field 'thetas'"),
+        ({"model": "TGP", "kernel_h": {"type": "exponential", "varpi": 1}},
+         "kernel config is missing required field 'sigma'"),
     ], ids=["bmc-scheme", "unknown-scheme", "nodes", "points", "points-overflow",
             "lambda-min", "t-min-zero", "n-list", "eps-list", "output-list",
             "formats-nested", "coefficients-number", "top-level-number",
             "terms-number", "terms-short", "terms-string", "prony-delta",
-            "exponential-varpi"])
+            "exponential-varpi", "top-level-field", "block-field", "coefficient-field",
+            "kernel-field", "unused-kernel-field"])
     def test_malformed_field_exits_2(self, tmp_path, capsys, extra, message):
         if isinstance(extra, dict):
             path = write_config(tmp_path, **extra)
@@ -195,6 +214,11 @@ class TestConfigErrors:
                     with pytest.raises(cli.SpecError, match="memory.nodes"):
                         cli.load_config(path)
         assert built == [largest]
+
+    def test_block_defaults_are_not_shared(self, tmp_path):
+        path = write_config(tmp_path)
+        cli.load_config(path).limit["eps_list"].append(5.0)
+        assert cli.load_config(path).limit["eps_list"] == [0.1, 0.01, 0.001, 0.0001]
 
     def test_no_partial_output_on_config_error(self, tmp_path):
         out = tmp_path / "never"
@@ -364,6 +388,30 @@ class TestOutputs:
                          "--threads", "4"]) == 0
         for name in ("sweep.csv", "sweep_fit.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    SMALL_RUNS = dict(sweep={"lambda_min": 5, "lambda_max": 50, "points": 8, "n_max": 8},
+                      decay={"t_min": 1, "t_max": 50, "points": 8, "n_max": 8})
+
+    def test_svg_alone_writes_no_csv(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, output={"dir": str(out), "formats": ["svg"]},
+                            **self.SMALL_RUNS)
+        for command in ("sweep", "decay"):
+            assert cli.main([command, "--config", str(path)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "decay.svg", "decay_fit.json", "sweep.svg", "sweep_fit.json"]
+
+    def test_default_renders_no_chart(self, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a chart was rendered with svg not listed")
+
+        monkeypatch.setattr(cli.svg, "line_chart", unreachable)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, output={"dir": str(out)}, **self.SMALL_RUNS)
+        for command in ("sweep", "decay"):
+            assert cli.main([command, "--config", str(path)]) == 0
+        assert not list(out.glob("*.svg"))
+        assert (out / "sweep.csv").exists() and (out / "decay.csv").exists()
 
     def test_header_line_and_ratio_column(self, tmp_path):
         out = tmp_path / "out"

@@ -23,8 +23,10 @@ the caps below as its bounds.  A rule the library also applies is checked
 by its owner there, before any work: the memory scheme, the history grid
 and the states of one mode in ``modal``, the mixture share in ``kernels``,
 the coefficients and kernels a model needs in ``model``.  ``decay.points``
-and ``decay.kind`` take the fit's sample floor from ``resolvent`` and its
-kinds from ``dynamics``.
+takes the fit's sample floor from ``resolvent``; the decay fit follows the
+stability classification: exponential where the governing number vanishes,
+algebraic otherwise.  A kernel's error names its field, ``kernel_g`` or
+``kernel_h``.
 """
 
 import argparse
@@ -48,9 +50,9 @@ NUMERIC_ERRORS = (NumericError, SpectralPointError, FitError,
 COEFF_FIELDS = ("rho1", "rho2", "rho3", "k", "k0", "b", "varpi", "gamma", "ell")
 # every optional block, with its fields and their defaults
 BLOCKS = {
-    "memory": dict(scheme=None, nodes=128, policy="geometric"),
+    "memory": dict(scheme=None, nodes=128),
     "sweep": dict(lambda_min=1e2, lambda_max=1e4, points=13, n_max=64, peak_refine=True),
-    "decay": dict(t_min=1e2, t_max=1e4, points=9, n_max=128, kind="auto"),
+    "decay": dict(t_min=1e2, t_max=1e4, points=9, n_max=128),
     "lowerbound": dict(n_list=[16, 64, 256]),
     "spectrum": dict(n_max=64),
     "limit": dict(eps_list=[1e-1, 1e-2, 1e-3, 1e-4], m=None),
@@ -111,7 +113,10 @@ def load_config(path, out_override=None):
               if not (v is None and f in ("sigma", "tau"))}  # relaxation times may be null
 
     def kernel(name, tags):  # every kernel is read; the spec takes those its model uses
-        kern = kernels.kernel_from_config(raw[name]) if name in raw else None
+        try:
+            kern = kernels.kernel_from_config(raw[name]) if name in raw else None
+        except BeamstabError as exc:
+            raise type(exc)(f"{name}: {exc}") from None
         return kern if tag in tags else None
     spec = model.SystemSpec(model=tag, coeffs=model.BeamCoefficients(**kwargs),
                             kernel_g=kernel("kernel_g", model.MEMORY_MODELS),
@@ -125,9 +130,8 @@ def load_config(path, out_override=None):
         for name, defaults in BLOCKS.items())
 
     scheme = modal._memory_scheme(spec, mem["scheme"])
-    # the grid's fields are checked even when no grid is built; the
-    # scheme's layout is capped too, where prony terms count like nodes
-    modal._grid_policy(mem["policy"], "memory.policy", SpecError)
+    # the node count is checked even when no grid is built; the scheme's
+    # layout is capped too, where prony terms count like nodes
     nodes = _field_count(mem["nodes"], "memory.nodes", 8, modal._node_cap(spec))
     modal._labels(spec, scheme, nodes)
 
@@ -143,9 +147,6 @@ def load_config(path, out_override=None):
     if not isinstance(sweep_blk["peak_refine"], bool):
         raise SpecError(f"config field sweep.peak_refine must be true or false, "
                         f"got {sweep_blk['peak_refine']!r}")
-    if decay_blk["kind"] not in ("auto", *dynamics.FIT_KINDS):
-        raise SpecError(f"config field decay.kind must be auto, "
-                        f"{' or '.join(dynamics.FIT_KINDS)}, got {decay_blk['kind']!r}")
     n_list = lb_blk["n_list"]
     if not isinstance(n_list, list) or not n_list:
         raise SpecError(f"config field lowerbound.n_list must be a nonempty list of "
@@ -173,7 +174,7 @@ def load_config(path, out_override=None):
     # the history grid is the one computation here, made after every check
     return RunConfig(
         spec=spec, tolerance=tolerance,
-        grid=modal.make_grid(modal._grid_kernel(spec), nodes, policy=mem["policy"])
+        grid=modal.make_grid(modal._grid_kernel(spec), nodes)
         if scheme == "sgrid-upwind" else None,
         sweep=sweep_blk, lowerbound=lb_blk, decay=decay_blk,
         spectrum=spectrum_blk, limit=limit_blk, out_dir=out_dir,
@@ -296,11 +297,9 @@ def cmd_decay(cfg, args):
     work = {}
     stack = modal._layout(cfg.spec, cfg.grid)
     vals = dynamics.semiuniform_series(stack, ts, blk["n_max"], work=work)
-    kind = blk["kind"]
-    if kind == "auto":
-        rep = model.stability_numbers(cfg.spec, tol=cfg.tolerance)
-        kind = "exponential" if rep.classification == model.EXPONENTIAL else "algebraic"
-    fit = dynamics.decay_fit(ts, vals, kind)
+    rep = model.stability_numbers(cfg.spec, tol=cfg.tolerance)
+    fit = dynamics.decay_fit(
+        ts, vals, "exponential" if rep.classification == model.EXPONENTIAL else "algebraic")
     _write_csv(cfg, "decay", "decay.csv", ("t", "value"), list(zip(ts, vals)))
     mode1 = stack.mode(1)
     u0 = np.zeros(mode1.dim, dtype=complex)
@@ -344,6 +343,10 @@ def cmd_limit(cfg, args):
     _write_csv(cfg, "limit", "limit.csv",
                ("eps", "chi_g_eps", "target_g", "gap_g",
                 "chi_h_eps", "target_h", "gap_h"), out)
+    last = rows[-1]   # eps_list decreases: the row nearest the limit
+    _write_json(cfg, "limit", "limit.json",
+                {"eps": last.eps, "target_g": last.target_g, "gap_g": last.gap_g,
+                 "target_h": last.target_h, "gap_h": last.gap_h})
     print("singular limit:")
     for r in rows:
         print(f"  eps={r.eps:g}: chi_g={r.chi_g:.6f} (target {r.target_g:.6f})")

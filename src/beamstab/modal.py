@@ -116,15 +116,12 @@ MAX_DIM = 1 << 10   # states of one mode: its d x d generator holds at most 2^20
 
 @dataclass(frozen=True)
 class MemoryGrid:
-    """History grid: nodes s_1 < ... < s_M (s_1 > 0) and quadrature weights.
-
-    Weights are chosen so that mu(s_i) * weights_i equals the exact mass of
-    the kernel over the cell (s_{i-1}, s_i]; sums against the node values
-    then reproduce integrals of the kernel representation exactly.
+    """History grid: nodes s_1 < ... < s_M (s_1 > 0) and the truncation
+    point s_max.  It holds no kernel data: each memory block that uses the
+    grid carries its own kernel's cell masses (``MemoryBlock.node_mass``).
     """
 
     s: np.ndarray
-    weights: np.ndarray
     s_max: float
 
     def __post_init__(self):
@@ -132,8 +129,6 @@ class MemoryGrid:
             raise DomainError("grid needs a 1-d node array")
         if self.s[0] <= 0 or np.any(np.diff(self.s) <= 0):
             raise DomainError("grid nodes must be strictly increasing with s_1 > 0")
-        if np.any(self.weights <= 0):
-            raise DomainError("grid weights must be positive")
 
     @property
     def size(self):
@@ -156,7 +151,7 @@ class MemoryBlock:
     aj: tuple = ()
     thj: tuple = ()
     grid: MemoryGrid = None
-    node_mass: np.ndarray = None   # mu_i * weights_i for sgrid
+    node_mass: np.ndarray = None   # sgrid: the exact kernel mass of each cell (s_{i-1}, s_i]
 
 
 @dataclass(frozen=True)
@@ -297,22 +292,15 @@ def grid_tail_mass(kernel, s_max):
     return kmod.mu_integral(kernel, s_max, np.inf)
 
 
-def _grid_policy(policy, what="grid policy", error=DomainError):
-    """The one policy rule, for the library (DomainError) and the config
-    (SpecError): ``error`` unless ``policy`` names one."""
-    if policy not in ("geometric", "uniform"):
-        raise error(f"unknown {what} {policy!r}; expected 'geometric' or 'uniform'")
-
-
-def make_grid(kernel, M, policy="geometric"):
-    """History grid for a kernel: refined near s = 0, truncated where the
-    envelope certifies a relative tail mass below 1e-10.
+def make_grid(kernel, M):
+    """History grid for a kernel: M nodes geometric in s from 1e-4 s_max to
+    s_max, so refined near s = 0, where s_max is where the envelope
+    certifies a relative tail mass below 1e-10.
 
     A grid may be shared by the two kernels of a curved-beam system; build it
     from the slower-decaying one (``_grid_kernel``) so the truncation
     certificate covers both.
     """
-    _grid_policy(policy)
     M = kmod._count(M, "grid node count", least=8)
     if kernel.delta <= 0:
         raise AdmissibilityError("kernel lacks a positive envelope decay rate")
@@ -320,17 +308,9 @@ def make_grid(kernel, M, policy="geometric"):
     if not (m.g0 > 0 and np.isfinite(m.g0)):
         raise AdmissibilityError("kernel mass must be positive and finite")
     s_max = np.log(m.mu0 / (kernel.delta * GRID_TAIL_REL * m.g0)) / kernel.delta
-    if policy == "geometric":
-        s = s_max * 1e-4 ** (1.0 - np.arange(1, M + 1) / M)
-    else:
-        s = s_max * np.arange(1, M + 1) / M
-    cell = _cell_masses(kernel, s)
-    mu_nodes = kmod.mu_at(kernel, s)
-    h = np.diff(np.concatenate([[0.0], s]))
-    weights = np.where(mu_nodes > 0, cell / np.where(mu_nodes > 0, mu_nodes, 1.0), h)
+    s = s_max * 1e-4 ** (1.0 - np.arange(1, M + 1) / M)
     s.flags.writeable = False
-    weights.flags.writeable = False
-    return MemoryGrid(s=s, weights=weights, s_max=float(s_max))
+    return MemoryGrid(s=s, s_max=float(s_max))
 
 
 def _cell_masses(kernel, s):

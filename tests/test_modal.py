@@ -388,10 +388,19 @@ class TestMakeGrid:
         assert modal.grid_tail_mass(unit_exp, grid.s_max) <= 1e-10 * bs.masses(unit_exp).g0
 
     def test_node_masses_reproduce_total(self, unit_exp):
-        grid = bs.make_grid(unit_exp, 64)
-        covered = np.sum(bs.mu_at(unit_exp, grid.s) * grid.weights)
-        total = covered + modal.grid_tail_mass(unit_exp, grid.s_max)
-        assert total == pytest.approx(bs.masses(unit_exp).g0, rel=1e-8)
+        # two kernels on one shared grid: each block holds its own kernel's
+        # cell masses, which with its tail make up the kernel's g(0)
+        slow = bs.prony_kernel([(2.0 / 3.0, 1.0), (1.0 / 12.0, 2.0)])
+        spec = bs.SystemSpec("BGP", ref1_coeffs(), kernel_g=unit_exp, kernel_h=slow)
+        grid = bs.make_grid(modal._grid_kernel(spec), 64)
+        blocks = bs.assemble(spec, 1, grid=grid).memory
+        kernels = {"temp_b": unit_exp, "temp_a": slow}
+        assert sorted(blk.temp for blk in blocks) == sorted(kernels)
+        for blk in blocks:
+            kern = kernels[blk.temp]
+            assert blk.grid is grid
+            total = np.sum(blk.node_mass) + modal.grid_tail_mass(kern, grid.s_max)
+            assert total == pytest.approx(bs.masses(kern).g0, rel=1e-8)
 
     def test_minimum_size(self, unit_exp):
         with pytest.raises(bs.DomainError):

@@ -11,9 +11,9 @@ Exit codes: 0 success, 2 config/spec error, 3 numeric error
 (``NUMERIC_ERRORS``); every other package error exits 2, and a malformed or
 out-of-range config field does so from ``load_config``, before any work.
 Each config object declares its fields once (``TOP_FIELDS``,
-``COEFF_FIELDS``, ``BLOCKS``, ``kernels.KERNEL_FIELDS``) and passes the one
-object rule, ``kernels._object``, so an unknown or misspelled field exits 2
-too, as does a config file that cannot be read or is not UTF-8 JSON.
+``model.POSITIVE_COEFFS``, ``BLOCKS``, ``kernels.KERNEL_FIELDS``) and passes
+the one object rule, ``kernels._object``, so an unknown or misspelled field
+exits 2 too, as does a config file that cannot be read or is not UTF-8 JSON.
 ``output.formats`` decides the CSV tables and SVG charts a command writes;
 its JSON summary is always written.
 
@@ -47,7 +47,6 @@ from .kernels import MAX_MODES, _count, _number, _numbers, _object, _share
 NUMERIC_ERRORS = (NumericError, SpectralPointError, FitError,
                   np.linalg.LinAlgError)
 
-COEFF_FIELDS = ("rho1", "rho2", "rho3", "k", "k0", "b", "varpi", "gamma", "ell")
 # every optional block, with its fields and their defaults
 BLOCKS = {
     "memory": dict(scheme=None, nodes=128),
@@ -107,8 +106,9 @@ def load_config(path, out_override=None):
     tag = raw["model"]
     if not isinstance(tag, str):
         raise SpecError(f"config field model must be a string, got {tag!r}")
-    csrc = {"l": 0.0, **_object(raw["coefficients"], (*COEFF_FIELDS, "l", "sigma", "tau"),
-                                "config field coefficients", required=COEFF_FIELDS)}
+    positive = model.POSITIVE_COEFFS
+    csrc = {"l": 0.0, **_object(raw["coefficients"], (*positive, "l", "sigma", "tau"),
+                                "config field coefficients", required=positive)}
     kwargs = {f: float(_number(v, f"coefficients.{f}")) for f, v in csrc.items()
               if not (v is None and f in ("sigma", "tau"))}  # relaxation times may be null
 
@@ -219,11 +219,10 @@ def cmd_stability(cfg, args):
     rep = model.stability_numbers(cfg.spec, tol=cfg.tolerance)
     phydef, compatible = model.check_physical(cfg.spec.coeffs, rep)
     print(f"model {rep.model}: {rep.classification}")
-    for name in ("chi0", "chi1", "chi_g", "chi_h", "chi_sigma", "chi_tau",
-                 "sigma_g", "sigma_h"):
-        v = getattr(rep, name)
-        if v is not None:
-            print(f"  {name} = {_fmt(v)}")
+    numbers = {name: getattr(rep, name) for name in model.NUMBER_NAMES
+               if getattr(rep, name) is not None}
+    for name, v in numbers.items():
+        print(f"  {name} = {_fmt(v)}")
     print(f"  governing product: {' * '.join(rep.governing)}"
           f" (vanishing tolerance {_fmt(rep.tol)} relative)")
     print(f"  physical constraints: equal_wave_speeds={phydef[0]}"
@@ -231,10 +230,7 @@ def cmd_stability(cfg, args):
     payload = {
         "model": rep.model, "classification": rep.classification,
         "governing": list(rep.governing), "tolerance": rep.tol,
-        "numbers": {name: getattr(rep, name)
-                    for name in ("chi0", "chi1", "chi_g", "chi_h", "chi_sigma",
-                                 "chi_tau", "sigma_g", "sigma_h")
-                    if getattr(rep, name) is not None},
+        "numbers": numbers,
         "phydef_ok": list(phydef), "exp_condition_compatible": compatible,
     }
     _write_json(cfg, "stability", "stability.json", payload)
@@ -271,7 +267,7 @@ def cmd_sweep(cfg, args):
 
 
 def cmd_lowerbound(cfg, args):
-    seq = resolvent.lower_bound(cfg.spec, cfg.lowerbound["n_list"])
+    seq = resolvent.lower_bound(cfg.spec, cfg.lowerbound["n_list"], tol=cfg.tolerance)
     rows = [(r.n, r.omega, r.lam, r.muhat.real, r.muhat.imag,
              r.det_m.real, r.det_m.imag, r.det_a.real, r.det_a.imag,
              r.amp, r.amp_cramer, r.ratio, seq.cstar,

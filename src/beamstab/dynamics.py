@@ -465,11 +465,13 @@ def singular_limit(spec, eps_list, m=None):
     if spec.model not in mmod.MEMORY_MODELS:
         raise SpecError("singular limit sweeps apply to memory-law systems")
     c = spec.coeffs
-    base = mmod.stability_numbers(spec)
-    target_g = -(c.rho1 / c.k) * base.chi0
-    target_h = -(c.rho1 / c.k) * base.chi1 if spec.model == "BGP" else None
+    chi0, chi1 = mmod._chi_elastic(c)
+    target_g = -(c.rho1 / c.k) * chi0
+    target_h = -(c.rho1 / c.k) * chi1 if spec.is_bresse else None
 
     def transformed(kernel, eps):
+        if kernel is None:
+            return None
         if m is None:
             return kmod.rescaled(kernel, eps)
         return kmod.cg_mix(kernel, eps, m)
@@ -478,12 +480,11 @@ def singular_limit(spec, eps_list, m=None):
     for eps in eps_list:
         # chi arithmetic works directly off the transformed masses; the
         # intermediates are legitimately non-normalized objects
-        g0 = kmod.masses(transformed(spec.kernel_g, eps)).g0
-        chi_g, _ = mmod._chi_memory(c, c.varpi * g0, base.chi0)
+        (_, chi_g, _), numbers_h = mmod._heat_numbers(
+            c, [transformed(kernel, eps) for kernel in spec.heat_kernels()])
         chi_h = gap_h = None
-        if spec.model == "BGP":
-            h0 = kmod.masses(transformed(spec.kernel_h, eps)).g0
-            chi_h, _ = mmod._chi_memory(c, c.varpi * h0, base.chi1)
+        if numbers_h is not None:
+            chi_h = numbers_h[1]
             gap_h = abs(chi_h - target_h)
         rows.append(LimitRow(eps=float(eps), chi_g=float(chi_g), chi_h=chi_h,
                              target_g=float(target_g), target_h=target_h,

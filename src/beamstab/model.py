@@ -11,6 +11,11 @@ by the suffix: GP (memory convolution), MC (relaxed flux), F (classical).
 Each model has a governing combination of stability numbers whose vanishing
 is equivalent to exponential decay of the solution semigroup; otherwise the
 decay is polynomial of order 1/2 on smooth data, and that rate is sharp.
+
+A relaxed flux with relaxation time sigma is the memory law of the
+exponential kernel ``kernels.exponential_kernel(varpi, sigma)``, and
+``SystemSpec.heat_kernels`` states that once: the MC stability numbers are
+the GP numbers of that kernel, computed by the same arithmetic.
 """
 
 from dataclasses import dataclass, field, replace
@@ -48,6 +53,12 @@ POLY_SQRT = "PolynomialSqrtOptimal"
 
 DEFAULT_TOL = 1e-9
 
+# the structural constants that must be strictly positive
+POSITIVE_COEFFS = ("rho1", "rho2", "rho3", "k", "k0", "b", "varpi", "gamma", "ell")
+# every stability number a report may hold, in the order they are printed
+NUMBER_NAMES = ("chi0", "chi1", "chi_g", "chi_h", "chi_sigma", "chi_tau",
+                "sigma_g", "sigma_h")
+
 # governing stability factors per model; the product must vanish for
 # exponential stability
 GOVERNING = {
@@ -83,12 +94,8 @@ class BeamCoefficients:
     tau: float = None
 
     def __post_init__(self):
-        named = {
-            "rho1": self.rho1, "rho2": self.rho2, "rho3": self.rho3,
-            "k": self.k, "k0": self.k0, "b": self.b,
-            "varpi": self.varpi, "gamma": self.gamma, "ell": self.ell,
-        }
-        for name, v in named.items():
+        for name in POSITIVE_COEFFS:
+            v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise SpecError(f"coefficient {name} must be strictly positive, got {v}")
         if not (np.isfinite(self.l) and self.l >= 0):
@@ -139,24 +146,17 @@ class SystemSpec:
         """Curvature actually used: straight-beam tags behave as l = 0."""
         return self.coeffs.l if self.is_bresse else 0.0
 
-    def heat_masses(self):
-        """(varpi*g(0), mu(0)) per temperature, resolving MC tags through the
-        equivalent exponential kernels.  Entries are None when undefined."""
+    def heat_kernels(self):
+        """(kernel_g, kernel_h) of the heat law, kernel_h None on a straight
+        beam: a memory tag's kernels; for a relaxed-flux tag the exponential
+        kernels of its relaxation times, ``exponential_kernel(varpi, sigma)``
+        and ``(varpi, tau)``; (None, None) for the classical law."""
         c = self.coeffs
         if self.model in MEMORY_MODELS:
-            mg = kmod.masses(self.kernel_g)
-            out_g = (c.varpi * mg.g0, mg.mu0)
-            out_h = None
-            if self.model == "BGP":
-                mh = kmod.masses(self.kernel_h)
-                out_h = (c.varpi * mh.g0, mh.mu0)
-            return out_g, out_h
+            return self.kernel_g, self.kernel_h if self.is_bresse else None
         if self.model in RELAXED_MODELS:
-            out_g = (1.0 / c.sigma, 1.0 / (c.varpi * c.sigma) ** 2)
-            out_h = None
-            if self.model == "BMC":
-                out_h = (1.0 / c.tau, 1.0 / (c.varpi * c.tau) ** 2)
-            return out_g, out_h
+            return (kmod.exponential_kernel(c.varpi, c.sigma),
+                    kmod.exponential_kernel(c.varpi, c.tau) if self.is_bresse else None)
         return None, None
 
 
@@ -198,7 +198,7 @@ class StabilityReport:
 
 
 def _chi_memory(c, heat_mass, chi_factor):
-    """chi for a memory/relaxed law: (rho3/x - rho1/k) * chi_factor + gamma^2/x
+    """chi for a memory law: (rho3/x - rho1/k) * chi_factor + gamma^2/x
     with x = varpi*g(0); returns (value, scale-of-terms)."""
     x = heat_mass
     t1 = (c.rho3 / x) * chi_factor
@@ -207,49 +207,47 @@ def _chi_memory(c, heat_mass, chi_factor):
     return t1 - t2 + t3, abs(t1) + abs(t2) + abs(t3)
 
 
-def _chi_relaxed(c, relax, chi_factor):
-    """chi for a relaxed flux law: (relax*rho3 - rho1/k) * chi_factor +
-    gamma^2*relax; returns (value, scale-of-terms)."""
-    t1 = relax * c.rho3 * chi_factor
-    t2 = (c.rho1 / c.k) * chi_factor
-    t3 = c.gamma**2 * relax
-    return t1 - t2 + t3, abs(t1) + abs(t2) + abs(t3)
-
-
 def _chi_elastic(c):
     """(chi0, chi1): the stability numbers of the elastic constants."""
     return c.b - c.k * c.rho2 / c.rho1, c.k0 - c.k
 
 
+def _heat_numbers(c, kernels):
+    """(varpi*g(0), chi, scale of chi) per heat kernel of (kernel_g,
+    kernel_h), None where the kernel is None: ``_chi_memory`` folds
+    kernel_g's varpi*g(0) with chi0 and kernel_h's with chi1."""
+    numbers = []
+    for kernel, factor in zip(kernels, _chi_elastic(c)):
+        if kernel is None:
+            numbers.append(None)
+        else:
+            x = c.varpi * kmod.masses(kernel).g0
+            numbers.append((x, *_chi_memory(c, x, factor)))
+    return numbers
+
+
 def stability_numbers(spec, tol=DEFAULT_TOL):
     """Compute every stability number defined for the model and classify.
 
-    chi0/chi1 depend on the elastic constants only; the thermal numbers fold
-    in varpi*g(0) (memory laws) or the relaxation times (relaxed laws).
+    chi0/chi1 depend on the elastic constants only; the thermal numbers
+    fold in varpi*g(0) of each heat kernel (``SystemSpec.heat_kernels``).
+    So the MC numbers are the GP numbers of the exponential kernels:
+    chi_sigma and chi_tau are the chi_g and chi_h of
+    ``exponential_kernel(varpi, sigma)`` and ``(varpi, tau)``, bit for bit.
     ``classify`` judges them with ``tol``, and raises DomainError for a
     ``tol`` outside [0, 1).
     """
     c = spec.coeffs
-    scales = {}
     chi0, chi1 = _chi_elastic(c)
-    scales["chi0"] = c.b + c.k * c.rho2 / c.rho1
-    scales["chi1"] = c.k0 + c.k
-
+    scales = {"chi0": c.b + c.k * c.rho2 / c.rho1, "chi1": c.k0 + c.k}
     kwargs = {}
-    if spec.model not in ("BF", "TF"):
-        (mass_g, _), mh = spec.heat_masses()
-        kwargs["sigma_g"] = mass_g - c.rho3 * c.k / c.rho1
-        if spec.model in ("BGP", "TGP"):
-            kwargs["chi_g"], scales["chi_g"] = _chi_memory(c, mass_g, chi0)
-        else:
-            kwargs["chi_sigma"], scales["chi_sigma"] = _chi_relaxed(c, c.sigma, chi0)
-        if mh is not None:
-            mass_h = mh[0]
-            kwargs["sigma_h"] = mass_h - c.rho3 * c.k / c.rho1
-            if spec.model == "BGP":
-                kwargs["chi_h"], scales["chi_h"] = _chi_memory(c, mass_h, chi1)
-            else:
-                kwargs["chi_tau"], scales["chi_tau"] = _chi_relaxed(c, c.tau, chi1)
+    # each heat kernel's chi goes by the model's governing name
+    for sigma_name, chi_name, numbers in zip(
+            ("sigma_g", "sigma_h"), GOVERNING[spec.model],
+            _heat_numbers(c, spec.heat_kernels())):
+        if numbers is not None:
+            mass, kwargs[chi_name], scales[chi_name] = numbers
+            kwargs[sigma_name] = mass - c.rho3 * c.k / c.rho1
 
     report = StabilityReport(
         model=spec.model, chi0=chi0, chi1=chi1, tol=tol,

@@ -644,28 +644,23 @@ def _line_fit(x, values, what):
     return slope, intercept, float(np.max(np.abs(A @ np.array([slope, intercept]) - y)))
 
 
-def fit_growth(samples, window=None):
+def fit_growth(samples):
     """Least squares of log(value) against log(lambda) over the samples of
-    positive lambda in a window, at least FIT_MIN_POINTS (8) of them."""
-    pts = [s for s in samples
-           if s.lam > 0 and (window is None or window[0] <= s.lam <= window[1])]
+    positive lambda, at least FIT_MIN_POINTS (8) of them."""
+    pts = [s for s in samples if s.lam > 0]
     slope, intercept, residual = _line_fit(np.log([s.lam for s in pts]),
                                            [s.value for s in pts], "growth fit")
     return GrowthFit(exponent=float(slope), intercept=float(intercept),
                      residual=residual, count=len(pts))
 
 
-def _effective_kernels(spec):
-    """Kernels entering the modal coefficient matrix; relaxed-flux tags map to
-    their exponential-kernel equivalents."""
-    c = spec.coeffs
-    if spec.model in mmod.MEMORY_MODELS:
-        return spec.kernel_g, spec.kernel_h
-    if spec.model in mmod.RELAXED_MODELS:
-        kg = kmod.exponential_kernel(c.varpi, c.sigma)
-        kh = kmod.exponential_kernel(c.varpi, c.tau) if spec.model == "BMC" else None
-        return kg, kh
-    raise SpecError(f"the modal coefficient matrix is not defined for {spec.model}")
+def _heat_kernels(spec):
+    """``spec.heat_kernels()``, the kernels entering the modal coefficient
+    matrix; SpecError for the classical law, which has none."""
+    kernels = spec.heat_kernels()
+    if kernels[0] is None:
+        raise SpecError(f"the modal coefficient matrix is not defined for {spec.model}")
+    return kernels
 
 
 def mn_matrix(spec, n, lam):
@@ -678,12 +673,13 @@ def mn_matrix(spec, n, lam):
     C^T in the temperature columns and lam^2 C in the temperature rows.
     Each temperature's diagonal is -rho3 lam^2 + varpi omega_n^2 (g(0) -
     muhat), muhat the half-line Fourier transform of its kernel at lam
-    (of the equivalent exponential kernel for the relaxed-flux tags).
+    (``SystemSpec.heat_kernels``: the exponential kernel of each
+    relaxation time for the relaxed-flux tags).
     Raises DomainError for a lam that is not finite.
     """
     if not np.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam}")
-    kernels = _effective_kernels(spec)
+    kernels = _heat_kernels(spec)
     om = modal_mod.omega(spec.coeffs.ell, n)
     hats = (kmod.fourier_mu(kernels[0], lam),
             kmod.fourier_mu(kernels[1], lam) if spec.is_bresse else None)
@@ -706,22 +702,26 @@ def _mn_matrix(spec, om, lam, kernels, hats):
     return M
 
 
-def _construction_constants(spec):
+def _construction_constants(spec, tol):
     """(c0, beta0, cstar, predicted) of the lower-bound construction, where
-    predicted(omega_n) gives the leading-order (det M_n, det A_n)."""
+    predicted(omega_n) gives the leading-order (det M_n, det A_n);
+    InfeasibleError where a governing number vanishes within ``tol``."""
     c = spec.coeffs
-    report = mmod.stability_numbers(spec)
+    report = mmod.stability_numbers(spec, tol)
+    # the governing numbers: (chi_g, chi_h) of a memory law, (chi_sigma,
+    # chi_tau) of a relaxed flux, which is the memory law of its kernels
+    chis = []
     for name, value, scale in mmod.governing_factors(report, spec.model):
-        if abs(value) <= report.tol * scale:
+        if abs(value) <= tol * scale:
             raise InfeasibleError(
                 f"lower-bound construction undefined: {name} vanishes")
-    kg, kh = _effective_kernels(spec)
+        chis.append(value)
+    kg, kh = _heat_kernels(spec)
     mg = kmod.masses(kg)
     g0, mu0 = mg.g0, mg.mu0
-    # (chi_g, chi_h) of a memory law, (chi_sigma, chi_tau) of a relaxed flux law
-    chi_g = report.chi_g if report.chi_g is not None else report.chi_sigma
-    chi_h = report.chi_h if report.chi_h is not None else report.chi_tau
+    chi_g = chis[0]
     if spec.is_bresse:
+        chi_h = chis[1]
         mh = kmod.masses(kh)
         h0, nu0 = mh.g0, mh.mu0
         sg, sh = report.sigma_g, report.sigma_h
@@ -757,9 +757,14 @@ def _lambda_n(spec, c0, om):
     return np.sqrt(rad) if rad > 0 else None
 
 
-def lower_bound(spec, ns):
+def lower_bound(spec, ns, tol=mmod.DEFAULT_TOL):
     """Explicit resonance sequence: lam_n, the eliminated modal solve with
     unit first-row forcing, and the Cramer cross-check of the amplitude.
+
+    The construction divides by the governing stability numbers, so it
+    raises InfeasibleError where one of them vanishes by the relative
+    tolerance ``tol`` of ``model.stability_numbers`` (DomainError outside
+    [0, 1)): exactly where that classification reads exponential.
 
     The ratio column |A_n|/lam_n approaches the predicted constant cstar.
     Each row's ``check`` holds the measured and leading-order predicted
@@ -768,8 +773,8 @@ def lower_bound(spec, ns):
     from.
     """
     c = spec.coeffs
-    c0, beta0, cstar, predicted = _construction_constants(spec)
-    kernels = _effective_kernels(spec)
+    c0, beta0, cstar, predicted = _construction_constants(spec, tol)
+    kernels = _heat_kernels(spec)
     rows = []
     notes = []
     for n in ns:
@@ -816,10 +821,10 @@ def lower_bound(spec, ns):
         rows=tuple(rows), notes=tuple(notes))
 
 
-def det_check(spec, n):
+def det_check(spec, n, tol=mmod.DEFAULT_TOL):
     """Measured vs predicted leading-order determinants at the resonance: the
-    ``check`` of row n of ``lower_bound``."""
-    rows = lower_bound(spec, [n]).rows
+    ``check`` of row n of ``lower_bound`` (with its ``tol``)."""
+    rows = lower_bound(spec, [n], tol).rows
     if not rows:
         raise DomainError(f"lambda_n is not real at n={n}")
     return rows[0].check

@@ -362,6 +362,22 @@ class TestStability:
         data = json.loads((out / "stability.json").read_text())
         assert data["classification"] == "ExponentiallyStable"
 
+    def test_lowerbound_reads_the_tolerance(self, tmp_path, capsys):
+        # chi_g is 5e-7 relative: zero by tolerance 1e-3, so the construction
+        # that divides by it is refused, as the classification says
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path, coefficients=dict(REF1_BASE["coefficients"], varpi=2 * (1 + 1e-6)),
+            tolerance=1e-3, lowerbound={"n_list": [16, 64]}, output={"dir": str(out)})
+        assert cli.main(["stability", "--config", str(path)]) == 0
+        assert "ExponentiallyStable" in capsys.readouterr().out
+        assert cli.main(["lowerbound", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: lower-bound construction undefined: chi_g vanishes"]
+        assert not captured.out
+        assert not (out / "lowerbound.csv").exists()
+
 
 class TestOutputs:
     def test_byte_identical_reruns(self, tmp_path):

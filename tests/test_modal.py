@@ -232,7 +232,7 @@ def hand_placed_entries(spec, n, lam):
                   if i != j and not {i, j} & {"temp_b", "temp_a"}})
     if spec.model in ("BF", "TF"):
         return G, W, None
-    kernels = rmod._effective_kernels(spec)
+    kernels = spec.heat_kernels()
     for temp, kernel in zip(("temp_b", "temp_a"), kernels):
         if kernel is not None:
             vg0 = c.varpi * bs.masses(kernel).g0

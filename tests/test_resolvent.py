@@ -13,7 +13,7 @@ import beamstab as bs
 from beamstab import modal as modal_mod
 from beamstab import resolvent as rmod
 from beamstab.resolvent import ResolventSample
-from conftest import admissible_specs, ref1_coeffs, wnorm
+from conftest import _coeffs, admissible_specs, ref1_coeffs, wnorm
 
 
 def construction_oracle(c, g0, h0, mu0, nu0, chi_g, chi_h):
@@ -227,6 +227,45 @@ class TestLowerBound:
         assert sb.cstar == pytest.approx(sg.cstar, rel=1e-14)
         for rb, rg in zip(sb.rows, sg.rows):
             assert rb.ratio == pytest.approx(rg.ratio, rel=1e-12)
+
+    def test_straight_beam_ignores_kernel_h(self, ref1, unit_exp):
+        # a stray kernel_h enters neither the rows nor their tol_hint
+        kh = bs.normalized(bs.prony_kernel([(1.0, 0.05), (1.0, 3.0)]))
+        spec = bs.SystemSpec("TGP", ref1["TGP"].coeffs, kernel_g=unit_exp, kernel_h=kh)
+        want = bs.lower_bound(ref1["TGP"], [16]).rows
+        assert repr(bs.lower_bound(spec, [16]).rows) == repr(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_relaxed_flux_is_the_exponential_memory_law(self, data):
+        # a relaxed flux is the memory law of its exponential kernels, so the
+        # MC tag and its GP twin give the same numbers to the last bit
+        model = data.draw(st.sampled_from(["BMC", "TMC"]))
+        c = _coeffs(data.draw, model, fast_rotation=data.draw(st.booleans()))
+        mc = bs.SystemSpec(model, c)
+        curved = model == "BMC"
+        twin = bs.SystemSpec(
+            "BGP" if curved else "TGP", c, kernel_g=bs.exponential_kernel(c.varpi, c.sigma),
+            kernel_h=bs.exponential_kernel(c.varpi, c.tau) if curved else None)
+        rm, rg = bs.stability_numbers(mc), bs.stability_numbers(twin)
+        names = {"chi_sigma": "chi_g", "chi_tau": "chi_h"}
+        for name in rm.governing:
+            assert getattr(rm, name) == getattr(rg, names[name])
+            assert rm.scales[name] == rg.scales[names[name]]
+        for name in ("chi0", "chi1", "sigma_g", "sigma_h", "classification"):
+            assert getattr(rm, name) == getattr(rg, name)
+        try:
+            sm = bs.lower_bound(mc, [4, 64])
+        except bs.InfeasibleError:
+            with pytest.raises(bs.InfeasibleError):
+                bs.lower_bound(twin, [4, 64])
+        else:
+            sg = bs.lower_bound(twin, [4, 64])
+            assert (sm.c0, sm.beta0, sm.cstar, sm.notes) == (sg.c0, sg.beta0, sg.cstar, sg.notes)
+            # repr, since a straight beam's nuhat is NaN, which is not == itself
+            assert repr(sm.rows) == repr(sg.rows)
+        lam = data.draw(st.floats(0.5, 50.0))
+        assert (bs.mn_matrix(mc, 5, lam) == bs.mn_matrix(twin, 5, lam)).all()
 
     def test_vanishing_product_rejected(self, refexp):
         with pytest.raises(bs.InfeasibleError):

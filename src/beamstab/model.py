@@ -320,9 +320,10 @@ def _resonant_modes(coeffs, ns, tol=1e-9):
 def tune_chi_zero(coeffs, target):
     """Solve chi = 0 for the heat-law parameter.
 
-    For ``chi_g``/``chi_h`` the returned value is the required varpi*g(0)
-    (resp. varpi*h(0)); for ``chi_sigma``/``chi_tau`` it is the relaxation
-    time itself.  Raises if no strictly positive solution exists.
+    The root is the required varpi*g(0) (resp. varpi*h(0)).  For
+    ``chi_g``/``chi_h`` that value is returned; for ``chi_sigma``/``chi_tau``
+    the relaxation time, whose exponential kernel has varpi*g(0) = 1/time,
+    so its reciprocal.  Raises if no strictly positive solution exists.
     """
     c = coeffs
     chi0, chi1 = _chi_elastic(c)
@@ -330,12 +331,9 @@ def tune_chi_zero(coeffs, target):
     if factor is None:
         raise DomainError(f"unknown tuning target {target!r}")
     num = c.rho3 * factor + c.gamma**2
-    den = (c.rho1 / c.k) * factor
-    if den == 0 or num == 0 or (num > 0) != (den > 0):
+    if factor == 0 or num == 0 or (num > 0) != (factor > 0):
         raise InfeasibleError(
             f"{target} = 0 has no positive solution for these coefficients")
-    if target in ("chi_g", "chi_h"):
-        # (rho3/x - rho1/k) factor + gamma^2/x = 0  =>  x = k(rho3 f + g^2)/(rho1 f)
-        return c.k * num / (c.rho1 * factor)
-    # (s rho3 - rho1/k) factor + gamma^2 s = 0  =>  s = (rho1/k) f / (rho3 f + g^2)
-    return den / num
+    # (rho3/x - rho1/k) factor + gamma^2/x = 0  =>  x = k(rho3 f + g^2)/(rho1 f)
+    x = c.k * num / (c.rho1 * factor)
+    return x if target in ("chi_g", "chi_h") else 1.0 / x

@@ -681,8 +681,7 @@ def mn_matrix(spec, n, lam):
         raise DomainError(f"lambda must be finite, got {lam}")
     kernels = _heat_kernels(spec)
     om = modal_mod.omega(spec.coeffs.ell, n)
-    hats = (kmod.fourier_mu(kernels[0], lam),
-            kmod.fourier_mu(kernels[1], lam) if spec.is_bresse else None)
+    hats = [None if k is None else kmod.fourier_mu(k, lam) for k in kernels]
     return _mn_matrix(spec, om, lam, kernels, hats)
 
 
@@ -821,10 +820,10 @@ def lower_bound(spec, ns, tol=mmod.DEFAULT_TOL):
         rows=tuple(rows), notes=tuple(notes))
 
 
-def det_check(spec, n, tol=mmod.DEFAULT_TOL):
+def det_check(spec, n):
     """Measured vs predicted leading-order determinants at the resonance: the
-    ``check`` of row n of ``lower_bound`` (with its ``tol``)."""
-    rows = lower_bound(spec, [n], tol).rows
+    ``check`` of row n of ``lower_bound``."""
+    rows = lower_bound(spec, [n]).rows
     if not rows:
         raise DomainError(f"lambda_n is not real at n={n}")
     return rows[0].check

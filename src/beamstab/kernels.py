@@ -445,11 +445,17 @@ def normalized(kernel):
     total = masses(kernel).g_total
     if not (np.isfinite(total) and total > 0):
         raise AdmissibilityError("kernel mass must be positive and finite")
+    return _scaled(kernel, 1.0, total)
+
+
+def _scaled(kernel, time, mass):
+    """The kernel mu(s/time)/mass: prony terms (a_j/mass, time theta_j),
+    tabulated samples at time s_i, every rate divided by time."""
     if kernel.kind == "prony":
-        return prony_kernel([(a / total, th) for a, th in kernel.terms],
-                            delta=kernel.delta)
-    return tabulated_kernel(kernel.s, kernel.mu / total,
-                            delta_tail=kernel.delta_tail, delta=kernel.delta)
+        return prony_kernel([(a / mass, time * th) for a, th in kernel.terms],
+                            delta=kernel.delta / time)
+    return tabulated_kernel(kernel.s * time, kernel.mu / mass,
+                            delta_tail=kernel.delta_tail / time, delta=kernel.delta / time)
 
 
 def rescaled(kernel, eps):
@@ -459,15 +465,7 @@ def rescaled(kernel, eps):
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    if kernel.kind == "prony":
-        return prony_kernel(
-            [(a / eps**2, eps * th) for a, th in kernel.terms],
-            delta=kernel.delta / eps,
-        )
-    return tabulated_kernel(
-        kernel.s * eps, kernel.mu / eps**2,
-        delta_tail=kernel.delta_tail / eps, delta=kernel.delta / eps,
-    )
+    return _scaled(kernel, eps, eps**2)
 
 
 def cg_mix(kernel, eps, m):

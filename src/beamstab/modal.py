@@ -44,10 +44,10 @@ omega_n: the strain energy S = sum stiffness a a^T, a = factor omega^power,
 and the couplings C[theta, u] = factor omega^power.  Every coordinate system
 takes its beam entries from there:
 
-* state coordinates (``_mode_arrays``): G_n has the velocities in the
-  displacement rows, -(S u + C^T theta)/rho in the velocity rows and
-  C u_t / rho3 in the temperature rows; W_n is S on the displacements, rho
-  on the velocities and rho3 on the temperatures;
+* state coordinates (``_mode_arrays``): on the strain block G_n has the
+  velocities in the displacement rows and -S u / rho in the velocity rows,
+  and W_n is S on the displacements; every other entry is scaled back
+  from the energy coordinates by the closed-form weights (below);
 * energy coordinates (``_coupling``): K[slot, u_t] = factor sqrt(stiffness
   / rho) and K[theta, u_t] = factor / sqrt(rho rho3), in K1 for power 1 and
   K0 for power 0, with K[u_t, row] = -K[row, u_t];
@@ -55,8 +55,8 @@ takes its beam entries from there:
   displacements, C^T in the temperature columns and lam^2 C in the
   temperature rows.
 
-Only the heat-law blocks (memory, flux, the classical diagonal) are written
-per law.
+Each heat law (memory, flux, the classical diagonal) is written once, in
+``_coupling``, and reaches the state coordinates through its weights.
 
 Energy coordinates.  v = F_n u with F_n^T F_n = W_n (times 2/ell) turns the
 W-norm into the 2-norm, and F_n has a closed form, slot by slot of u:
@@ -79,6 +79,14 @@ K0 is a skew S0 plus the diagonal D of the memory and flux rates (-1/theta_j,
 -1/h_i on the diagonal and sqrt(m_i/m_{i-1})/h_i below it; K2 is the
 classical law's -varpi/rho3 on each temperature.  F_n is singular exactly at
 the curvature resonance omega_n = l, where SingularWeightError is raised.
+
+Off the strain block F_n is the diagonal t of the scales above, t^2 = w0 +
+w2 omega_n^2 the weights rho, rho3, relax, varpi omega^2 / (a_j theta_j) and
+varpi m_i omega^2 (``ModeStack.weights``).  So ``_mode_arrays`` takes
+G_n = t^-1 Gh_n t and W_n = t^2 (times ell/2) there and builds only the
+strain block from ``_elastic``, which keeps the displacements' grading: it
+makes the state-coordinate eigenvalues of high modes more accurate
+(``resolvent.spectral_abscissa``).
 
 Every mode index, mode count and grid-node count passes the one count rule,
 ``kernels._count``; an array of mode indices needs an integer dtype.
@@ -210,7 +218,10 @@ class ModeStack:
     -1/(relax*varpi) on flux rows, 0 elsewhere; None for the upwind grid and
     the classical law, whose damping is not bounded uniformly in n.
     ``heat`` is the heat-block partition of the generators (``HeatBlock``),
-    None for the classical law, which has no heat block.
+    None for the classical law, which has no heat block.  ``weights`` =
+    (w0, w2) gives each slot's closed-form energy weight w0 + w2 omega_n^2
+    off the strain block (module docstring); the strain slots hold 1 there,
+    as ``_mode_arrays`` builds their block from the beam table.
     """
 
     spec: mmod.SystemSpec
@@ -222,6 +233,7 @@ class ModeStack:
     K: tuple
     damping: np.ndarray
     heat: HeatBlock
+    weights: tuple
 
     @property
     def dim(self):
@@ -376,8 +388,8 @@ def _node_cap(spec):
 
 def _layout(spec, grid):
     """The system's ``ModeStack``: labels, memory/flux blocks, the coupling
-    matrices K, the damping diagonal and the heat-block partition, built
-    once and shared by every mode of the system."""
+    matrices K, the damping diagonal, the heat-block partition and the
+    closed-form weights, built once and shared by every mode of the system."""
     scheme = _memory_scheme(spec, None if grid is None else "sgrid-upwind")
     if scheme == "sgrid-upwind" and grid is None:
         raise SpecError("tabulated kernels need a history grid (make_grid)")
@@ -388,14 +400,14 @@ def _layout(spec, grid):
     ends = [index[f"temp_{tag}"] for tag, _ in temps] + [len(labels)]
     blocks = tuple(_make_block(f"temp_{tag}", lo + 1, hi - lo - 1, scheme, kernel, grid)
                    for (tag, kernel), lo, hi in zip(temps, ends, ends[1:]))
-    K = _coupling(spec, index, blocks, scheme)
+    K, weights = _coupling(spec, index, blocks, scheme)
     damping = np.diag(K[0]).copy() if scheme in ("prony-reduction", "flux") else None
-    for a in (*K, damping):
+    for a in (*K, *weights, damping):
         if a is not None:
             a.flags.writeable = False
     return ModeStack(spec=spec, grid=grid, labels=labels, blocks=blocks,
                      scheme=scheme, index=MappingProxyType(index), K=K, damping=damping,
-                     heat=_heat_block(K, blocks) if blocks else None)
+                     heat=_heat_block(K, blocks) if blocks else None, weights=weights)
 
 
 def _beam(spec):
@@ -439,12 +451,16 @@ def _elastic(beam, om):
 
 
 def _coupling(spec, index, blocks, scheme):
-    """(K0, K1, K2) of the energy coordinates (module docstring): the beam
-    entries from the ``_beam`` table, the heat-law blocks from ``blocks``."""
+    """(K0, K1, K2) of the energy coordinates and the weights (w0, w2) of
+    ``ModeStack.weights`` (module docstring): the beam entries from the
+    ``_beam`` table, the heat-law blocks from ``blocks``."""
     c, sq = spec.coeffs, np.sqrt
-    rho, _, strains, couplings = _beam(spec)
+    rho, temps, strains, couplings = _beam(spec)
     d = len(index)
     K0, K1, K2 = np.zeros((d, d)), np.zeros((d, d)), None
+    w0, w2 = np.ones(d), np.zeros(d)
+    w0[[index[u + "_t"] for u in rho]] = [*rho.values()]
+    w0[[index[name] for name in temps]] = c.rho3
     # (row, displacement, power of omega, entry); its velocity column gets the
     # entry, and K[column, row] = -K[row, column]
     table = [(slot, u, p, f * sq(stiffness / rho[u]))
@@ -459,17 +475,21 @@ def _coupling(spec, index, blocks, scheme):
         iT, rows = index[blk.temp], np.arange(blk.start, blk.start + blk.size)
         if blk.scheme == "flux":
             relax = c.sigma if blk.temp == "temp_b" else c.tau
-            u, rate = 1.0 / sq(c.rho3 * relax), -1.0 / (relax * c.varpi)
+            u, rate, w = 1.0 / sq(c.rho3 * relax), -1.0 / (relax * c.varpi), (relax, 0.0)
         elif blk.scheme == "prony-reduction":
             aj, thj = np.array(blk.aj), np.array(blk.thj)
             u, rate = -sq(c.varpi * aj * thj / c.rho3), -1.0 / thj
+            w = 0.0, c.varpi / (aj * thj)
         else:  # sgrid-upwind: the transport block
             m, h = blk.node_mass, blk.grid.spacing
-            u, rate = -sq(c.varpi * m / c.rho3), -1.0 / h
-            K0[rows[1:], rows[:-1]] = sq(m[1:] / m[:-1]) / h[1:]
+            u, rate, w = -sq(c.varpi * m / c.rho3), -1.0 / h, (0.0, c.varpi * m)
+            # past a cell with no kernel mass (no energy) the entry is 0, not 0/0
+            ratio = np.divide(m[1:], m[:-1], out=np.zeros(m.size - 1), where=m[:-1] > 0)
+            K0[rows[1:], rows[:-1]] = sq(ratio) / h[1:]
         K1[iT, rows], K1[rows, iT] = u, -u
         K0[rows, rows] = rate
-    return K0, K1, K2
+        w0[rows], w2[rows] = w
+    return (K0, K1, K2), (w0, w2)
 
 
 def _make_block(temp, start, size, scheme, kernel, grid):
@@ -509,73 +529,48 @@ def _mode_indices(spec, ns, check_condition=True):
     return ns
 
 
-def _generators(stack, ns):
+def _generators(stack, ns, check_condition=True):
     """Stacked real energy-coordinate generators, (N, d, d), of the modes
-    ``ns`` of a ``ModeStack``: omega_n K1 + K0 (+ omega_n^2 K2)."""
-    ns = _mode_indices(stack.spec, ns)
+    ``ns`` of a ``ModeStack``: omega_n K1 + K0 (+ omega_n^2 K2);
+    ``check_condition`` as in ``_mode_indices``."""
+    ns = _mode_indices(stack.spec, ns, check_condition)
     om = (ns * np.pi / stack.spec.coeffs.ell)[:, None, None]
     K0, K1, K2 = stack.K
-    G = om * K1 + K0
-    return G if K2 is None else G + om ** 2 * K2
+    G = om * K1
+    G += K0
+    if K2 is not None:
+        G += om ** 2 * K2
+    return G
 
 
 def _mode_arrays(stack, ns, check_condition=True):
     """Stacked real (G, W), each (N, d, d), of the modes ``ns`` of a
-    ``ModeStack``: the generators and energy weights in the state
-    coordinates."""
-    spec = stack.spec
-    c = spec.coeffs
-    ns = _mode_indices(spec, ns, check_condition)
-    idx = stack.index
-    om = ns * np.pi / c.ell
-    rho, temps, _, _ = beam = _beam(spec)
-    disp, vel, temps = (np.array([idx[name] for name in names])
-                        for names in (rho, [u + "_t" for u in rho], temps))
-    dens = np.array([*rho.values()])
-
-    # the beam (module docstring): the velocities in the displacement rows,
-    # -(S u + C^T theta)/rho in the velocity rows, C u_t / rho3 in the
-    # temperature rows; W = S on the displacements, rho on the velocities
-    # and rho3 on the temperatures.  0 - x keeps empty entries +0
-    S, C = _elastic(beam, om)
-    G, W = np.zeros((2, ns.size, stack.dim, stack.dim))
-    G[:, disp, vel] = 1.0
-    G[:, vel[:, None], disp] = 0.0 - S / dens[:, None]
-    G[:, vel[:, None], temps] = 0.0 - np.swapaxes(C, 1, 2) / dens[:, None]
-    G[:, temps[:, None], vel] = C / c.rho3
+    ``ModeStack`` in the state coordinates (module docstring): the
+    generators scaled back by the closed-form weights t^2 = w0 + w2 omega_n^2,
+    G = t^-1 Gh t and W = t^2, but for the strain block of the beam table."""
+    G = _generators(stack, ns, check_condition)
+    om = np.asarray(ns) * np.pi / stack.spec.coeffs.ell
+    rho, _, _, _ = beam = _beam(stack.spec)
+    disp, vel = (np.array([stack.index[name] for name in names])
+                 for names in (rho, [u + "_t" for u in rho]))
+    w0, w2 = stack.weights
+    t2 = w0 + w2 * om[:, None] ** 2
+    # G[i, j] = Gh[i, j] t_j / t_i, in place.  A slot of zero weight (an
+    # upwind cell with no kernel mass) carries no energy, and _coupling
+    # leaves it nothing in Gh but its own rate, which t = 1 keeps
+    t = np.sqrt(t2, out=np.ones_like(t2), where=t2 > 0)
+    G *= t[:, None, :]
+    G /= t[:, :, None]
+    W, slots = np.zeros_like(G), np.arange(stack.dim)
+    W[:, slots, slots] = t2
+    # the strain block: the velocities in the displacement rows, -S u / rho
+    # in the velocity rows, W = S on the displacements.  0 - x keeps empty
+    # entries +0
+    S, _ = _elastic(beam, om)
+    G[:, disp[:, None], vel] = np.eye(disp.size)
+    G[:, vel[:, None], disp] = 0.0 - S / w0[vel, None]
     W[:, disp[:, None], disp] = S
-    W[:, vel, vel] = dens
-    W[:, temps, temps] = c.rho3
-
-    # heat law: the classical law is a diagonal on each temperature; the
-    # others couple a temperature to its memory/flux block
-    if stack.scheme == "none":
-        G[:, temps, temps] = (-c.varpi * om**2 / c.rho3)[:, None]
-    for blk in stack.blocks:
-        iT = idx[blk.temp]
-        sl = slice(blk.start, blk.start + blk.size)
-        rows = np.arange(blk.start, blk.start + blk.size)
-        if blk.scheme == "flux":
-            relax = c.sigma if blk.temp == "temp_b" else c.tau
-            G[:, iT, blk.start] = om / c.rho3
-            G[:, blk.start, iT] = -om / relax
-            G[:, rows, rows] = stack.damping[rows]
-            W[:, rows, rows] += relax
-        elif blk.scheme == "prony-reduction":
-            aj, thj = np.array(blk.aj), np.array(blk.thj)
-            G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2
-            G[:, rows, rows] = stack.damping[rows]
-            G[:, sl, iT] = aj * thj
-            W[:, rows, rows] += c.varpi * om[:, None] ** 2 / (aj * thj)
-        else:  # sgrid-upwind
-            h = blk.grid.spacing
-            G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2 * blk.node_mass
-            G[:, rows, rows] = -1.0 / h
-            G[:, rows[1:], rows[:-1]] = 1.0 / h[1:]
-            G[:, sl, iT] = 1.0
-            W[:, rows, rows] += c.varpi * om[:, None] ** 2 * blk.node_mass
-
-    W *= c.ell / 2.0
+    W *= stack.spec.coeffs.ell / 2.0
     return G, W
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 import beamstab as bs
+from beamstab import modal
 
 ELL = np.pi
 
@@ -85,3 +86,65 @@ def admissible_specs(draw, models):
     kg = _prony(draw) if model.endswith("GP") else None
     kh = _prony(draw) if model == "BGP" else None
     return bs.SystemSpec(model, c, kernel_g=kg, kernel_h=kh)
+
+
+def reference_mode_arrays(stack, ns, check_condition=True):
+    """Stacked real (G, W) of the modes ``ns`` of a ``ModeStack`` in the
+    state coordinates, every heat law written out in them: the assembly
+    ``modal._mode_arrays`` had before it derived them from the energy
+    coordinates, kept as the reference that the derived ones are checked
+    against."""
+    spec = stack.spec
+    c = spec.coeffs
+    ns = modal._mode_indices(spec, ns, check_condition)
+    idx = stack.index
+    om = ns * np.pi / c.ell
+    rho, temps, _, _ = beam = modal._beam(spec)
+    disp, vel, temps = (np.array([idx[name] for name in names])
+                        for names in (rho, [u + "_t" for u in rho], temps))
+    dens = np.array([*rho.values()])
+
+    # the beam (modal's docstring): the velocities in the displacement rows,
+    # -(S u + C^T theta)/rho in the velocity rows, C u_t / rho3 in the
+    # temperature rows; W = S on the displacements, rho on the velocities
+    # and rho3 on the temperatures.  0 - x keeps empty entries +0
+    S, C = modal._elastic(beam, om)
+    G, W = np.zeros((2, ns.size, stack.dim, stack.dim))
+    G[:, disp, vel] = 1.0
+    G[:, vel[:, None], disp] = 0.0 - S / dens[:, None]
+    G[:, vel[:, None], temps] = 0.0 - np.swapaxes(C, 1, 2) / dens[:, None]
+    G[:, temps[:, None], vel] = C / c.rho3
+    W[:, disp[:, None], disp] = S
+    W[:, vel, vel] = dens
+    W[:, temps, temps] = c.rho3
+
+    # heat law: the classical law is a diagonal on each temperature; the
+    # others couple a temperature to its memory/flux block
+    if stack.scheme == "none":
+        G[:, temps, temps] = (-c.varpi * om**2 / c.rho3)[:, None]
+    for blk in stack.blocks:
+        iT = idx[blk.temp]
+        sl = slice(blk.start, blk.start + blk.size)
+        rows = np.arange(blk.start, blk.start + blk.size)
+        if blk.scheme == "flux":
+            relax = c.sigma if blk.temp == "temp_b" else c.tau
+            G[:, iT, blk.start] = om / c.rho3
+            G[:, blk.start, iT] = -om / relax
+            G[:, rows, rows] = stack.damping[rows]
+            W[:, rows, rows] += relax
+        elif blk.scheme == "prony-reduction":
+            aj, thj = np.array(blk.aj), np.array(blk.thj)
+            G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2
+            G[:, rows, rows] = stack.damping[rows]
+            G[:, sl, iT] = aj * thj
+            W[:, rows, rows] += c.varpi * om[:, None] ** 2 / (aj * thj)
+        else:  # sgrid-upwind
+            h = blk.grid.spacing
+            G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2 * blk.node_mass
+            G[:, rows, rows] = -1.0 / h
+            G[:, rows[1:], rows[:-1]] = 1.0 / h[1:]
+            G[:, sl, iT] = 1.0
+            W[:, rows, rows] += c.varpi * om[:, None] ** 2 * blk.node_mass
+
+    W *= c.ell / 2.0
+    return G, W

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamstab import cli, model, resolvent
+from beamstab import cli, dynamics, model, resolvent
+from conftest import reference_mode_arrays
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep"
 GOLDEN_DECAY = Path(__file__).parent / "data" / "golden_decay"
@@ -280,6 +281,26 @@ class TestLayoutRules:
         assert cfg.grid.s_max == cli.modal.make_grid(cfg.spec.kernel_h, 16).s_max
         assert cli.main(["spectrum", "--config", str(path)]) == 0
         assert not capsys.readouterr().err
+
+    def test_cells_past_a_kernels_support_carry_no_energy(self, tmp_path):
+        # on 48 nodes from the slower prony kernel_g, the table's last cells
+        # hold no mass: the transport entry sqrt(m_i/m_{i-1}) past such a
+        # cell is 0, not 0/0, and the state coordinates keep only the cell's
+        # own rate, with the spectrum of the assembly that still feeds it
+        path = _golden_config(tmp_path, kernel_h=TABULATED, memory={"nodes": 48},
+                              decay={"n_max": 16}, spectrum={"n_max": 16})
+        cfg = cli.load_config(path)
+        stack = cli.modal._layout(cfg.spec, cfg.grid)
+        assert np.sum(stack.blocks[1].node_mass == 0) >= 2
+        assert np.all(np.isfinite(stack.K[0]))
+        ns = np.arange(1, 17)
+        want = np.linalg.eigvals(reference_mode_arrays(stack, ns)[0]).real.max(axis=1)
+        got = resolvent.spectral_abscissa(cfg.spec, 16, grid=cfg.grid).per_mode
+        assert got == pytest.approx(want, rel=1e-8, abs=0)
+        for command in ("spectrum", "decay", "check"):
+            assert cli.main([command, "--config", str(path)]) == 0
+        check = json.loads((tmp_path / "out" / "check.json").read_text())
+        assert check["status"] == "pass"
 
     def test_prony_terms_count_like_nodes(self, tmp_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -595,6 +616,31 @@ class TestGoldenCommands:
             assert (out / file_name).read_bytes() == want
 
 
+def test_relaxed_flux_and_its_exponential_twin_agree(tmp_path):
+    # a relaxed flux is the memory law of its exponential kernels: the golden
+    # bmc config and its BGP twin, built as the packaging smoke test builds
+    # bmc_twin.json, give the same sweep, decay series and spectrum up to
+    # rounding (measured: 2.6e-15, 3.6e-10 and 1.2e-11 relative)
+    bmc = json.loads((GOLDEN / "bmc" / "config.json").read_text())
+    coeffs = {k: v for k, v in bmc["coefficients"].items() if k not in ("sigma", "tau")}
+    exp = lambda s: {"type": "exponential", "varpi": 1, "sigma": s}
+    path = tmp_path / "bmc_twin.json"
+    path.write_text(json.dumps(dict(bmc, model="BGP", coefficients=coeffs,
+                                    kernel_g=exp(1.5), kernel_h=exp(0.7))))
+    flux, twin = (cli.load_config(p) for p in (GOLDEN / "bmc" / "config.json", path))
+    blk = flux.sweep
+    lams = np.geomspace(blk["lambda_min"], blk["lambda_max"], blk["points"])
+    for a, b in zip(*(resolvent.sweep(cfg.spec, lams, blk["n_max"]) for cfg in (flux, twin))):
+        assert a.argmax_n == b.argmax_n
+        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0)
+    ts = np.geomspace(flux.decay["t_min"], flux.decay["t_max"], flux.decay["points"])
+    for n_max in (128, 1024):
+        a, b = (dynamics.semiuniform_series(cfg.spec, ts, n_max) for cfg in (flux, twin))
+        assert a == pytest.approx(b, rel=1e-8, abs=0)
+    a, b = (resolvent.spectral_abscissa(cfg.spec, 64).per_mode for cfg in (flux, twin))
+    assert a == pytest.approx(b, rel=1e-9, abs=0)
+
+
 def test_lowerbound_solves_the_resonance_once(tmp_path, monkeypatch):
     calls = {"stability_numbers": 0, "det_check": 0}
 
@@ -681,6 +727,29 @@ class TestCheck:
         assert lines[1] == "% generator (row col value)"
         generator = lines[2:lines.index("% weight (row col value)")]
         assert generator and all(len(line.split()) == 3 for line in generator)
+
+    @pytest.mark.parametrize("config, failing", [
+        ("ref1", ["dissipation_identity", "flux_map_commutation"]),
+        ("tgp_tabulated", ["dissipation_identity"])])
+    def test_a_wrong_heat_weight_fails(self, tmp_path, monkeypatch, config, failing):
+        # G and W are scaled from the same weights, so a wrong weight leaves
+        # them consistent: only the independent memory functional and, for a
+        # one-term exponential kernel, the flux map can see it.  Scale the
+        # first heat state's weight (a prony term of ref1, an upwind cell of
+        # the table) by 1 + 1e-6; the flux twin's has no omega^2 part
+        coupling = cli.modal._coupling
+
+        def scaled(spec, index, blocks, scheme):
+            K, (w0, w2) = coupling(spec, index, blocks, scheme)
+            if blocks:
+                w2[blocks[0].start] *= 1 + 1e-6
+            return K, (w0, w2)
+
+        monkeypatch.setattr(cli.modal, "_coupling", scaled)
+        path = write_config(tmp_path) if config == "ref1" else GOLDEN / config / "config.json"
+        assert cli.main(["check", "--config", str(path), "--out", str(tmp_path)]) == 0
+        checks = json.loads((tmp_path / "check.json").read_text())["checks"]
+        assert [c["name"] for c in checks if not c["ok"]] == failing
 
     def test_relaxed_model_check(self, tmp_path, capsys):
         cfg = {

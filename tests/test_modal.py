@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import beamstab as bs
 from beamstab import modal
 from beamstab import resolvent as rmod
-from conftest import admissible_specs, ref1_coeffs, random_states, wnorm
+from conftest import (admissible_specs, ref1_coeffs, random_states, reference_mode_arrays,
+                      wnorm)
 
 
 class TestOmega:
@@ -137,7 +138,7 @@ class TestEnergyCoordinates:
             S0 = K0 - np.diag(stack.damping)
             assert np.array_equal(S0, -S0.T)
         G = np.concatenate([G for _, G in stack.chunks(int(self.NS[-1]))])[self.NS - 1]
-        ref = rmod._weight_factors(*modal._mode_arrays(stack, self.NS))
+        ref = rmod._weight_factors(*reference_mode_arrays(stack, self.NS))
         # the same spectrum, to 1e-12 of the generator's norm
         ev, ev_ref = np.linalg.eigvals(G), np.linalg.eigvals(ref)
         gap = np.max(np.min(np.abs(ev[:, :, None] - ev_ref[:, None, :]), axis=2), axis=1)
@@ -149,6 +150,27 @@ class TestEnergyCoordinates:
             got, want = rmod._batched_norms(G, lam=lam), rmod._batched_norms(ref, lam=lam)
             kappa = np.linalg.norm(1j * lam * eye - G, 2, axis=(1, 2)) * got
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(kappa, 1.0) * want)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=admissible_specs(ALL_TAGS), upwind=st.booleans(),
+           ns=st.lists(st.integers(1, 30_000), min_size=1, max_size=6))
+    @example(spec=REF1_BGP, upwind=True, ns=[1, 2, 30_000])
+    def test_state_coordinates_match_the_reference(self, spec, upwind, ns):
+        # G and W scaled back from the energy coordinates have the zero
+        # pattern of the assembly that writes every heat law out in the
+        # state coordinates, and its entries to 8 eps relative
+        grid = None
+        if upwind:
+            assume(spec.model in ("BGP", "TGP"))
+            grid = bs.make_grid(modal._grid_kernel(spec), 12)
+        try:
+            stack = modal._layout(spec, grid)
+        except bs.AdmissibilityError:   # a grid that cuts a kernel
+            assume(False)
+        for got, want in zip(modal._mode_arrays(stack, ns), reference_mode_arrays(stack, ns)):
+            assert np.array_equal(got != 0, want != 0)
+            nz = want != 0
+            assert np.all(np.abs(got[nz] - want[nz]) <= 8 * np.finfo(float).eps * np.abs(want[nz]))
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(spec=admissible_specs(ALL_TAGS), upwind=st.booleans())

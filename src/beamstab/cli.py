@@ -15,7 +15,9 @@ Each config object declares its fields once (``TOP_FIELDS``,
 the one object rule, ``kernels._object``, so an unknown or misspelled field
 exits 2 too, as does a config file that cannot be read or is not UTF-8 JSON.
 ``output.formats`` decides the CSV tables and SVG charts a command writes;
-its JSON summary is always written.
+its JSON summary is always written.  An output directory (``output.dir``,
+``--out``, ``--dump-modes``) that names an existing file, or a path below
+one, exits 2 before any work, and so does a write that still fails.
 
 Every count field (``n_max``, ``points``, ``memory.nodes``, the entries of
 ``lowerbound.n_list``) passes the one count rule, ``kernels._count``, with
@@ -87,6 +89,19 @@ class RunConfig:
 def _field_count(value, where, least=1, most=MAX_MODES):
     """A config count: the one count rule, ``kernels._count``."""
     return _count(value, f"config field {where}", least, most, SpecError)
+
+
+def _output_dir(path, where):
+    """``path`` as an output directory, refused with SpecError where it or
+    its nearest existing parent is not a directory; creates nothing."""
+    path = Path(path)
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise SpecError(f"{where} {path} cannot be a directory: {p} exists "
+                                "and is not one")
+            break
+    return path
 
 
 def load_config(path, out_override=None):
@@ -169,7 +184,8 @@ def load_config(path, out_override=None):
         raise SpecError(f"unknown output formats: {sorted(bad)}")
     if not isinstance(out_dir, str):
         raise SpecError(f"config field output.dir must be a string, got {out_dir!r}")
-    out_dir = Path(out_override or out_dir)
+    out_dir = _output_dir(out_override or out_dir,
+                          "--out" if out_override else "config field output.dir")
 
     # the history grid is the one computation here, made after every check
     return RunConfig(
@@ -185,10 +201,14 @@ def _header(cfg, command):
     return f"# beamstab {__version__} config={cfg.config_hash} command={command}"
 
 
-def _write(cfg, name, text):
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / name
-    path.write_text(text, encoding="utf-8")
+def _write(out_dir, name, text):
+    """Write one output file, creating its directory; SpecError where that fails."""
+    path = out_dir / name
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
 
 
@@ -198,21 +218,21 @@ def _write_csv(cfg, command, name, columns, rows):
     lines = [_header(cfg, command), ",".join(columns)]
     lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
               for row in rows]
-    return _write(cfg, name, "\n".join(lines) + "\n")
+    return _write(cfg.out_dir, name, "\n".join(lines) + "\n")
 
 
 def _write_json(cfg, command, name, payload):
     body = {"tool": f"beamstab {__version__}", "config_hash": cfg.config_hash,
             "command": command}
     body.update(payload)
-    return _write(cfg, name, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    return _write(cfg.out_dir, name, json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
 def _write_svg(cfg, name, *series, **style):
     """Render ``svg.line_chart(*series, **style)`` only if svg is listed."""
     if "svg" not in cfg.formats:
         return None
-    return _write(cfg, name, svg.line_chart(*series, **style))
+    return _write(cfg.out_dir, name, svg.line_chart(*series, **style))
 
 
 def cmd_stability(cfg, args):
@@ -426,12 +446,8 @@ def cmd_check(cfg, args):
                           for n, ok, d in results]}
     _write_json(cfg, "check", "check.json", payload)
     if args.dump_modes:
-        dump = Path(args.dump_modes)
-        dump.mkdir(parents=True, exist_ok=True)
         for n in (1, 2):
-            mode = stack.mode(n)
-            (dump / f"mode_{n}.txt").write_text(modal.matrix_text(mode),
-                                                encoding="utf-8")
+            _write(Path(args.dump_modes), f"mode_{n}.txt", modal.matrix_text(stack.mode(n)))
     return 0
 
 
@@ -463,6 +479,8 @@ def main(argv=None):
         return 2
     try:
         cfg = load_config(args.config, out_override=args.out)
+        if args.dump_modes:
+            _output_dir(args.dump_modes, "--dump-modes")
         return COMMANDS[args.command](cfg, args)
     except NUMERIC_ERRORS as exc:
         ctx = ""

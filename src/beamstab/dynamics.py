@@ -68,19 +68,21 @@ eigendecomposition comes from ``_propagator``; modes whose
 cond_2(V), is not below EIG_COND_LIMIT take its ``expm`` and one inverse of
 Gh_n at every time point, without pruning.
 
-Certified tail.  Where ``ModeStack.damping`` is set (prony memory, relaxed
-flux), Gh_n = omega_n K1 + S0 + diag(D) with K1 and S0 skew and D <= 0
-(asserted once per stack by ``resolvent._Certificate``), so
-Gh_n + Gh_n^T = 2 diag(D) <= 0 and ||exp(t Gh_n)||_2 <= 1 for t >= 0.  By
-Weyl, sigma_min(Gh_n) >= c_min omega_n - ||S0|| - ||D||, c_min the least
+Certified tail.  Where K2 is None, Gh_n = omega_n K1 + S0 + E with K1 and
+S0 skew and E symmetric (``resolvent._Certificate``).  Where E <= 0 by
+Gershgorin's row test (``_Certificate.contracts``; on prony memory and
+relaxed flux E is the diagonal of negative rates),
+Gh_n + Gh_n^T = 2E <= 0 and ||exp(t Gh_n)||_2 <= 1 for t >= 0.  By
+Weyl, sigma_min(Gh_n) >= c_min omega_n - ||S0|| - ||E||, c_min the least
 singular value of K1, hence at every t
 
     ||exp(t Gh_n) Gh_n^{-1}||_2 <= b_n = 1 / (c_min omega_n - r),
 
 r the certificate's radius for the modes up to n_max + 1, and b_n = inf
-where c_min omega_n <= r (every mode of a multi-term prony stack, whose K1
-is singular up to rounding, and every mode of a stack without ``damping``:
-the upwind grid and the classical law keep the full walk).  Before a chunk is
+where c_min omega_n <= r or the row test fails (every mode of a multi-term
+prony stack and of the upwind grid, whose K1 is singular up to rounding,
+and of the classical law, which has no radius: these keep the full walk
+and a ``truncated`` tail).  Before a chunk is
 eigendecomposed, its modes whose b_n is below the smallest value so far
 (``resolvent._below``) are dropped.  b_n does not increase with n and the
 values only grow, so the modes kept form a prefix, and once one mode is
@@ -289,14 +291,15 @@ class _SmoothedPropagators:
 def _tail_bounds(stack, ts, n_max):
     """b(ns): per mode index, the contraction bound b_n >= ||exp(t Gh_n)
     Gh_n^{-1}||_2 at every t in ``ts`` (module docstring), inf where the
-    band gap c_min omega_n - r is not positive, and everywhere on a stack
-    without ``damping`` or where the rounding guard fails."""
+    band gap c_min omega_n - r is not positive, and everywhere where E <= 0
+    is not certified or the rounding guard fails."""
     ell = stack.spec.coeffs.ell
     om_top = (n_max + 1) * np.pi / ell
     cert = rmod._Certificate(stack, om_top)
     g_norm = cert.c[-1] * om_top + cert.radius   # >= ||Gh_n|| for n <= n_max + 1
-    guard = np.isfinite(g_norm) and ((EIG_COND_LIMIT + np.max(ts, initial=0.0) * g_norm)
-                                     * stack.dim * np.finfo(float).eps <= rmod.ROUND_REL)
+    # contracts only where the radius is finite: no inf * 0 on the classical law
+    guard = cert.contracts and ((EIG_COND_LIMIT + np.max(ts, initial=0.0) * g_norm)
+                                * stack.dim * np.finfo(float).eps <= rmod.ROUND_REL)
     return lambda ns: cert.upper(0.0, ns * np.pi / ell, where=guard)
 
 
@@ -330,7 +333,7 @@ def semiuniform_series(spec, ts, n_max, grid=None, work=None):
     """sup_n ||exp(t G_n) G_n^{-1}||_{W_n} over n <= n_max on a time grid.
 
     Exact per-mode weighted operator norms, batched over chunks of modes with
-    certified pruning; on a stack with ``damping`` the walk ends at the first
+    certified pruning; where the tail bound is finite the walk ends at the first
     mode whose tail bound is below the smallest value so far (see the module
     docstring).  n_max is a ceiling: ``tail`` says whether the values are
     the sup over all n.  A ``work`` dict, when given, receives the counters

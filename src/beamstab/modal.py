@@ -213,25 +213,20 @@ class ModeStack:
 
     ``K`` = (K0, K1, K2) gives the energy-coordinate generators
     omega_n K1 + K0 (+ omega_n^2 K2) (module docstring; K2 is None but for
-    the classical law).  ``damping`` is diag(K0) on prony memory and flux
-    stacks, the D of K0 = S0 + diag(D): -1/theta_j on prony memory rows,
-    -1/(relax*varpi) on flux rows, 0 elsewhere; None for the upwind grid and
-    the classical law, whose damping is not bounded uniformly in n.
-    ``heat`` is the heat-block partition of the generators (``HeatBlock``),
-    None for the classical law, which has no heat block.  ``weights`` =
-    (w0, w2) gives each slot's closed-form energy weight w0 + w2 omega_n^2
-    off the strain block (module docstring); the strain slots hold 1 there,
-    as ``_mode_arrays`` builds their block from the beam table.
+    the classical law).  ``heat`` is the heat-block partition of the
+    generators (``HeatBlock``), None for the classical law, which has no
+    heat block.  ``weights`` = (w0, w2) gives each slot's closed-form energy
+    weight w0 + w2 omega_n^2 off the strain block (module docstring); the
+    strain slots hold 1 there, as ``_mode_arrays`` builds their block from
+    the beam table.
     """
 
     spec: mmod.SystemSpec
-    grid: MemoryGrid
     labels: tuple
     blocks: tuple
     scheme: str
     index: MappingProxyType
     K: tuple
-    damping: np.ndarray
     heat: HeatBlock
     weights: tuple
 
@@ -388,8 +383,8 @@ def _node_cap(spec):
 
 def _layout(spec, grid):
     """The system's ``ModeStack``: labels, memory/flux blocks, the coupling
-    matrices K, the damping diagonal, the heat-block partition and the
-    closed-form weights, built once and shared by every mode of the system."""
+    matrices K, the heat-block partition and the closed-form weights, built
+    once and shared by every mode of the system."""
     scheme = _memory_scheme(spec, None if grid is None else "sgrid-upwind")
     if scheme == "sgrid-upwind" and grid is None:
         raise SpecError("tabulated kernels need a history grid (make_grid)")
@@ -401,12 +396,11 @@ def _layout(spec, grid):
     blocks = tuple(_make_block(f"temp_{tag}", lo + 1, hi - lo - 1, scheme, kernel, grid)
                    for (tag, kernel), lo, hi in zip(temps, ends, ends[1:]))
     K, weights = _coupling(spec, index, blocks, scheme)
-    damping = np.diag(K[0]).copy() if scheme in ("prony-reduction", "flux") else None
-    for a in (*K, *weights, damping):
+    for a in (*K, *weights):
         if a is not None:
             a.flags.writeable = False
-    return ModeStack(spec=spec, grid=grid, labels=labels, blocks=blocks,
-                     scheme=scheme, index=MappingProxyType(index), K=K, damping=damping,
+    return ModeStack(spec=spec, labels=labels, blocks=blocks, scheme=scheme,
+                     index=MappingProxyType(index), K=K,
                      heat=_heat_block(K, blocks) if blocks else None, weights=weights)
 
 

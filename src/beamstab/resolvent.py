@@ -19,22 +19,26 @@ least-damped eigenvalues of the active modes, reporting the achieved
 (lambda, sup) pair.  With ``peak_refine=False`` it degenerates to the plain
 fixed-lambda evaluation.
 
-Certified mode pruning.  For prony memory (``prony-reduction``) and relaxed
-flux (``flux``) modes, K0 = S0 + D with S0 real skew and D the diagonal of
-memory and flux rates (-1/theta_j, -1/(relax*varpi); ``ModeStack.damping``),
-so Gh_n = S_n + D with S_n = omega_n K1 + S0 real skew, hence normal with
+Certified mode pruning.  Every stack without an omega_n^2 term (K2 None:
+prony memory, the upwind grid, relaxed flux) has Gh_n = omega_n K1 + K0
+with K1 real skew.  Split K0 = S0 + E into its skew part
+S0 = (K0 - K0^T)/2 and its symmetric part E = (K0 + K0^T)/2, so
+Gh_n = S_n + E with S_n = omega_n K1 + S0 real skew, hence normal with
 spectrum +-i s_k(n), s_k(n) its singular values.  Weyl's inequality for
 singular values puts each s_k(n) within ||S0|| of c_k omega_n, the c_k the
 singular values of K1, computed once per stack: the bands c_k omega_n +-
-||S0||.  With radius r = ||D|| + ||S0|| (plus the allowance below), writing
-i lam - Gh_n = (i lam - S_n)(I - (i lam - S_n)^{-1} D) and
+||S0||.  With radius r = ||E||_inf + ||S0||_2 (plus the allowance below;
+||E||_2 <= ||E||_inf as E is symmetric, and on prony memory and flux, where
+E is the diagonal of memory and flux rates -1/theta_j, -1/(relax*varpi),
+||E||_inf is the largest rate exactly), writing
+i lam - Gh_n = (i lam - S_n)(I - (i lam - S_n)^{-1} E) and
 d = dist(lam, {c_k omega_n}):
 
 * ||(i lam - G_n)^{-1}||_W <= 1/(d - r) when d > r (Neumann series);
 * every eigenvalue mu of G_n has |Im mu - (+-c_k omega_n)| <= r for some k
   (Bauer-Fike: mu - G_n is singular only where the series diverges);
 * ||(i lam - G_n)^{-1}||_W >= 1/(d + r) (Weyl: singular values move by at
-  most ||S0|| + ||D||).
+  most ||S0|| + ||E||).
 
 No mode is assembled for these bounds (Trefethen & Embree, Spectra and
 Pseudospectra, 2005).
@@ -108,7 +112,7 @@ Spectra and Pseudospectra, 2005):
   the candidate's own mode is always kept.
 
 Rounding allowance ROUND_REL = 2^-20 (about 1e-6): the radius is
-r = ||D|| + ||S0||_2 + ROUND_REL (c_max omega_{N_max} + ||S0||), one
+r = ||E||_inf + ||S0||_2 + ROUND_REL (c_max omega_{N_max} + ||S0||), one
 constant per sweep.  The allowance covers the computed c_k and ||S0||, the
 rounding of Gh_n, whose norm is at most c_max omega_n + ||K0||, and the
 backward error of its computed eigenvalues tested against the bin.  The
@@ -121,10 +125,11 @@ its closed form (``HeatBlock.gram``).  The first term bounds the relative
 error of the mode's computed dense value, whose condition number is at most
 (|lam| + ||Gh_n||) b_n, the second that of the computed b_n, so a mode
 skipped on b_n has its computed dense value below the max as well.  The
-upwind history grid and the classical law have no uniform bound on D: their
-certificate has an infinite radius and no c_k, so the bin test and
-``may_reach`` keep every mode (``pruning`` is ``none``); of the two, only
-the upwind grid has the eliminated gate.  Either way the sup is taken over
+classical law alone has no uniform bound on its non-skew part, which grows
+like omega_n^2: its certificate has an infinite radius and no c_k, so the
+bin test and ``may_reach`` keep every mode (``pruning`` is ``none``).  On
+the upwind grid K1 is singular, so one band centre is 0 and a mode leaves
+the bins only where lam exceeds the radius.  Either way the sup is taken over
 the modes 1..N(lam), N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with
 c = lam sqrt(rho1/k) ell/pi the index at which omega_n sqrt(k/rho1) = lam,
 not over all n.
@@ -397,32 +402,36 @@ def _log_bins(lam_grid):
 
 
 class _Certificate:
-    """The frequency bands of a stack's modes (module docstring): the
-    distinct singular values ``c`` of K1 and one ``radius`` for the modes
-    up to frequency ``om_max``.  Without a damping bound (``damping`` None:
-    upwind grid, classical law) the radius is infinite (and one zero stands
-    for the c_k), so every query keeps every mode.  The decay series' tail
-    bound (``dynamics``) reads the same c and radius."""
+    """The frequency bands of a stack's modes (module docstring), the one
+    owner of their premise: the distinct singular values ``c`` of K1 and
+    one ``radius`` ||E||_inf + ||S0||_2 (plus the allowance) for the modes
+    up to frequency ``om_max``, K0 = S0 + E its skew and symmetric parts.
+    The classical law (K2 set) has no bands: its radius is infinite (and
+    one zero stands for the c_k), so every query keeps every mode.
+    ``contracts`` is the Gershgorin row test of E <= 0, so that
+    Gh_n + Gh_n^T = 2E <= 0: the premise of the decay series' tail bound
+    (``dynamics``), which reads the same c and radius."""
 
     def __init__(self, stack, om_max):
-        self.c, self.radius = np.zeros(1), np.inf
-        if stack.damping is not None:
-            K0, K1, _ = stack.K
-            S0 = K0 - np.diag(stack.damping)
-            # the premise of the bands and of the decay tail: K1 and S0 skew
-            # and D <= 0, so Gh_n + Gh_n^T = 2 diag(D) <= 0
-            assert (np.array_equal(K1, -K1.T) and np.array_equal(S0, -S0.T)
-                    and np.all(stack.damping <= 0))
+        self.c, self.radius, self.contracts = np.zeros(1), np.inf, False
+        K0, K1, K2 = stack.K
+        if K2 is None:
+            assert np.array_equal(K1, -K1.T)
+            S0, E = (K0 - K0.T) / 2, (K0 + K0.T) / 2
+            # Gershgorin: E_ii + sum_{j != i} |E_ij| <= 0 on every row
+            self.contracts = bool(np.all(np.abs(E).sum(axis=1) <= -2.0 * np.diag(E)))
             self.c = np.unique(np.linalg.svd(K1, compute_uv=False))
             s0 = np.linalg.norm(S0, 2)
-            self.radius = (np.max(np.abs(stack.damping)) + s0
+            self.radius = (np.linalg.norm(E, np.inf) + s0
                            + ROUND_REL * (self.c[-1] * om_max + s0))
 
     def dist(self, lo, hi, om):
         """Per mode of frequency ``om``, the distance from the interval
-        [lo, hi] to the nearest band centre c_k omega_n."""
-        co = self.c[:, None] * om   # (k, mode)
-        return np.maximum(np.min(np.maximum(lo - co, co - hi), axis=0), 0.0)
+        [lo, hi] to the nearest band centre c_k omega_n, one band at a time."""
+        out = np.full(np.shape(om), np.inf)
+        for c in self.c:   # not a (k, mode) array: the upwind grid has up to d bands
+            np.minimum(out, np.maximum(lo - c * om, c * om - hi), out=out)
+        return np.maximum(out, 0.0)
 
     def upper(self, lam, om, where=True):
         """Per mode of frequency ``om``, the Neumann bound 1 / (d - r) of the
@@ -523,7 +532,7 @@ def _sweep_point(cache, k):
     lam, count, cert = cache.lam_grid[k], cache.counts[k], cache.cert
     ns, om = cache.ns[:count], cache.om[:count]
     work = {"modes_in_range": count, "norm_evals": 0, "svds": 0,
-            "pruning": "none" if cache.stack.damping is None else "certified", **counted}
+            "pruning": "certified" if np.isfinite(cert.radius) else "none", **counted}
 
     def max_norm(sel, at, known, keep=0):
         """(value, n, per-mode values) of the max over the modes of the index

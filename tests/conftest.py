@@ -130,12 +130,12 @@ def reference_mode_arrays(stack, ns, check_condition=True):
             relax = c.sigma if blk.temp == "temp_b" else c.tau
             G[:, iT, blk.start] = om / c.rho3
             G[:, blk.start, iT] = -om / relax
-            G[:, rows, rows] = stack.damping[rows]
+            G[:, rows, rows] = np.diag(stack.K[0])[rows]
             W[:, rows, rows] += relax
         elif blk.scheme == "prony-reduction":
             aj, thj = np.array(blk.aj), np.array(blk.thj)
             G[:, iT, sl] = -(c.varpi / c.rho3) * om[:, None] ** 2
-            G[:, rows, rows] = stack.damping[rows]
+            G[:, rows, rows] = np.diag(stack.K[0])[rows]
             G[:, sl, iT] = aj * thj
             W[:, rows, rows] += c.varpi * om[:, None] ** 2 / (aj * thj)
         else:  # sgrid-upwind

@@ -232,6 +232,42 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["out-file", "out-below-file", "output-dir-file",
+                                  "dump-modes-below-file"])
+def test_output_path_below_a_file_is_refused(tmp_path, monkeypatch, capsys, case):
+    # exit 2 with one error line naming the path, before any work, creating nothing
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    target = blocker / "sub" if case.endswith("below-file") else blocker
+    out = tmp_path / "out"
+    path = write_config(tmp_path, output={"dir": str(target if case == "output-dir-file" else out)})
+    argv = ["check", "--config", str(path)]
+    if case.startswith("out-"):
+        argv += ["--out", str(target)]
+    elif case.startswith("dump-modes"):
+        argv += ["--dump-modes", str(target)]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    monkeypatch.setattr(cli.modal, "_layout", unreachable)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(target) in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
+    assert blocker.read_text() == ""
+
+
+def test_failed_write_exits_2(tmp_path, capsys):
+    # a directory where the summary goes: the write fails after the work
+    path = write_config(tmp_path, output={"dir": str(tmp_path / "out")})
+    (tmp_path / "out" / "stability.json").mkdir(parents=True)
+    assert cli.main(["stability", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write ")
+    assert str(tmp_path / "out" / "stability.json") in err[0]
+
+
 def _golden_config(tmp_path, name="cfg.json", base="bgp_prony", **extra):
     """A golden sweep config with ``extra`` fields, writing to tmp_path/out."""
     cfg = json.loads((GOLDEN / base / "config.json").read_text())
@@ -540,7 +576,7 @@ class TestGoldenSweep:
 
     @pytest.mark.parametrize("name, pruning", [("bgp_prony", "certified"),
                                                ("bmc", "certified"),
-                                               ("tgp_tabulated", "none")])
+                                               ("tgp_tabulated", "certified")])
     def test_bytes_unchanged(self, tmp_path, name, pruning):
         src = GOLDEN / name
         out = tmp_path / "out"

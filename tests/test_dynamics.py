@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import beamstab as bs
 from beamstab import dynamics as dmod
 from beamstab import modal as modal_mod
+from beamstab import resolvent as rmod
 from beamstab.resolvent import ROUND_REL
 from conftest import admissible_specs, ref1_coeffs, random_states, wnorm
 
@@ -348,10 +349,12 @@ class TestTailCertificate:
            ts=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3))
     def test_bound_is_sound(self, spec, n, ts):
         stack = modal_mod._layout(spec, None)
-        K0, K1, _ = stack.K
-        D = stack.damping
+        K0 = stack.K[0]
+        # prony memory and flux: K0 = S0 + diag(D), S0 skew and D <= 0
+        D = np.diag(K0)
         S0 = K0 - np.diag(D)
         assert np.array_equal(S0, -S0.T) and np.all(D <= 0)
+        assert rmod._Certificate(stack, 1.0).contracts
         ts = np.array(ts)
         b = dmod._tail_bounds(stack, ts, n)(np.array([n]))[0]
         if not np.isfinite(b):
@@ -397,7 +400,7 @@ class TestTailCertificate:
         assert np.any(vals < full)
 
     def test_undamped_stacks_walk_every_mode(self, ref1):
-        # the classical law and the upwind grid have no damping bound
+        # the classical law has no radius, and the upwind grid's K1 is singular
         kern = _tabulated_exp_kernel()
         upwind = bs.SystemSpec("TGP", ref1_coeffs(), kernel_g=kern)
         for spec, grid in ((ref1["TF"], None), (upwind, bs.make_grid(kern, 16))):

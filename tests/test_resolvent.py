@@ -570,16 +570,30 @@ class TestPrunedSweepMatchesDense:
         assert bs.sweep(ref1["BGP"], [], 16) == []
 
     def test_unpruned_schemes(self, ref1):
+        # below the upwind grid's radius (439 here) its bands keep every
+        # mode; the classical law has no bands
         grid = bs.make_grid(ref1["TGP"].kernel_g, 12)
         for (spec, g), threads in itertools.product(
                 ((ref1["TGP"], grid), (ref1["TF"], None)), (None, 2)):
             out = assert_sweep_matches_dense(spec, np.geomspace(3.0, 40.0, 6), 8,
                                              grid=g, threads=threads)
-            assert {s.work["pruning"] for s in out} == {"none"}
+            assert {s.work["pruning"] for s in out} == {
+                "none" if spec.model == "TF" else "certified"}
             assert all(s.work["modes_eigvals"] == s.work["modes_in_range"]
                        for s in out)
             if spec.model == "TF":   # no heat block, so no eliminated bound
                 assert sum(s.work["norm_evals"] for s in out) == 526
+
+    def test_upwind_bands_past_the_radius(self, ref1):
+        # the upwind grid's band centre 0 lets a bin above the radius skip
+        # the eigenvalues of the modes whose bands lie away from it
+        grid = bs.make_grid(ref1["TGP"].kernel_g, 12)
+        stack = modal_mod._layout(ref1["TGP"], grid)
+        lams = np.geomspace(600.0, 700.0, 2)
+        assert rmod._Certificate(stack, 1.0).radius < 500.0
+        out = assert_sweep_matches_dense(ref1["TGP"], lams, 8, grid=grid)
+        assert {s.work["pruning"] for s in out} == {"certified"}
+        assert any(s.work["modes_eigvals"] < s.work["modes_in_range"] for s in out)
 
     @pytest.mark.parametrize("threads", [None, 2])
     def test_eliminated_heat_blocks(self, threads):
@@ -809,7 +823,7 @@ class TestModeCache:
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         grid = bs.make_grid(ref1["TGP"].kernel_g, 12)
         for spec, g, pruning in ((ref1["BGP"], None, "certified"),
-                                 (ref1["TGP"], grid, "none")):
+                                 (ref1["TGP"], grid, "certified")):
             formed.clear()
             solved.clear()
             out = bs.sweep(spec, np.geomspace(5.0, 400.0, 12), 16, grid=g)
@@ -889,6 +903,20 @@ def test_sweep_decay_and_chunks_factor_no_mode(ref1, monkeypatch):
         assert sum(len(ns) for ns, _ in modal_mod._layout(spec, g).chunks(40)) == 40
 
 
+@st.composite
+def upwind_stacks(draw):
+    """Memory systems on an 8- to 16-node upwind grid: random admissible
+    prony kernels, kernel_g tabulated from exp(-rate s) on half the draws."""
+    spec = draw(admissible_specs(("BGP", "TGP")))
+    if draw(st.booleans()):
+        rate = draw(st.floats(0.5, 2.0))
+        s = np.linspace(0.0, 23.0 / rate, 101)
+        kern = bs.normalized(bs.tabulated_kernel(s, np.exp(-rate * s), rate, rate))
+        spec = bs.SystemSpec(spec.model, spec.coeffs, kernel_g=kern, kernel_h=spec.kernel_h)
+    grid = bs.make_grid(modal_mod._grid_kernel(spec), draw(st.integers(8, 16)))
+    return modal_mod._layout(spec, grid)
+
+
 def _certificate(spec, ns, grid=None):
     """(energy-coordinate generators of the ascending modes ``ns`` from the
     stack, their omega_n, the stack with its sweep certificate up to the
@@ -913,7 +941,7 @@ class TestCertificate:
     def test_damping_is_the_non_skew_part(self, spec):
         stack = modal_mod._layout(spec, None)
         G, W = modal_mod._mode_arrays(stack, self.NS)
-        D = stack.damping
+        D = np.diag(stack.K[0])
         assert np.all(G.imag == 0) and np.all(D <= 0) and np.any(D < 0)
         Gr = G.real
         lhs = W @ Gr + np.swapaxes(Gr, 1, 2) @ W
@@ -946,17 +974,49 @@ class TestCertificate:
         gap = np.min(np.abs(ev[:, :, None] - 1j * bands[:, None, :]), axis=2)
         # Bauer-Fike and Weyl with a wide margin: 1/64 of the rounding
         # allowance suffices
-        D = stack.damping
+        D = np.diag(stack.K[0])
         base = np.max(np.abs(D)) + np.linalg.norm(stack.K[0] - np.diag(D), 2)
         assert np.all(gap <= base + (cert.radius - base) / 64)
 
-    def test_no_bound_for_upwind_and_classical(self, ref1):
-        # no damping bound: an infinite radius that keeps every mode
-        grid = bs.make_grid(ref1["BGP"].kernel_g, 10)
-        for spec, g in ((ref1["BGP"], grid), (ref1["TGP"], grid),
-                        (ref1["BF"], None), (ref1["TF"], None)):
-            _, om, stack, cert = _certificate(spec, np.arange(1, 31), g)
-            assert stack.damping is None
+    @settings(max_examples=25, deadline=None)
+    @given(spec=admissible_specs(BOUNDED_DAMPING))
+    def test_radius_of_a_diagonal_rate_block(self, spec):
+        # prony memory and flux: E is the diagonal D of K0, so the radius is
+        # max|D| + ||K0 - diag(D)||_2 plus the allowance, bit for bit
+        _, om, stack, cert = _certificate(spec, self.NS)
+        K0, K1, _ = stack.K
+        D = np.diag(K0)
+        c = np.unique(np.linalg.svd(K1, compute_uv=False))
+        s0 = np.linalg.norm(K0 - np.diag(D), 2)
+        assert cert.radius == np.max(np.abs(D)) + s0 + rmod.ROUND_REL * (c[-1] * om[-1] + s0)
+        assert np.array_equal(cert.c, c) and cert.contracts
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(stack=upwind_stacks(), ns=st.lists(st.integers(1, 10_000), min_size=1, max_size=4),
+           u=st.floats(0.0, 1.0))
+    def test_upwind_bands_enclose_the_spectrum_and_the_norm(self, stack, ns, u):
+        ns = np.unique(ns)
+        om = ns * np.pi / stack.spec.coeffs.ell
+        cert = rmod._Certificate(stack, om[-1])
+        assert np.isfinite(cert.radius)
+        G = modal_mod._generators(stack, ns)
+        ev = np.linalg.eigvals(G)
+        bands = cert.c * om[:, None]
+        bands = np.concatenate([bands, -bands], axis=1)
+        assert np.all(np.min(np.abs(ev[:, :, None] - 1j * bands[:, None, :]), axis=2)
+                      <= cert.radius)
+        top = cert.c[-1] * om
+        for lam in (u * top[0], u * top[-1], top[-1] + 1.5 * cert.radius):
+            vals = rmod._batched_norms(G, lam=lam)
+            d = cert.dist(lam, lam, om)
+            assert np.all(vals <= cert.upper(lam, om) * (1 + rmod.ROUND_REL))
+            assert np.all(vals >= (1 - rmod.ROUND_REL) / (d + cert.radius))
+
+    def test_no_bound_for_the_classical_law(self, ref1):
+        # no bands: an infinite radius that keeps every mode
+        for spec in (ref1["BF"], ref1["TF"]):
+            _, om, stack, cert = _certificate(spec, np.arange(1, 31))
+            assert stack.K[2] is not None and not cert.contracts
             assert cert.radius == np.inf and np.all(cert.c == 0)
             assert np.all(cert.dist(3.0, 60.0, om) <= cert.radius)
             assert cert.may_reach(7.0, 1e300, om).tolist() == list(range(30))

@@ -8,7 +8,9 @@ output file starts with a header recording the tool version and a hash of
 the config, so runs are reproducible byte for byte.
 
 Exit codes: 0 success, 2 config/spec error, 3 numeric error
-(``NUMERIC_ERRORS``); every other package error exits 2, and a malformed or
+(``NUMERIC_ERRORS``, which include the overflow or division by zero,
+``ArithmeticError``, of a config whose magnitudes reach 1e+-300); every
+other package error exits 2, and a malformed or
 out-of-range config field does so from ``load_config``, before any work.
 Each config object declares its fields once (``TOP_FIELDS``,
 ``model.POSITIVE_COEFFS``, ``BLOCKS``, ``kernels.KERNEL_FIELDS``) and passes
@@ -47,7 +49,7 @@ from .errors import (BeamstabError, FitError, NumericError, SpecError, SpectralP
 from .kernels import MAX_MODES, _count, _number, _numbers, _object, _share
 
 NUMERIC_ERRORS = (NumericError, SpectralPointError, FitError,
-                  np.linalg.LinAlgError)
+                  np.linalg.LinAlgError, ArithmeticError)
 
 # every optional block, with its fields and their defaults
 BLOCKS = {

@@ -13,7 +13,8 @@ Batched smoothed propagator.  ``semiuniform_series`` walks the modes in
 chunks (``ModeStack.chunks``: at most CHUNK_ELEMENTS = 25,600 entries per
 stacked (N, d, d) array, which is 256 modes at d = 10 and 18 at d = 37).  Per
 chunk it takes the energy-coordinate generators Gh_n = omega_n K1 + K0 of
-the ``modal`` coupling matrices (there the W-norm is the 2-norm),
+the ``modal`` coupling matrices, plus omega_n^2 H2 on the classical law's
+heat block, its temperatures (there the W-norm is the 2-norm),
 diagonalizes Gh_n = V diag(lam) V^{-1} and inverts V once, so that
 
     exp(t Gh_n) Gh_n^{-1} = L diag(exp(lam t)) R,  L = V,  R = diag(1/lam) V^{-1},
@@ -68,8 +69,9 @@ eigendecomposition comes from ``_propagator``; modes whose
 cond_2(V), is not below EIG_COND_LIMIT take its ``expm`` and one inverse of
 Gh_n at every time point, without pruning.
 
-Certified tail.  Where K2 is None, Gh_n = omega_n K1 + S0 + E with K1 and
-S0 skew and E symmetric (``resolvent._Certificate``).  Where E <= 0 by
+Certified tail.  Where the heat block has no omega_n^2 term (H2 = 0),
+Gh_n = omega_n K1 + S0 + E with K1 and S0 skew and E symmetric
+(``resolvent._Certificate``).  Where E <= 0 by
 Gershgorin's row test (``_Certificate.contracts``; on prony memory and
 relaxed flux E is the diagonal of negative rates),
 Gh_n + Gh_n^T = 2E <= 0 and ||exp(t Gh_n)||_2 <= 1 for t >= 0.  By
@@ -297,7 +299,6 @@ def _tail_bounds(stack, ts, n_max):
     om_top = (n_max + 1) * np.pi / ell
     cert = rmod._Certificate(stack, om_top)
     g_norm = cert.c[-1] * om_top + cert.radius   # >= ||Gh_n|| for n <= n_max + 1
-    # contracts only where the radius is finite: no inf * 0 on the classical law
     guard = cert.contracts and ((EIG_COND_LIMIT + np.max(ts, initial=0.0) * g_norm)
                                 * stack.dim * np.finfo(float).eps <= rmod.ROUND_REL)
     return lambda ns: cert.upper(0.0, ns * np.pi / ell, where=guard)

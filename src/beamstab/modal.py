@@ -57,6 +57,8 @@ takes its beam entries from there:
 
 Each heat law (memory, flux, the classical diagonal) is written once, in
 ``_coupling``, and reaches the state coordinates through its weights.
+Every stack has a heat block (``HeatBlock``): the memory or flux states,
+and for the classical law its temperatures.
 
 Energy coordinates.  v = F_n u with F_n^T F_n = W_n (times 2/ell) turns the
 W-norm into the 2-norm, and F_n has a closed form, slot by slot of u:
@@ -71,14 +73,15 @@ W-norm into the 2-norm, and F_n has a closed form, slot by slot of u:
     upwind state y_i  omega sqrt(varpi m_i) y_i   (m_i the cell mass)
 
 with relax = sigma or tau.  The energy-coordinate generator F_n G_n F_n^{-1}
-is then omega_n K1 + K0 (+ omega_n^2 K2 for the classical law), where the
-n-independent K = (K0, K1, K2) of a ``ModeStack`` comes from the beam table
-and the heat-law blocks (``_coupling``): K1 is skew by construction,
-K0 is a skew S0 plus the diagonal D of the memory and flux rates (-1/theta_j,
--1/(relax varpi)); on the upwind grid K0 also holds the transport block,
--1/h_i on the diagonal and sqrt(m_i/m_{i-1})/h_i below it; K2 is the
-classical law's -varpi/rho3 on each temperature.  F_n is singular exactly at
-the curvature resonance omega_n = l, where SingularWeightError is raised.
+is then omega_n K1 + K0 plus, for the classical law, omega_n^2 H2 on its
+heat block, where the n-independent K = (K0, K1) of a ``ModeStack`` comes
+from the beam table and the heat-law blocks (``_coupling``): K1 is skew by
+construction, K0 is a skew S0 plus the diagonal D of the memory and flux
+rates (-1/theta_j, -1/(relax varpi)); on the upwind grid K0 also holds the
+transport block, -1/h_i on the diagonal and sqrt(m_i/m_{i-1})/h_i below it;
+H2 is the classical law's -varpi/rho3 on each temperature.  F_n is singular
+exactly at the curvature resonance omega_n = l, where SingularWeightError is
+raised.
 
 Off the strain block F_n is the diagonal t of the scales above, t^2 = w0 +
 w2 omega_n^2 the weights rho, rho3, relax, varpi omega^2 / (a_j theta_j) and
@@ -186,23 +189,30 @@ class ModeSystem:
 
 
 class HeatBlock(NamedTuple):
-    """The energy-coordinate generators of a stack with memory or flux
-    states, split into the beam indices b (strains, velocities,
-    temperatures) and the heat indices h (the states of the stack's
-    ``blocks``):
+    """The energy-coordinate generators of a stack split into the beam
+    indices b and the heat indices ``h``: the states of the stack's
+    ``blocks`` (memory, flux), or the classical law's temperatures,
 
-        Gh_n = [[B_n, omega_n U], [-omega_n U^T, H]],
+        Gh_n = [[B_n, U_n], [-U_n^T, H_n]],
 
-    B_n = omega_n B1 + B0 with B1 = K1[b, b], B0 = K0[b, b]; U = K1[b, h]
-    and H = K0[h, h], lower triangular with the memory, flux or transport
-    rates on its diagonal.  ``_coupling`` leaves K0[b, h], K0[h, b] and
-    K1[h, h] zero.  ``gram`` = (||K0||_F^2, <K0, K1>, ||K1||_F^2), so that
-    ||Gh_n||_F^2 = ||K0||_F^2 + 2 omega_n <K0, K1> + omega_n^2 ||K1||_F^2."""
+    B_n = omega_n B1 + B0, U_n = omega_n U1 + U0 and H_n = H0 + omega_n^2 H2
+    with B1 = K1[b, b], B0 = K0[b, b], U1 = K1[b, h], U0 = K0[b, h] and
+    H0 = K0[h, h].  On memory and flux stacks the temperatures are beam
+    states, U0 = 0, H2 = 0 and H0 is lower triangular with the memory, flux
+    or transport rates on its diagonal; on the classical law H0 = 0, H2 is
+    -varpi/rho3 on each temperature, and U0 is nonzero only on the curved
+    beam (its l gamma coupling).  ``_coupling`` leaves K1[h, h] zero.
+    ``gram`` = (||K0||_F^2, <K0, K1>, ||K1||_F^2), so that
+    ||Gh_n||_F <= (||K0||_F^2 + 2 omega_n <K0, K1> + omega_n^2
+    ||K1||_F^2)^(1/2) + omega_n^2 ||H2||_F."""
 
+    h: np.ndarray
     B0: np.ndarray
     B1: np.ndarray
-    U: np.ndarray
-    H: np.ndarray
+    U0: np.ndarray
+    U1: np.ndarray
+    H0: np.ndarray
+    H2: np.ndarray
     gram: tuple
 
 
@@ -211,14 +221,13 @@ class ModeStack:
     """The n-independent part of a system's modes, built once by ``_layout``
     and read-only, so threads may share it.
 
-    ``K`` = (K0, K1, K2) gives the energy-coordinate generators
-    omega_n K1 + K0 (+ omega_n^2 K2) (module docstring; K2 is None but for
-    the classical law).  ``heat`` is the heat-block partition of the
-    generators (``HeatBlock``), None for the classical law, which has no
-    heat block.  ``weights`` = (w0, w2) gives each slot's closed-form energy
-    weight w0 + w2 omega_n^2 off the strain block (module docstring); the
-    strain slots hold 1 there, as ``_mode_arrays`` builds their block from
-    the beam table.
+    ``K`` = (K0, K1) and the heat block's H2 give the energy-coordinate
+    generators omega_n K1 + K0 + omega_n^2 H2 (module docstring; H2 is zero
+    but for the classical law).  ``heat`` is the heat-block partition of the
+    generators (``HeatBlock``), which every stack has.  ``weights`` =
+    (w0, w2) gives each slot's closed-form energy weight w0 + w2 omega_n^2
+    off the strain block (module docstring); the strain slots hold 1 there,
+    as ``_mode_arrays`` builds their block from the beam table.
     """
 
     spec: mmod.SystemSpec
@@ -255,18 +264,14 @@ class ModeStack:
             memory=self.blocks, varpi=c.varpi, ell=c.ell)
 
 
-def _heat_block(K, blocks):
-    """The ``HeatBlock`` of coupling matrices K whose heat states are those
-    of ``blocks``."""
-    K0, K1, _ = K
-    heat = np.zeros(len(K0), dtype=bool)
-    for blk in blocks:
-        heat[blk.start:blk.start + blk.size] = True
-    b, h = np.flatnonzero(~heat), np.flatnonzero(heat)
-    U = K1[np.ix_(b, h)]
-    assert not (K0[np.ix_(b, h)].any() or K0[np.ix_(h, b)].any()
-                or K1[np.ix_(h, h)].any()) and np.array_equal(K1[np.ix_(h, b)], -U.T)
-    parts = [K0[np.ix_(b, b)], K1[np.ix_(b, b)], U, K0[np.ix_(h, h)]]
+def _heat_block(K0, K1, h, H2):
+    """The ``HeatBlock`` of coupling matrices (K0, K1) whose heat states are
+    the indices ``h``, with the omega_n^2 term H2 on them."""
+    b = np.setdiff1d(np.arange(len(K0)), h)
+    U0, U1 = K0[np.ix_(b, h)], K1[np.ix_(b, h)]
+    assert (np.array_equal(K0[np.ix_(h, b)], -U0.T) and np.array_equal(K1[np.ix_(h, b)], -U1.T)
+            and not K1[np.ix_(h, h)].any())
+    parts = [h, K0[np.ix_(b, b)], K1[np.ix_(b, b)], U0, U1, K0[np.ix_(h, h)], H2]
     for a in parts:
         a.flags.writeable = False
     gram = tuple(float(np.vdot(x, y)) for x, y in ((K0, K0), (K0, K1), (K1, K1)))
@@ -395,13 +400,12 @@ def _layout(spec, grid):
     ends = [index[f"temp_{tag}"] for tag, _ in temps] + [len(labels)]
     blocks = tuple(_make_block(f"temp_{tag}", lo + 1, hi - lo - 1, scheme, kernel, grid)
                    for (tag, kernel), lo, hi in zip(temps, ends, ends[1:]))
-    K, weights = _coupling(spec, index, blocks, scheme)
+    K, weights, (h, H2) = _coupling(spec, index, blocks, scheme)
     for a in (*K, *weights):
-        if a is not None:
-            a.flags.writeable = False
+        a.flags.writeable = False
     return ModeStack(spec=spec, labels=labels, blocks=blocks, scheme=scheme,
-                     index=MappingProxyType(index), K=K,
-                     heat=_heat_block(K, blocks) if blocks else None, weights=weights)
+                     index=MappingProxyType(index), K=K, heat=_heat_block(*K, h, H2),
+                     weights=weights)
 
 
 def _beam(spec):
@@ -445,13 +449,14 @@ def _elastic(beam, om):
 
 
 def _coupling(spec, index, blocks, scheme):
-    """(K0, K1, K2) of the energy coordinates and the weights (w0, w2) of
-    ``ModeStack.weights`` (module docstring): the beam entries from the
+    """(K0, K1) of the energy coordinates, the weights (w0, w2) of
+    ``ModeStack.weights`` (module docstring) and the heat states with their
+    omega_n^2 term, (h, H2) of ``HeatBlock``: the beam entries from the
     ``_beam`` table, the heat-law blocks from ``blocks``."""
     c, sq = spec.coeffs, np.sqrt
     rho, temps, strains, couplings = _beam(spec)
     d = len(index)
-    K0, K1, K2 = np.zeros((d, d)), np.zeros((d, d)), None
+    K0, K1 = np.zeros((d, d)), np.zeros((d, d))
     w0, w2 = np.ones(d), np.zeros(d)
     w0[[index[u + "_t"] for u in rho]] = [*rho.values()]
     w0[[index[name] for name in temps]] = c.rho3
@@ -463,8 +468,9 @@ def _coupling(spec, index, blocks, scheme):
     for row, u, p, v in table:
         i, j = index[row], index[u + "_t"]
         (K0, K1)[p][i, j], (K0, K1)[p][j, i] = v, -v
-    if scheme == "none":   # the classical law: -varpi/rho3 on each temperature
-        K2 = np.diag([-c.varpi / c.rho3 if name.startswith("temp_") else 0.0 for name in index])
+    heat, rate2 = [i for blk in blocks for i in range(blk.start, blk.start + blk.size)], 0.0
+    if scheme == "none":   # the classical law: its temperatures, -varpi/rho3 omega^2 on each
+        heat, rate2 = [index[name] for name in temps], -c.varpi / c.rho3
     for blk in blocks:
         iT, rows = index[blk.temp], np.arange(blk.start, blk.start + blk.size)
         if blk.scheme == "flux":
@@ -483,7 +489,7 @@ def _coupling(spec, index, blocks, scheme):
         K1[iT, rows], K1[rows, iT] = u, -u
         K0[rows, rows] = rate
         w0[rows], w2[rows] = w
-    return (K0, K1, K2), (w0, w2)
+    return (K0, K1), (w0, w2), (np.array(heat), rate2 * np.eye(len(heat)))
 
 
 def _make_block(temp, start, size, scheme, kernel, grid):
@@ -525,15 +531,15 @@ def _mode_indices(spec, ns, check_condition=True):
 
 def _generators(stack, ns, check_condition=True):
     """Stacked real energy-coordinate generators, (N, d, d), of the modes
-    ``ns`` of a ``ModeStack``: omega_n K1 + K0 (+ omega_n^2 K2);
-    ``check_condition`` as in ``_mode_indices``."""
+    ``ns`` of a ``ModeStack``: omega_n K1 + K0, plus omega_n^2 H2 on the
+    heat block where H2 is not zero; ``check_condition`` as in
+    ``_mode_indices``."""
     ns = _mode_indices(stack.spec, ns, check_condition)
     om = (ns * np.pi / stack.spec.coeffs.ell)[:, None, None]
-    K0, K1, K2 = stack.K
-    G = om * K1
-    G += K0
-    if K2 is not None:
-        G += om ** 2 * K2
+    G = om * stack.K[1]
+    G += stack.K[0]
+    if stack.heat.H2.any():
+        G[:, stack.heat.h[:, None], stack.heat.h] += om ** 2 * stack.heat.H2
     return G
 
 

@@ -5,7 +5,8 @@ resolvent norm at i*lambda is the max over modes of the per-mode norms
 ||(i lam - G_n)^{-1}||_{W_n}.  In energy coordinates (``modal``) W-norms are
 2-norms, so each is the largest singular value of (i lam - Gh_n)^{-1}, with
 Gh_n = omega_n K1 + K0 formed from the system's coupling matrices
-(``modal._generators``; omega_n^2 K2 added for the classical law).  A single
+(``modal._generators``; omega_n^2 H2 added on the classical law's heat
+block).  A single
 ``ModeSystem`` from a caller is moved there by the Cholesky factor
 W_n = L L^T instead, Gh_n = L^T G_n L^{-T} (``_weight_factors``;
 SingularWeightError if W_n is not positive definite), which is orthogonally
@@ -19,9 +20,9 @@ least-damped eigenvalues of the active modes, reporting the achieved
 (lambda, sup) pair.  With ``peak_refine=False`` it degenerates to the plain
 fixed-lambda evaluation.
 
-Certified mode pruning.  Every stack without an omega_n^2 term (K2 None:
-prony memory, the upwind grid, relaxed flux) has Gh_n = omega_n K1 + K0
-with K1 real skew.  Split K0 = S0 + E into its skew part
+Certified mode pruning.  Every stack whose heat block has no omega_n^2
+term (H2 = 0: prony memory, the upwind grid, relaxed flux) has
+Gh_n = omega_n K1 + K0 with K1 real skew.  Split K0 = S0 + E into its skew part
 S0 = (K0 - K0^T)/2 and its symmetric part E = (K0 + K0^T)/2, so
 Gh_n = S_n + E with S_n = omega_n K1 + S0 real skew, hence normal with
 spectrum +-i s_k(n), s_k(n) its singular values.  Weyl's inequality for
@@ -43,26 +44,30 @@ d = dist(lam, {c_k omega_n}):
 No mode is assembled for these bounds (Trefethen & Embree, Spectra and
 Pseudospectra, 2005).
 
-Eliminated bound.  Every stack with a heat block (prony memory, flux, the
-upwind grid) splits Gh_n on its beam indices b and heat indices h as
-[[B_n, omega_n U], [-omega_n U^T, H]], B_n = omega_n B1 + B0, with B1, B0,
-U and H n-independent (``modal.HeatBlock``).  With D = i lam - H,
-triangular with diagonal i lam - rate != 0, T = U D^{-1} U^T and the Schur
-complement S_n = i lam - B_n + omega_n^2 T, the exact block inverse is
+Eliminated bound.  Every stack splits Gh_n on its beam indices b and heat
+indices h as [[B_n, U_n], [-U_n^T, H_n]], B_n = omega_n B1 + B0,
+U_n = omega_n U1 + U0 and H_n = H0 + omega_n^2 H2 (``modal.HeatBlock``: the
+memory or flux states, or the classical law's temperatures).  With
+D_n = i lam - H_n and the Schur complement
+S_n = i lam - B_n + U_n D_n^{-1} U_n^T, the exact block inverse is
 
-    (i lam - Gh_n)^{-1} = blockdiag(0, D^{-1}) + L S_n^{-1} R,
-    L = [I; -omega_n D^{-1} U^T],  R = [I, omega_n U D^{-1}],
+    (i lam - Gh_n)^{-1} = blockdiag(0, D_n^{-1}) + L S_n^{-1} R,
+    L = [I; -D_n^{-1} U_n^T],  R = [I, U_n D_n^{-1}],
 
-with ||L|| = sqrt(1 + omega_n^2 p^2), ||R|| = sqrt(1 + omega_n^2 q^2),
-p = ||D^{-1} U^T|| and q = ||U D^{-1}||, hence
+with ||L|| = sqrt(1 + p_n^2), ||R|| = sqrt(1 + q_n^2), p_n = ||D_n^{-1}
+U_n^T|| and q_n = ||U_n D_n^{-1}||, hence
 
-    ||(i lam - G_n)^{-1}||_W <= b_n = ||D^{-1}||
-        + sqrt((1 + omega_n^2 p^2)(1 + omega_n^2 q^2)) ||S_n^{-1}||_F.
+    ||(i lam - G_n)^{-1}||_W <= b_n = ||D_n^{-1}||
+        + sqrt((1 + p_n^2)(1 + q_n^2)) ||S_n^{-1}||_F.
 
-D^{-1}, T, p and q are computed once per lambda for every mode; b_n then
-costs the inverse of the d_b x d_b matrix S_n (d_b <= 8), not of the
-d x d resolvent (``_eliminated_bound``).  The classical law has no heat
-block and no such bound.
+On memory and flux stacks U0 = 0 and H2 = 0: D = i lam - H0 is
+triangular with diagonal i lam - rate != 0, p_n = omega_n ||D^{-1} U1^T||,
+q_n = omega_n ||U1 D^{-1}|| and S_n = i lam - B_n + omega_n^2 U1 D^{-1} U1^T,
+so D^{-1} and the rest are computed once per lambda for every mode; b_n
+then costs the inverse of the d_b x d_b matrix S_n (d_b <= 8), not of the
+d x d resolvent (``_eliminated_bound``).  On the classical law the heat
+states are the temperatures, D_n = (i lam + (varpi/rho3) omega_n^2) I and
+U_n are formed per mode, and U0 != 0 only on the curved beam.
 
 The pruning rule.  Every decision to skip a mode, here and in the decay
 series of ``dynamics``, is one test, ``_below(upper, known)``: a computed
@@ -95,8 +100,9 @@ Spectra and Pseudospectra, 2005):
   least as large as the beam block (the upwind grid; prony kernels of as
   many terms as beam states), so that b_n costs an inverse of at most half
   the size of the resolvent it saves, plus its share of the setup per
-  lambda, which does not pay on prony memory of few terms or on flux (an
-  8 x 8 S_n against a 10 x 10 resolvent on the curved beam).  The
+  lambda, which does not pay on prony memory of few terms, on flux (an
+  8 x 8 S_n against a 10 x 10 resolvent on the curved beam) or on the
+  classical law (6 x 6 against 8 x 8).  The
   candidates (step 1) each have their own lambda, so they are not gated.
 * Frobenius gate (``_batched_norms`` given ``known``): every mode's
   X = (i lam - Gh_n)^{-1} is formed, and ||X||_2 <= ||X||_F is the bound of
@@ -118,16 +124,18 @@ rounding of Gh_n, whose norm is at most c_max omega_n + ||K0||, and the
 backward error of its computed eigenvalues tested against the bin.  The
 computed ||X||_F and largest singular value of X carry relative errors of
 about d^2 eps, well inside the rule's margins.  The eliminated bound b_n is
-taken as inf where S_n does not invert, where b_n is not finite, and where
-d eps (|lam| + ||Gh_n||_F) b_n or d eps kappa exceeds ROUND_REL/4, kappa the
-larger of the Frobenius condition numbers of S_n and D and ||Gh_n||_F from
-its closed form (``HeatBlock.gram``).  The first term bounds the relative
+taken as inf where D_n or S_n does not invert, where b_n is not finite, and
+where d eps (|lam| + ||Gh_n||_F) b_n or d eps kappa exceeds ROUND_REL/4,
+kappa the larger of the Frobenius condition numbers of S_n and D_n and
+||Gh_n||_F bounded from its closed form (``HeatBlock.gram``).  The first
+term bounds the relative
 error of the mode's computed dense value, whose condition number is at most
 (|lam| + ||Gh_n||) b_n, the second that of the computed b_n, so a mode
 skipped on b_n has its computed dense value below the max as well.  The
 classical law alone has no uniform bound on its non-skew part, which grows
-like omega_n^2: its certificate has an infinite radius and no c_k, so the
-bin test and ``may_reach`` keep every mode (``pruning`` is ``none``).  On
+like omega_n^2 (its heat block's H2): its certificate has an infinite
+radius and no c_k, so the bin test and ``may_reach`` keep every mode
+(``pruning`` is ``none``).  On
 the upwind grid K1 is singular, so one band centre is 0 and a mode leaves
 the bins only where lam exceeds the radius.  Either way the sup is taken over
 the modes 1..N(lam), N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with
@@ -328,31 +336,47 @@ def _batched_norms(G, lam, known=None, work=None):
     return out
 
 
+def _eliminate(D, U):
+    """(U D^{-1} U^T, ||D^{-1}||, ||D^{-1} U^T||, ||U D^{-1}||, ||D||_F
+    ||D^{-1}||_F) of a heat block's D = i lam - H and coupling U (module
+    docstring), per mode where D and U are stacked."""
+    Dinv = np.linalg.inv(D)
+    DU = Dinv @ np.swapaxes(U, -1, -2)
+    two = [np.linalg.norm(a, 2, axis=(-2, -1)) for a in (Dinv, DU, U @ Dinv)]
+    fro = [np.linalg.norm(a, axis=(-2, -1)) for a in (D, Dinv)]
+    return U @ DU, *two, fro[0] * fro[1]
+
+
 def _eliminated_bound(stack, lam):
     """Upper bounds of ||(i lam - Gh_n)^{-1}||_2 per mode from the
     elimination of the heat block (module docstring), as a function of the
-    modes' omega_n: inf where S_n does not invert or the rounding guard
-    fails.  The n-independent part, D = i lam - H, is factored here once."""
+    modes' omega_n: inf where D_n or S_n does not invert or the rounding
+    guard fails.  Where H2 = 0 and U0 = 0 (memory and flux), D = i lam - H0
+    is eliminated here once; elsewhere (the classical law) D_n per mode."""
     heat, eps = stack.heat, np.finfo(float).eps
-    D = 1j * lam * np.eye(len(heat.H)) - heat.H   # triangular, diagonal i lam - rate != 0
-    Dinv = np.linalg.inv(D)
-    DU = Dinv @ heat.U.T
-    T = heat.U @ DU
-    d_inv, p, q = (np.linalg.norm(a, 2) for a in (Dinv, DU, heat.U @ Dinv))
-    kappa_D = np.linalg.norm(D) * np.linalg.norm(Dinv)
+    D = 1j * lam * np.eye(len(heat.H0)) - heat.H0
     shift = 1j * lam * np.eye(len(heat.B0)) - heat.B0
     s00, s01, s11 = heat.gram
+    if heat.H2.any() or heat.U0.any():
+        def parts(om, w):   # D_n = D - omega_n^2 H2 and U_n, w = omega_n, per mode
+            return _eliminate(D - w * w * heat.H2, w * heat.U1 + heat.U0)
+    else:   # D triangular with diagonal i lam - rate != 0, U_n = omega_n U1
+        T, d_inv, p, q, kappa_D = _eliminate(D, heat.U1)
+
+        def parts(om, w):
+            return w * w * T, d_inv, om * p, om * q, kappa_D
 
     def bound(om):
         w = om[:, None, None]
-        S = shift - w * heat.B1 + w * w * T
         try:
+            T, d_inv, p, q, kappa_D = parts(om, w)
+            S = shift - w * heat.B1 + T
             s_inv = np.linalg.norm(np.linalg.inv(S), axis=(1, 2))
         except np.linalg.LinAlgError:
             return np.full(om.size, np.inf)
-        b = d_inv + np.sqrt((1.0 + (om * p) ** 2) * (1.0 + (om * q) ** 2)) * s_inv
+        b = d_inv + np.sqrt((1.0 + p ** 2) * (1.0 + q ** 2)) * s_inv
         kappa = np.maximum(np.linalg.norm(S, axis=(1, 2)) * s_inv, kappa_D)
-        g_norm = np.sqrt(s00 + 2.0 * om * s01 + om * om * s11)
+        g_norm = np.sqrt(s00 + 2.0 * om * s01 + om * om * s11) + om * om * np.linalg.norm(heat.H2)
         guard = stack.dim * eps * np.maximum((abs(lam) + g_norm) * b, kappa)
         return np.where(np.isfinite(b) & (guard <= ROUND_REL / 4), b, np.inf)
     return bound
@@ -379,9 +403,10 @@ def mode_resolvent_norm(mode, lam):
 
 def _sweep_count(spec, lam, n_max):
     """N(lam): a sweep sample takes its sup over the modes 1..N(lam) (module
-    docstring)."""
+    docstring); OverflowError where it is not finite."""
     c = spec.coeffs
-    center = lam * np.sqrt(c.rho1 / c.k) * c.ell / np.pi
+    # in Python floats, which overflow to inf with no warning; int() refuses it
+    center = float(lam) * float(np.sqrt(c.rho1 / c.k)) * c.ell / np.pi
     return max(n_max, int(np.ceil(WINDOW_FACTOR * center)))
 
 
@@ -406,16 +431,17 @@ class _Certificate:
     owner of their premise: the distinct singular values ``c`` of K1 and
     one ``radius`` ||E||_inf + ||S0||_2 (plus the allowance) for the modes
     up to frequency ``om_max``, K0 = S0 + E its skew and symmetric parts.
-    The classical law (K2 set) has no bands: its radius is infinite (and
-    one zero stands for the c_k), so every query keeps every mode.
+    The classical law (an omega_n^2 term H2 in its heat block) has no
+    bands: its radius is infinite (and one zero stands for the c_k), so
+    every query keeps every mode.
     ``contracts`` is the Gershgorin row test of E <= 0, so that
     Gh_n + Gh_n^T = 2E <= 0: the premise of the decay series' tail bound
     (``dynamics``), which reads the same c and radius."""
 
     def __init__(self, stack, om_max):
         self.c, self.radius, self.contracts = np.zeros(1), np.inf, False
-        K0, K1, K2 = stack.K
-        if K2 is None:
+        if not stack.heat.H2.any():
+            K0, K1 = stack.K
             assert np.array_equal(K1, -K1.T)
             S0, E = (K0 - K0.T) / 2, (K0 + K0.T) / 2
             # Gershgorin: E_ii + sum_{j != i} |E_ij| <= 0 on every row
@@ -478,8 +504,7 @@ class _ModeCache:
         self.cert = _Certificate(stack, self.om[-1])
         # the eliminated bound pays where S_n is at most half a mode's size
         # (module docstring)
-        heat = stack.heat
-        self.eliminate = heat is not None and len(heat.H) >= len(heat.B0)
+        self.eliminate = len(stack.heat.H0) >= len(stack.heat.B0)
         self.search = np.flatnonzero(lam_grid > 0) if peak_refine else np.arange(0)
         self.edges, first = np.unique(self.lo[self.search], return_index=True)
         self.tops = self.hi[self.search][first]

@@ -396,6 +396,32 @@ def test_exit_code(tmp_path, capsys, monkeypatch, base, extra, argv, patch, rc, 
     assert (message in err) if rc else not err
 
 
+@pytest.mark.parametrize("base, command, field, value", [
+    ("bmc", "stability", ("coefficients", "sigma"), 1e300),
+    ("bgp_prony", "sweep", ("coefficients", "ell"), 1e308),
+    ("tgp_tabulated", "stability", ("kernel_g", "delta_tail"), 1e-300),
+    ("bgp_prony", "stability", ("coefficients", "gamma"), 1e300),
+    ("bgp_prony", "lowerbound", ("coefficients", "k"), 1e-300),
+    ("bgp_prony", "stability", ("kernel_g", "terms", 0, 1), 1e300),
+], ids=["sigma", "ell", "delta_tail", "gamma", "k", "prony-theta"])
+def test_overflow_exits_3(tmp_path, capsys, base, command, field, value):
+    # a valid config whose magnitudes overflow a float or divide by zero
+    # (OverflowError, ZeroDivisionError) ends with one numeric-error line and
+    # no output, not a traceback
+    cfg = json.loads((GOLDEN / base / "config.json").read_text())
+    leaf = cfg
+    for key in field[:-1]:
+        leaf = leaf[key]
+    leaf[field[-1]] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric error: ")
+    assert not out.exists()
+
+
 class TestStability:
     def test_ref1_report(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -567,16 +593,20 @@ class TestGoldenSweep:
     energy coordinates (samples moved by rounding, argmax_n and pruning
     kept); the ``work`` counters in sweep_fit.json are pinned:
     eigvals_computed, modes_eigvals, modes_in_range, norm_evals and svds,
-    in that order."""
+    in that order.  The classical-law configs tf and bf were captured
+    before its temperatures became a heat block."""
 
     WORK_KEYS = ("eigvals_computed", "modes_eigvals", "modes_in_range", "norm_evals", "svds")
     WORK = {"bgp_prony": (677, 1624, 3731, 1968, 20),
             "bmc": (782, 1674, 4478, 2029, 23),
-            "tgp_tabulated": (240, 928, 928, 180, 16)}
+            "tgp_tabulated": (240, 928, 928, 180, 16),
+            "tf": (1200, 3731, 3731, 4933, 20),
+            "bf": (1200, 3731, 3731, 5004, 20)}
 
     @pytest.mark.parametrize("name, pruning", [("bgp_prony", "certified"),
                                                ("bmc", "certified"),
-                                               ("tgp_tabulated", "certified")])
+                                               ("tgp_tabulated", "certified"),
+                                               ("tf", "none"), ("bf", "none")])
     def test_bytes_unchanged(self, tmp_path, name, pruning):
         src = GOLDEN / name
         out = tmp_path / "out"
@@ -594,9 +624,10 @@ class TestGoldenDecay:
     """Decay outputs: decay_energy.csv recorded before the batched
     propagator, decay.csv and decay_fit.json re-captured when the
     generators moved to closed-form energy coordinates (values moved by
-    rounding); the ``work`` object in decay_fit.json is not pinned here."""
+    rounding), the classical-law tf and bf before its temperatures became
+    a heat block; the ``work`` object in decay_fit.json is not pinned here."""
 
-    @pytest.mark.parametrize("name", ["bgp_prony", "bmc", "tgp_tabulated"])
+    @pytest.mark.parametrize("name", ["bgp_prony", "bmc", "tgp_tabulated", "tf", "bf"])
     def test_bytes_unchanged(self, tmp_path, name):
         src = GOLDEN_DECAY / name
         out = tmp_path / "out"
@@ -629,7 +660,8 @@ class TestGoldenDecay:
 class TestGoldenCommands:
     """Outputs of the commands around the lower bound, the classification and
     the mode assembly, recorded before the resonance solve and the assembly
-    loop were merged; run on the golden sweep configs."""
+    loop were merged (tf and bf before the classical law's temperatures
+    became a heat block); run on the golden sweep configs."""
 
     FILES = {"stability": ("stability.json",),
              "lowerbound": ("lowerbound.csv", "lowerbound.json"),
@@ -637,14 +669,17 @@ class TestGoldenCommands:
              "limit": ("limit.csv",),
              "spectrum": ("spectrum.csv", "spectrum.json")}
 
-    @pytest.mark.parametrize("name", ["bgp_prony", "bmc", "tgp_tabulated"])
+    @pytest.mark.parametrize("name", ["bgp_prony", "bmc", "tgp_tabulated", "tf", "bf"])
     @pytest.mark.parametrize("command", sorted(FILES))
     def test_bytes_unchanged(self, tmp_path, name, command):
         out = tmp_path / "out"
         rc = cli.main([command, "--config", str(GOLDEN / name / "config.json"),
                        "--out", str(out)])
-        if name == "bmc" and command == "limit":
-            assert rc == 2  # singular limits need a memory kernel
+        # singular limits need a memory kernel, and the lower bound a heat
+        # kernel (the relaxed flux has its exponential ones)
+        if (name, command) in (("bmc", "limit"), ("tf", "limit"), ("bf", "limit"),
+                               ("tf", "lowerbound"), ("bf", "lowerbound")):
+            assert rc == 2
             return
         assert rc == 0
         for file_name in self.FILES[command]:
@@ -776,10 +811,10 @@ class TestCheck:
         coupling = cli.modal._coupling
 
         def scaled(spec, index, blocks, scheme):
-            K, (w0, w2) = coupling(spec, index, blocks, scheme)
+            K, (w0, w2), heat = coupling(spec, index, blocks, scheme)
             if blocks:
                 w2[blocks[0].start] *= 1 + 1e-6
-            return K, (w0, w2)
+            return K, (w0, w2), heat
 
         monkeypatch.setattr(cli.modal, "_coupling", scaled)
         path = write_config(tmp_path) if config == "ref1" else GOLDEN / config / "config.json"

@@ -131,7 +131,7 @@ class TestEnergyCoordinates:
             stack = modal._layout(spec, grid)
         except bs.AdmissibilityError:   # a grid from kernel_g that cuts kernel_h
             assume(False)
-        K0, K1, _ = stack.K
+        K0, K1 = stack.K
         assert np.array_equal(K1, -K1.T)
         if stack.scheme in ("prony-reduction", "flux"):   # K0 = S0 + diag(D), S0 skew
             S0 = K0 - np.diag(np.diag(K0))
@@ -175,34 +175,43 @@ class TestEnergyCoordinates:
     @given(spec=admissible_specs(ALL_TAGS), upwind=st.booleans())
     @example(spec=REF1_BGP, upwind=True)
     @example(spec=bs.SystemSpec("TF", ref1_coeffs()), upwind=False)
+    @example(spec=bs.SystemSpec("BF", ref1_coeffs()), upwind=False)
     def test_heat_block_partition(self, spec, upwind):
-        # K0[b, h], K0[h, b] and K1[h, h] are zero bit for bit, and the
-        # blocks rebuild every generator bit for bit
+        # every stack has a heat block: the blocks' states, or the classical
+        # law's temperatures (4 beam states and 1 heat state on TF, 6 and 2 on
+        # BF) with H_n = -(varpi/rho3) omega_n^2; K0[h, b] = -K0[b, h]^T, zero
+        # but for the curved classical beam's l gamma coupling, and K1[h, h] =
+        # 0 bit for bit, and the blocks rebuild every generator bit for bit
         grid = bs.make_grid(spec.kernel_g, 12) if upwind and spec.model[1:] == "GP" else None
         try:
             stack = modal._layout(spec, grid)
         except bs.AdmissibilityError:   # a grid from kernel_g that cuts kernel_h
             assume(False)
+        K0, K1 = stack.K
+        heat, c = stack.heat, spec.coeffs
         if stack.scheme == "none":
-            assert stack.heat is None and stack.K[2] is not None
-            return
-        K0, K1, K2 = stack.K
-        h = np.concatenate([np.arange(blk.start, blk.start + blk.size) for blk in stack.blocks])
+            h = np.array([stack.index[name] for name in stack.labels if name.startswith("temp_")])
+            assert h.size == (2 if spec.is_bresse else 1) == stack.dim - (6 if spec.is_bresse else 4)
+            assert np.array_equal(heat.H2, np.diag(np.full(h.size, -c.varpi / c.rho3)))
+            assert not heat.H0.any() and heat.U0.any() == spec.is_bresse
+        else:
+            h = np.concatenate([np.arange(blk.start, blk.start + blk.size)
+                                for blk in stack.blocks])
+            assert not (heat.U0.any() or heat.H2.any())
         b = np.setdiff1d(np.arange(stack.dim), h)
-        assert K2 is None and h.size + b.size == stack.dim
-        assert np.all(K0[np.ix_(b, h)] == 0) and np.all(K0[np.ix_(h, b)] == 0)
+        assert np.array_equal(heat.h, h)
+        assert np.array_equal(K0[np.ix_(h, b)], -K0[np.ix_(b, h)].T)
         assert np.all(K1[np.ix_(h, h)] == 0)
-        heat = stack.heat
         ns = np.array([1, 2, 7, 40, 300])
         for n, G in zip(ns, modal._generators(stack, ns)):
-            om = n * np.pi / spec.coeffs.ell
+            om = n * np.pi / c.ell
             rebuilt = np.empty_like(G)
             rebuilt[np.ix_(b, b)] = om * heat.B1 + heat.B0
-            rebuilt[np.ix_(b, h)] = om * heat.U
-            rebuilt[np.ix_(h, b)] = om * -heat.U.T
-            rebuilt[np.ix_(h, h)] = heat.H
+            rebuilt[np.ix_(b, h)] = om * heat.U1 + heat.U0
+            rebuilt[np.ix_(h, b)] = om * -heat.U1.T - heat.U0.T
+            rebuilt[np.ix_(h, h)] = heat.H0 + om ** 2 * heat.H2
             assert np.array_equal(rebuilt, G)
-        assert np.array_equal(np.tril(heat.H), heat.H)
+        assert np.array_equal(np.tril(heat.H0), heat.H0)
 
     def test_generators_raise_at_the_curvature_resonance(self):
         stack = modal._layout(bs.SystemSpec("BF", ref1_coeffs(l=1.0)), None)

@@ -482,6 +482,15 @@ class TestSpectralAbscissa:
         assert sa.per_mode[63] > sa.per_mode[15] > sa.per_mode[3]
         assert sa.per_mode[63] > -1e-3
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known wrong sign (ROADMAP item 4): the dense eigenvalues of the classical "
+        "law round by eps omega_n^2 against a damping of order omega_n^-2, so ref1 TF "
+        "and BF read +1.10e-8 (n = 9958) and +4.51e-10 (n = 9697), whose exact "
+        "abscissae are negative"))
+    def test_classical_law_is_stable_up_to_mode_10000(self, ref1):
+        assert [bs.spectral_abscissa(ref1[tag], 10_000).global_max < 0
+                for tag in ("TF", "BF")] == [True, True]
+
 
 def _dense_reference(cache, k):
     """Sweep point k evaluated densely over every mode 1..N(lam) (the body
@@ -603,7 +612,7 @@ class TestPrunedSweepMatchesDense:
         kern = bs.normalized(bs.prony_kernel([(1.0, 0.5 * j) for j in range(1, 6)]))
         spec = bs.SystemSpec("TGP", ref1_coeffs(), kernel_g=kern)
         heat = modal_mod._layout(spec, None).heat
-        assert heat.H.shape == heat.B0.shape == (5, 5)
+        assert heat.H0.shape == heat.B0.shape == (5, 5)
         assert_sweep_matches_dense(spec, np.geomspace(5.0, 200.0, 8), 16, threads=threads)
         spec, grid = _tabulated_history(64)
         assert_sweep_matches_dense(spec, np.geomspace(12.0, 40.0, 4), 8, grid=grid,
@@ -743,6 +752,38 @@ class TestEliminatedBound:
         least_damped = abs(ev[np.argmax(ev.real)].imag)
         for lam in (0.0, 30.0 * u, least_damped):
             self.assert_bound_covers_dense(stack, lam)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=admissible_specs(("TF", "BF")),
+           ns=st.lists(st.integers(1, 10_000), min_size=1, max_size=4), u=st.floats(0.0, 4.0))
+    @example(spec=bs.SystemSpec("BF", ref1_coeffs(b=300.0)), ns=[1, 7, 300, 10_000], u=1.0)
+    def test_covers_the_dense_norm_on_the_classical_law(self, spec, ns, u):
+        # the classical law's heat block is its temperatures, H_n = -(varpi/rho3)
+        # omega_n^2 and, on the curved beam, U0 != 0: D_n is eliminated per mode,
+        # at every lam = u omega_n up to 4 omega_n and at each mode's resonance,
+        # the least-damped eigenvalue's Im, where the bound is tight
+        stack = modal_mod._layout(spec, None)
+        ns = np.unique(ns)
+        om = ns * np.pi / spec.coeffs.ell
+        G = modal_mod._generators(stack, ns)
+        ev = np.linalg.eigvals(G)
+        resonance = np.abs(ev[np.arange(ns.size), np.argmax(ev.real, axis=1)].imag)
+        for lam in np.concatenate([u * om, resonance]):
+            got = rmod._eliminated_bound(stack, lam)(om)
+            dense = rmod._batched_norms(G, lam=lam)
+            assert np.all((got * (1.0 + rmod.ROUND_REL) >= dense) | (got == np.inf))
+
+    @pytest.mark.parametrize("tag", ["TF", "BF"])
+    def test_tight_on_the_classical_law(self, ref1, tag):
+        # finite on every mode up to 10^4, and within a factor 4 of the dense norm
+        stack = modal_mod._layout(ref1[tag], None)
+        ns = np.array([1, 2, 7, 40, 300, 1000, 3000, 10_000])
+        om = ns * np.pi / stack.spec.coeffs.ell
+        G = modal_mod._generators(stack, ns)
+        for lam in (0.0, 12.0, 40.0, 100.0):
+            got, dense = rmod._eliminated_bound(stack, lam)(om), rmod._batched_norms(G, lam=lam)
+            assert np.all(got * (1.0 + rmod.ROUND_REL) >= dense) and np.all(got <= 4.0 * dense)
 
     def test_tight_on_the_benchmark_system(self):
         # finite on every mode, and within a factor 10 of the dense norm
@@ -984,7 +1025,7 @@ class TestCertificate:
         # prony memory and flux: E is the diagonal D of K0, so the radius is
         # max|D| + ||K0 - diag(D)||_2 plus the allowance, bit for bit
         _, om, stack, cert = _certificate(spec, self.NS)
-        K0, K1, _ = stack.K
+        K0, K1 = stack.K
         D = np.diag(K0)
         c = np.unique(np.linalg.svd(K1, compute_uv=False))
         s0 = np.linalg.norm(K0 - np.diag(D), 2)
@@ -1016,7 +1057,7 @@ class TestCertificate:
         # no bands: an infinite radius that keeps every mode
         for spec in (ref1["BF"], ref1["TF"]):
             _, om, stack, cert = _certificate(spec, np.arange(1, 31))
-            assert stack.K[2] is not None and not cert.contracts
+            assert stack.heat.H2.any() and not cert.contracts
             assert cert.radius == np.inf and np.all(cert.c == 0)
             assert np.all(cert.dist(3.0, 60.0, om) <= cert.radius)
             assert cert.may_reach(7.0, 1e300, om).tolist() == list(range(30))

@@ -401,7 +401,8 @@ def decay_fit(ts, values, kind):
 
 
 def _exp_kernel_params(kernel, varpi, name):
-    """(relaxation time, prony term) of a one-term exponential kernel."""
+    """The relaxation time theta/varpi of the flux matching a one-term
+    exponential kernel a exp(-s/theta) of unit g-mass a theta^2 = 1."""
     if kernel is None or kernel.kind != "prony" or len(kernel.terms) != 1:
         raise UnsupportedMapError(
             f"{name} must be a one-term exponential kernel for the flux map")

@@ -23,8 +23,9 @@ and no layout has more than MAX_DIM states per mode (``_labels``); prony
 terms count like history nodes.
 
 Both carry an exact discrete dissipation identity: the energy decay rate
-equals -(varpi/2) times a nonnegative memory functional computed from the
-states (see ``dissipation_rate``).
+equals -(varpi/2) times a nonnegative memory functional, a quadratic form
+omega_n^2 y* M y of each temperature's memory states y (``_gamma_matrix``,
+read by ``dissipation_rate`` and, for every state at once, ``_identity_gap``).
 
 The beam table.  The beam equations are stated once, in ``_beam``.  With
 phi, psi, w the deflection, rotation and axial stretch and l the curvature
@@ -600,29 +601,32 @@ def weight_sqrt(W):
     return (V * sq) @ Vt, (V / sq) @ Vt
 
 
-def _memory_gamma(mode, blk, u):
-    """Discrete memory functional for one temperature.
+def _gamma_matrix(blk, ell):
+    """The matrix M of one temperature's discrete memory functional, so that
+    Gamma = omega_n^2 y* M y with y the states of its block ``blk``.
 
     Chosen so that the dissipation identity
     Re<Gu, u>_W = -(varpi/2) * sum_over_temperatures Gamma
     holds exactly for the realized scheme.  The prony form is
     (ell/2) sum_j 2 omega^2 |y_j|^2/(a_j theta_j^2); the upwind form is the
     quadrature of -mu' |d|^2 by kernel-mass differences plus the scheme's
-    own (nonnegative) numerical dissipation and outflow terms.
+    own (nonnegative) numerical dissipation and outflow terms: with
+    w_i = m_i / h_i and y_0 = 0,
+
+        sum_i w_i |y_i - y_{i-1}|^2 + sum_{i<M} (w_i - w_{i+1}) |y_i|^2 + w_M |y_M|^2,
+
+    whose matrix is 2 w_i on the diagonal and -w_i beside it at (i, i-1)
+    and (i-1, i), times (ell/2) omega^2.
     """
-    om2 = mode.omega**2
-    half_ell = mode.ell / 2.0
-    y = u[blk.start:blk.start + blk.size]
     if blk.scheme == "prony-reduction":
         aj, thj = np.array(blk.aj), np.array(blk.thj)
-        return half_ell * float(np.sum(2.0 * om2 / (aj * thj**2) * np.abs(y) ** 2))
+        return np.diag(ell / (aj * thj**2))
     if blk.scheme == "sgrid-upwind":
-        h = blk.grid.spacing
-        w = blk.node_mass / h
-        dprev = np.concatenate([[0.0 + 0.0j], y[:-1]])
-        jump = np.sum(w * np.abs(y - dprev) ** 2)
-        tele = np.sum((w[:-1] - w[1:]) * np.abs(y[:-1]) ** 2) + w[-1] * abs(y[-1]) ** 2
-        return half_ell * om2 * float(jump + tele)
+        w = blk.node_mass / blk.grid.spacing
+        M = np.diag(2.0 * w)
+        i = np.arange(1, w.size)
+        M[i, i - 1] = M[i - 1, i] = -w[1:]
+        return (ell / 2.0) * M
     raise DomainError("memory functional is defined for memory-law modes only")
 
 
@@ -631,7 +635,8 @@ def dissipation_rate(mode, state):
 
     For prony and upwind memory realizations the identity
     rate = -(varpi/2) (Gamma_b + Gamma_a) is exact up to rounding; the gap is
-    reported so callers can assert it.
+    reported so callers can assert it.  Each Gamma is the quadratic form of
+    its block's ``_gamma_matrix``.
     """
     u = np.asarray(state, dtype=complex)
     if u.shape != (mode.dim,):
@@ -639,10 +644,36 @@ def dissipation_rate(mode, state):
     rate = float(np.real(np.conj(u) @ (mode.weight @ (mode.generator @ u))))
     if mode.scheme not in ("prony-reduction", "sgrid-upwind"):
         return DissipationInfo(rate=rate)
-    gamma = {blk.temp: _memory_gamma(mode, blk, u) for blk in mode.memory}
+    gamma = {}
+    for blk in mode.memory:
+        y = u[blk.start:blk.start + blk.size]
+        M = _gamma_matrix(blk, mode.ell)
+        gamma[blk.temp] = mode.omega**2 * float(np.real(np.conj(y) @ (M @ y)))
     gap = abs(rate + 0.5 * mode.varpi * sum(gamma.values()))
     form = "prony-exact" if mode.scheme == "prony-reduction" else "upwind-cellmass"
     return DissipationInfo(rate=rate, gamma=gamma, identity_gap=gap, gamma_form=form)
+
+
+def _identity_gap(stack, ns):
+    """The relative gap of the dissipation identity on the modes ``ns`` of a
+    memory-layout ``ModeStack``, exact over every state: per mode
+    ||X + (varpi/2) omega_n^2 M||_2 / ||X||_2, with X = sym(WG) in the state
+    coordinates (Re<Gu, u>_W = u* X u) and M the sum of the temperatures'
+    ``_gamma_matrix``.  None on the other layouts."""
+    if stack.scheme not in ("prony-reduction", "sgrid-upwind"):
+        return None
+    ns = np.asarray(ns)
+    c = stack.spec.coeffs
+    G, W = _mode_arrays(stack, ns)
+    X = W @ G
+    X = (X + np.swapaxes(X, 1, 2)) / 2.0
+    M = np.zeros((stack.dim, stack.dim))
+    for blk in stack.blocks:
+        sl = slice(blk.start, blk.start + blk.size)
+        M[sl, sl] = _gamma_matrix(blk, c.ell)
+    om2 = (ns * np.pi / c.ell)[:, None, None] ** 2
+    return (np.linalg.norm(X + 0.5 * c.varpi * om2 * M, 2, axis=(1, 2))
+            / np.linalg.norm(X, 2, axis=(1, 2)))
 
 
 def matrix_text(mode):

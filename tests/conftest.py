@@ -148,3 +148,28 @@ def reference_mode_arrays(stack, ns, check_condition=True):
 
     W *= c.ell / 2.0
     return G, W
+
+
+def memory_gamma(mode, blk, u):
+    """Discrete memory functional of one temperature at the state ``u``, term
+    by term: the per-vector formulas that ``modal._gamma_matrix`` states as
+    a matrix, kept as its reference.
+
+    The prony form is (ell/2) sum_j 2 omega^2 |y_j|^2/(a_j theta_j^2); the
+    upwind form is the quadrature of -mu' |d|^2 by kernel-mass differences
+    plus the scheme's own (nonnegative) numerical dissipation and outflow
+    terms.
+    """
+    om2 = mode.omega**2
+    half_ell = mode.ell / 2.0
+    y = u[blk.start:blk.start + blk.size]
+    if blk.scheme == "prony-reduction":
+        aj, thj = np.array(blk.aj), np.array(blk.thj)
+        return half_ell * float(np.sum(2.0 * om2 / (aj * thj**2) * np.abs(y) ** 2))
+    assert blk.scheme == "sgrid-upwind"
+    h = blk.grid.spacing
+    w = blk.node_mass / h
+    dprev = np.concatenate([[0.0 + 0.0j], y[:-1]])
+    jump = np.sum(w * np.abs(y - dprev) ** 2)
+    tele = np.sum((w[:-1] - w[1:]) * np.abs(y[:-1]) ** 2) + w[-1] * abs(y[-1]) ** 2
+    return half_ell * om2 * float(jump + tele)

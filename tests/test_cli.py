@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -661,7 +664,9 @@ class TestGoldenCommands:
     """Outputs of the commands around the lower bound, the classification and
     the mode assembly, recorded before the resonance solve and the assembly
     loop were merged (tf and bf before the classical law's temperatures
-    became a heat block); run on the golden sweep configs."""
+    became a heat block; check.json when its dissipativity, dissipation
+    identity and flux-map commutation became exact over all states); run on
+    the golden sweep configs."""
 
     FILES = {"stability": ("stability.json",),
              "lowerbound": ("lowerbound.csv", "lowerbound.json"),
@@ -768,7 +773,7 @@ def test_load_config_integrates_the_table_at_most_twice(monkeypatch):
 
 @pytest.mark.parametrize("config, layouts", [("ref1", 5), ("tgp_tabulated", 1)])
 def test_check_builds_one_mode_stack_per_system(tmp_path, monkeypatch, config, layouts):
-    # ref1: the system's stack, the flux twin's, and one per mapped trajectory;
+    # ref1: the system's stack, the flux twin's, and one per mapped mode;
     # decay shares one stack between the series and the mode-1 trajectory
     from beamstab import modal
     path = write_config(tmp_path) if config == "ref1" else GOLDEN / config / "config.json"
@@ -832,3 +837,21 @@ class TestCheck:
         path.write_text(json.dumps(cfg))
         assert cli.main(["check", "--config", str(path)]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # importing numpy.random raises a run's peak memory by about 1.7 MB, and no
+    # command draws a random number; a NumPy that loads its submodules eagerly
+    # (1.x) has it loaded by `import numpy` already, so only beamstab's own
+    # imports are asserted
+    script = ("import sys\n"
+              "import numpy\n"
+              "before = 'numpy.random' in sys.modules\n"
+              "from beamstab import cli\n"
+              "for command in cli.COMMANDS:\n"
+              "    assert cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+              "assert ('numpy.random' in sys.modules) == before\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for name in ("bgp_prony", "tgp_tabulated"):
+        subprocess.run([sys.executable, "-c", script, str(GOLDEN / name / "config.json"),
+                        str(tmp_path / name)], check=True, env=env, capture_output=True)

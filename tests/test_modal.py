@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 import beamstab as bs
 from beamstab import modal
 from beamstab import resolvent as rmod
-from conftest import (admissible_specs, ref1_coeffs, random_states, reference_mode_arrays,
-                      wnorm)
+from beamstab.model import MEMORY_MODELS, MODELS
+from conftest import (admissible_specs, memory_gamma, ref1_coeffs, random_states,
+                      reference_mode_arrays, wnorm)
 
 
 class TestOmega:
@@ -404,6 +405,35 @@ class TestDissipation:
         info = bs.dissipation_rate(m, u)
         expected = -(c.ell / 2) * abs(u[m.index("flux_b")]) ** 2 / c.varpi
         assert info.rate == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=admissible_specs(MODELS), upwind=st.booleans(), nodes=st.integers(8, 16),
+           n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_memory_functional_and_the_exact_sup(self, spec, upwind, nodes, n, seed):
+        # each Gamma is the quadratic form of its _gamma_matrix, equal to the
+        # per-vector reference; the exact sup over all states bounds every
+        # sampled Rayleigh quotient from above, and it is 0, as a state of
+        # displacements alone does not dissipate
+        grid = (bs.make_grid(modal._grid_kernel(spec), nodes)
+                if upwind and spec.model in MEMORY_MODELS else None)
+        stack = modal._layout(spec, grid)
+        m = stack.mode(n)
+        gap = modal._identity_gap(stack, [n])
+        assert (gap is None) == (spec.model not in MEMORY_MODELS)
+        # the sup as check states it: the top eigenvalue of sym(Gh_n) in the
+        # energy coordinates, where W = I
+        Gh = modal._generators(stack, [n])[0]
+        ev = np.linalg.eigvalsh(Gh + Gh.T) / 2
+        sup, scale = ev[-1], np.max(np.abs(ev))
+        quotients = []
+        for u in random_states(np.random.default_rng(seed), m.dim, 10):
+            info = bs.dissipation_rate(m, u)
+            for blk in m.memory if gap is not None else ():
+                assert info.gamma[blk.temp] == pytest.approx(memory_gamma(m, blk, u), rel=1e-12)
+            quotients.append(info.rate / wnorm(m.weight, u) ** 2)
+        assert max(quotients) <= sup + 1e-12 * scale
+        assert abs(sup) <= 1e-12 * scale
+        assert gap is None or gap[0] <= 1e-12
 
     def test_dimension_mismatch(self, ref1):
         m = bs.assemble(ref1["TF"], 1)

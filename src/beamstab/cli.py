@@ -35,11 +35,18 @@ algebraic otherwise.  A kernel's error names its field, ``kernel_g`` or
 
 import argparse
 import copy
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+try:  # CPython's own SHA-256 first: hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256          # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256    # Python <= 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -117,7 +124,7 @@ def load_config(path, out_override=None):
         raise SpecError(f"config file {path} cannot be read: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
         raise SpecError(f"config file {path} is not valid JSON: {exc}") from None
-    cfg_hash = hashlib.sha256(raw_text.encode("utf-8")).hexdigest()[:12]
+    cfg_hash = sha256(raw_text.encode("utf-8")).hexdigest()[:12]
     _object(raw, TOP_FIELDS, "config", required=("model", "coefficients"))
 
     tag = raw["model"]
@@ -420,7 +427,7 @@ def _battery(cfg, stack):
         for n in (1, 2, 4):
             mg, mm = memory.mode(n), flux.mode(n)
             # the map's matrix: its images of the basis states are its columns
-            L = dynamics.lambda_map(dynamics.ModalState(n, np.eye(mg.dim)), spec).vec.T
+            L = dynamics.lambda_map(dynamics.ModalState(n, np.eye(mg.dim)), memory).vec.T
             *_, U = dynamics._propagator(np.stack([mg.generator, mm.generator]))
             A = np.stack([L @ U(0, t) - U(1, t) @ L for t in ts])
             # ||A||_{W_m -> W_f}^2 is the top eigenvalue of the pencil (A* W_f A, W_m)

@@ -427,11 +427,19 @@ def mc_twin(spec):
 
 
 def _map_memory_rows(state, spec, name, fn):
-    """fn(y, varpi, omega) applied to the prony memory states y of ``state.vec``."""
+    """fn(y, varpi, omega) applied to the prony memory states y of ``state.vec``;
+    ``spec`` may be the system's prony-realization ``ModeStack``."""
     if not isinstance(state, ModalState):
         raise DomainError(f"{name} expects a ModalState")
+    stack = spec if isinstance(spec, modal_mod.ModeStack) else None
+    spec = spec if stack is None else stack.spec
     mc_twin(spec)  # validates the kernels, so the layout is prony-reduction
-    rows = [blk.start for blk in modal_mod._layout(spec, None).blocks]
+    if stack is None:
+        stack = modal_mod._layout(spec, None)
+    elif stack.scheme != "prony-reduction":
+        raise UnsupportedMapError(f"{name} acts on the prony realization of the memory, "
+                                  f"not on a {stack.scheme} stack")
+    rows = [blk.start for blk in stack.blocks]
     om = modal_mod.omega(spec.coeffs.ell, state.n)
     vec = np.asarray(state.vec, dtype=complex).copy()
     vec[..., rows] = fn(vec[..., rows], spec.coeffs.varpi, om)
@@ -445,7 +453,9 @@ def lambda_map(state, spec):
     ``state.vec`` is one state or a stack of them along its last axis, such
     as the (T, d) states of a trajectory.  The shared components are
     untouched; energies agree exactly, so the map is an isometry between the
-    reduced mode spaces.
+    reduced mode spaces.  ``spec`` may be the system's ``ModeStack`` on the
+    prony realization (no history grid); a stack on any other is refused
+    (UnsupportedMapError).
     """
     return _map_memory_rows(state, spec, "lambda_map",
                             lambda y, varpi, om: -varpi * om * y)
@@ -455,7 +465,8 @@ def lambda_lift(state, spec):
     """Inverse of ``lambda_map``: y = -flux / (varpi * omega).
 
     Realizes the canonical history lift of a flux datum (the linear-in-s
-    history whose flux image is the datum itself).
+    history whose flux image is the datum itself).  ``spec`` may be the
+    system's ``ModeStack``, as in ``lambda_map``.
     """
     return _map_memory_rows(state, spec, "lambda_lift",
                             lambda flux, varpi, om: -flux / (varpi * om))

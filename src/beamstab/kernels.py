@@ -184,6 +184,16 @@ def _share(m, what, error=DomainError):
         raise error(f"{what} must lie in (0, 1), got {m!r}")
 
 
+def _distinct(x):
+    """The distinct values of ``x``, sorted: each sorted value that differs
+    from its predecessor.  ``np.unique`` gives the same, but on NumPy >= 2.3
+    it imports ``numpy.ma`` to ask whether x is masked."""
+    x = np.sort(np.ravel(x))
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _numbers(values, where):
     """A JSON list of numbers, checked with ``_number``."""
     if not isinstance(values, list):
@@ -482,7 +492,7 @@ def cg_mix(kernel, eps, m):
         slow = [(m * a, th) for a, th in kernel.terms]
         return prony_kernel(fast + slow, delta=min(kernel.delta, kernel.delta / eps))
     fast = rescaled(kernel, eps)
-    grid = np.unique(np.concatenate([fast.s, kernel.s]))
+    grid = _distinct(np.concatenate([fast.s, kernel.s]))
     vals = (1.0 - m) * mu_at(fast, grid) + m * mu_at(kernel, grid)
     return tabulated_kernel(
         grid, vals,

@@ -268,7 +268,7 @@ class ModeStack:
 def _heat_block(K0, K1, h, H2):
     """The ``HeatBlock`` of coupling matrices (K0, K1) whose heat states are
     the indices ``h``, with the omega_n^2 term H2 on them."""
-    b = np.setdiff1d(np.arange(len(K0)), h)
+    b = np.delete(np.arange(len(K0)), h)
     U0, U1 = K0[np.ix_(b, h)], K1[np.ix_(b, h)]
     assert (np.array_equal(K0[np.ix_(h, b)], -U0.T) and np.array_equal(K1[np.ix_(h, b)], -U1.T)
             and not K1[np.ix_(h, h)].any())

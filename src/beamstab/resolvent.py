@@ -415,7 +415,8 @@ def _log_bins(lam_grid):
     for, cut at the log midpoints of the distinct positive points and
     mirrored at the ends; copies of a point share its bin.  A single
     positive point, and lam = 0, get the empty bin (lam, lam]."""
-    pos = np.unique(lam_grid[lam_grid > 0])  # the bins follow the log axis, not the grid order
+    # the bins follow the log axis, not the grid order
+    pos = kmod._distinct(lam_grid[lam_grid > 0])
     edges = {}
     if pos.size >= 2:
         logs = np.log(pos)
@@ -446,7 +447,7 @@ class _Certificate:
             S0, E = (K0 - K0.T) / 2, (K0 + K0.T) / 2
             # Gershgorin: E_ii + sum_{j != i} |E_ij| <= 0 on every row
             self.contracts = bool(np.all(np.abs(E).sum(axis=1) <= -2.0 * np.diag(E)))
-            self.c = np.unique(np.linalg.svd(K1, compute_uv=False))
+            self.c = kmod._distinct(np.linalg.svd(K1, compute_uv=False))
             s0 = np.linalg.norm(S0, 2)
             self.radius = (np.linalg.norm(E, np.inf) + s0
                            + ROUND_REL * (self.c[-1] * om_max + s0))

@@ -13,6 +13,12 @@ from conftest import reference_mode_arrays
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep"
 GOLDEN_DECAY = Path(__file__).parent / "data" / "golden_decay"
 GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli"
+GOLDEN_NAMES = ("bgp_prony", "bmc", "tgp_tabulated", "tf", "bf")
+# the golden sweep configs' commands that exit 2: singular limits need a
+# memory kernel, and the lower bound a heat kernel (the relaxed flux has its
+# exponential ones)
+REFUSED = {("bmc", "limit"), ("tf", "limit"), ("bf", "limit"),
+           ("tf", "lowerbound"), ("bf", "lowerbound")}
 
 REF1_BASE = {
     "model": "BGP",
@@ -674,16 +680,13 @@ class TestGoldenCommands:
              "limit": ("limit.csv",),
              "spectrum": ("spectrum.csv", "spectrum.json")}
 
-    @pytest.mark.parametrize("name", ["bgp_prony", "bmc", "tgp_tabulated", "tf", "bf"])
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
     @pytest.mark.parametrize("command", sorted(FILES))
     def test_bytes_unchanged(self, tmp_path, name, command):
         out = tmp_path / "out"
         rc = cli.main([command, "--config", str(GOLDEN / name / "config.json"),
                        "--out", str(out)])
-        # singular limits need a memory kernel, and the lower bound a heat
-        # kernel (the relaxed flux has its exponential ones)
-        if (name, command) in (("bmc", "limit"), ("tf", "limit"), ("bf", "limit"),
-                               ("tf", "lowerbound"), ("bf", "lowerbound")):
+        if (name, command) in REFUSED:
             assert rc == 2
             return
         assert rc == 0
@@ -771,10 +774,10 @@ def test_load_config_integrates_the_table_at_most_twice(monkeypatch):
     assert len(calls) <= 2
 
 
-@pytest.mark.parametrize("config, layouts", [("ref1", 5), ("tgp_tabulated", 1)])
+@pytest.mark.parametrize("config, layouts", [("ref1", 2), ("tgp_tabulated", 1)])
 def test_check_builds_one_mode_stack_per_system(tmp_path, monkeypatch, config, layouts):
-    # ref1: the system's stack, the flux twin's, and one per mapped mode;
-    # decay shares one stack between the series and the mode-1 trajectory
+    # ref1: the system's stack and the flux twin's, which the flux map reads
+    # too; decay shares one stack between the series and the mode-1 trajectory
     from beamstab import modal
     path = write_config(tmp_path) if config == "ref1" else GOLDEN / config / "config.json"
     calls = _count_calls(monkeypatch, modal, "_layout")
@@ -839,19 +842,39 @@ class TestCheck:
         assert "FAIL" not in capsys.readouterr().out
 
 
-def test_no_command_imports_numpy_random(tmp_path):
-    # importing numpy.random raises a run's peak memory by about 1.7 MB, and no
-    # command draws a random number; a NumPy that loads its submodules eagerly
-    # (1.x) has it loaded by `import numpy` already, so only beamstab's own
-    # imports are asserted
-    script = ("import sys\n"
+# modules that no command needs, and what loading them would cost a run:
+# numpy.random about 1.7 MB of peak memory, OpenSSL's _hashlib (which hashlib
+# loads) about 3.3 MB, numpy.ma (which np.unique loads on NumPy >= 2.3) about
+# 1.3 MB; scipy is for the rare expm fallback, concurrent.futures for --threads
+UNNEEDED = ("numpy.random", "numpy.ma", "_hashlib", "scipy", "concurrent.futures")
+
+
+def test_no_command_loads_a_module_it_does_not_need(tmp_path):
+    # every command on every golden sweep config, in one process; a NumPy that
+    # loads its submodules eagerly (1.x) has numpy.random, and maybe more,
+    # loaded by `import numpy` already, so only beamstab's own imports are
+    # asserted
+    script = ("import json, sys\n"
               "import numpy\n"
-              "before = 'numpy.random' in sys.modules\n"
+              "before = set(sys.modules)\n"
               "from beamstab import cli\n"
-              "for command in cli.COMMANDS:\n"
-              "    assert cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-              "assert ('numpy.random' in sys.modules) == before\n")
+              "unneeded, runs = json.loads(sys.argv[1])\n"
+              "for command, path, out, rc in runs:\n"
+              "    assert cli.main([command, '--config', path, '--out', out]) == rc\n"
+              "print(json.dumps([m for m in unneeded if m in sys.modules and m not in before]))\n")
+    runs = [(command, str(GOLDEN / name / "config.json"), str(tmp_path / name),
+             2 if (name, command) in REFUSED else 0)
+            for name in GOLDEN_NAMES for command in cli.COMMANDS]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    for name in ("bgp_prony", "tgp_tabulated"):
-        subprocess.run([sys.executable, "-c", script, str(GOLDEN / name / "config.json"),
-                        str(tmp_path / name)], check=True, env=env, capture_output=True)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps([UNNEEDED, runs])],
+                          check=True, env=env, capture_output=True, text=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_config_hash_is_the_sha256_of_the_text():
+    # every output header names it; hashlib is the reference the built-in
+    # SHA-256 that load_config uses must match
+    import hashlib
+    path = GOLDEN / "bgp_prony" / "config.json"
+    text = path.read_text(encoding="utf-8")
+    assert cli.load_config(path).config_hash == hashlib.sha256(text.encode()).hexdigest()[:12]

@@ -511,6 +511,24 @@ class TestFluxMap:
             for u, got in zip(states, stacked):
                 assert np.all(fn(bs.ModalState(3, u), spec).vec == got)
 
+    @pytest.mark.parametrize("tag", ["BGP", "TGP"])
+    def test_the_system_stack_maps_like_its_spec(self, ref1, rng, tag):
+        spec = ref1[tag]
+        stack = modal_mod._layout(spec, None)
+        states = random_states(rng, stack.dim, 3)
+        for fn in (bs.lambda_map, bs.lambda_lift):
+            assert np.all(fn(bs.ModalState(2, states), stack).vec
+                          == fn(bs.ModalState(2, states), spec).vec)
+
+    def test_a_stack_on_the_history_grid_is_refused(self, ref1):
+        # the same exponential kernel, but its memory on the upwind grid
+        spec = ref1["TGP"]
+        stack = modal_mod._layout(spec, bs.make_grid(spec.kernel_g, 16))
+        state = bs.ModalState(1, np.zeros(stack.dim, dtype=complex))
+        for fn in (bs.lambda_map, bs.lambda_lift):
+            with pytest.raises(bs.UnsupportedMapError, match="sgrid-upwind"):
+                fn(state, stack)
+
     def test_discrete_flux_bound_on_history_grid(self, ref1, rng):
         # sigma ||flux image||^2 <= varpi ||history||^2 on upwind states
         spec = ref1["TGP"]

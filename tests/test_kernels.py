@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beamstab as bs
@@ -198,6 +198,23 @@ class TestCgMix:
     def test_share_out_of_range(self, unit_exp):
         with pytest.raises(bs.DomainError):
             bs.cg_mix(unit_exp, 0.1, 1.5)
+
+
+# finite floats drawn with repeats: a few values, each picked many times
+repeated = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=6).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=repeated)
+@example(values=[])
+@example(values=[2.5])
+def test_distinct_gives_the_bits_of_np_unique(values):
+    # np.unique imports numpy.ma on NumPy >= 2.3, so the package calls
+    # _distinct; a log grid with no positive point hands it an empty array
+    x = np.array(values, dtype=float)
+    want, got = np.unique(x), kmod._distinct(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 prony_terms = st.lists(

@@ -237,11 +237,11 @@ def _write_json(cfg, command, name, payload):
     return _write(cfg.out_dir, name, json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
-def _write_svg(cfg, name, *series, **style):
-    """Render ``svg.line_chart(*series, **style)`` only if svg is listed."""
+def _write_svg(cfg, name, xs, ys, label, title, logx, logy):
+    """Render ``svg.line_chart`` of one series only if svg is listed."""
     if "svg" not in cfg.formats:
         return None
-    return _write(cfg.out_dir, name, svg.line_chart(*series, **style))
+    return _write(cfg.out_dir, name, svg.line_chart(xs, ys, label, title, logx, logy))
 
 
 def cmd_stability(cfg, args):
@@ -289,9 +289,8 @@ def cmd_sweep(cfg, args):
     except FitError:
         print(f"sweep: {len(samples)} samples (too few for a growth fit)")
     _write_json(cfg, "sweep", "sweep_fit.json", payload)
-    _write_svg(cfg, "sweep.svg", [s.lam for s in samples], [[s.value for s in samples]],
-               labels=["sup_n resolvent norm"], title="resolvent sweep",
-               logx=True, logy=True)
+    _write_svg(cfg, "sweep.svg", [s.lam for s in samples], [s.value for s in samples],
+               "sup_n resolvent norm", "resolvent sweep", True, True)
     return 0
 
 
@@ -336,8 +335,8 @@ def cmd_decay(cfg, args):
                "residual": fit.residual, "window": list(fit.window),
                "n_max": blk["n_max"], "work": work}
     _write_json(cfg, "decay", "decay_fit.json", payload)
-    _write_svg(cfg, "decay.svg", ts, [vals], labels=["semiuniform norm"],
-               title="smoothed-propagator decay", logx=(fit.kind == "algebraic"), logy=True)
+    _write_svg(cfg, "decay.svg", ts, vals, "semiuniform norm", "smoothed-propagator decay",
+               fit.kind == "algebraic", True)
     print(f"decay: kind={fit.kind} rate={fit.rate:.6f} residual={fit.residual:.3e} "
           f"(n_max={blk['n_max']})")
     return 0
@@ -427,7 +426,7 @@ def _battery(cfg, stack):
         for n in (1, 2, 4):
             mg, mm = memory.mode(n), flux.mode(n)
             # the map's matrix: its images of the basis states are its columns
-            L = dynamics.lambda_map(dynamics.ModalState(n, np.eye(mg.dim)), memory).vec.T
+            L = dynamics.lambda_map(dynamics.ModalState(n, np.eye(mg.dim)), spec).vec.T
             *_, U = dynamics._propagator(np.stack([mg.generator, mm.generator]))
             A = np.stack([L @ U(0, t) - U(1, t) @ L for t in ts])
             # ||A||_{W_m -> W_f}^2 is the top eigenvalue of the pencil (A* W_f A, W_m)

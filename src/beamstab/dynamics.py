@@ -427,46 +427,43 @@ def mc_twin(spec):
 
 
 def _map_memory_rows(state, spec, name, fn):
-    """fn(y, varpi, omega) applied to the prony memory states y of ``state.vec``;
-    ``spec`` may be the system's prony-realization ``ModeStack``."""
+    """fn(y, varpi, omega) applied to the prony memory states y of ``state.vec``,
+    whose last axis must have the length of spec's prony layout."""
     if not isinstance(state, ModalState):
         raise DomainError(f"{name} expects a ModalState")
-    stack = spec if isinstance(spec, modal_mod.ModeStack) else None
-    spec = spec if stack is None else stack.spec
-    mc_twin(spec)  # validates the kernels, so the layout is prony-reduction
-    if stack is None:
-        stack = modal_mod._layout(spec, None)
-    elif stack.scheme != "prony-reduction":
-        raise UnsupportedMapError(f"{name} acts on the prony realization of the memory, "
-                                  f"not on a {stack.scheme} stack")
-    rows = [blk.start for blk in stack.blocks]
+    mc_twin(spec)  # validates the kernels: one prony term per temperature
+    labels = modal_mod._labels(spec, "prony-reduction")
+    vec = np.array(state.vec, dtype=complex)
+    if vec.shape[-1:] != (len(labels),):
+        raise DomainError(f"{name} expects states of {len(labels)} entries (the prony "
+                          f"layout of {spec.model}), got shape {vec.shape}")
+    rows = [start for start, _ in modal_mod._heat_spans(labels, modal_mod._temps(spec))]
     om = modal_mod.omega(spec.coeffs.ell, state.n)
-    vec = np.asarray(state.vec, dtype=complex).copy()
     vec[..., rows] = fn(vec[..., rows], spec.coeffs.varpi, om)
     return ModalState(n=state.n, vec=vec)
 
 
 def lambda_map(state, spec):
-    """Map a memory-mode state (exponential kernel, prony form) to the state
-    of the matching relaxed-flux system: flux = -varpi * omega * y.
+    """``lambda_map(state, spec)``: map a memory-mode state of ``spec``
+    (exponential kernels, prony form) to the state of the matching
+    relaxed-flux system ``mc_twin(spec)``: flux = -varpi * omega * y.
 
     ``state.vec`` is one state or a stack of them along its last axis, such
-    as the (T, d) states of a trajectory.  The shared components are
-    untouched; energies agree exactly, so the map is an isometry between the
-    reduced mode spaces.  ``spec`` may be the system's ``ModeStack`` on the
-    prony realization (no history grid); a stack on any other is refused
-    (UnsupportedMapError).
+    as the (T, d) states of a trajectory; d must be the length of spec's
+    prony layout (10 on a curved beam, 6 on a straight one), else
+    DomainError.  The shared components are untouched; energies agree
+    exactly, so the map is an isometry between the reduced mode spaces.
     """
     return _map_memory_rows(state, spec, "lambda_map",
                             lambda y, varpi, om: -varpi * om * y)
 
 
 def lambda_lift(state, spec):
-    """Inverse of ``lambda_map``: y = -flux / (varpi * omega).
+    """``lambda_lift(state, spec)``: the inverse of ``lambda_map``,
+    y = -flux / (varpi * omega), with the same length rule.
 
     Realizes the canonical history lift of a flux datum (the linear-in-s
-    history whose flux image is the datum itself).  ``spec`` may be the
-    system's ``ModeStack``, as in ``lambda_map``.
+    history whose flux image is the datum itself).
     """
     return _map_memory_rows(state, spec, "lambda_lift",
                             lambda flux, varpi, om: -flux / (varpi * om))

@@ -381,6 +381,13 @@ def _labels(spec, scheme, nodes=0):
     return tuple(labels)
 
 
+def _heat_spans(labels, temps):
+    """(start, size) of the heat states of each of the ``_temps`` in
+    ``labels``: they follow the temperature and run up to the next one."""
+    ends = [labels.index(f"temp_{tag}") for tag, _ in temps] + [len(labels)]
+    return [(lo + 1, hi - lo - 1) for lo, hi in zip(ends, ends[1:])]
+
+
 def _node_cap(spec):
     """The most history nodes per temperature of an upwind layout within
     MAX_DIM states (``_labels``)."""
@@ -396,11 +403,9 @@ def _layout(spec, grid):
         raise SpecError("tabulated kernels need a history grid (make_grid)")
     labels = _labels(spec, scheme, grid and grid.size)
     index = {name: i for i, name in enumerate(labels)}
-    # each temperature's heat states run up to the next temperature
     temps = _temps(spec) if scheme != "none" else []
-    ends = [index[f"temp_{tag}"] for tag, _ in temps] + [len(labels)]
-    blocks = tuple(_make_block(f"temp_{tag}", lo + 1, hi - lo - 1, scheme, kernel, grid)
-                   for (tag, kernel), lo, hi in zip(temps, ends, ends[1:]))
+    blocks = tuple(_make_block(f"temp_{tag}", start, size, scheme, kernel, grid)
+                   for (tag, kernel), (start, size) in zip(temps, _heat_spans(labels, temps)))
     K, weights, (h, H2) = _coupling(spec, index, blocks, scheme)
     for a in (*K, *weights):
         a.flags.writeable = False

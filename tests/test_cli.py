@@ -666,6 +666,19 @@ class TestGoldenDecay:
         assert work["norm_evals"] == 12
 
 
+@pytest.mark.parametrize("command, golden", [("sweep", GOLDEN), ("decay", GOLDEN_DECAY)])
+def test_chart_bytes_unchanged(tmp_path, command, golden):
+    # the bgp_prony charts, recorded when svg.line_chart drew a list of series
+    src = golden / "bgp_prony"
+    path = tmp_path / "cfg.json"
+    cfg = json.loads((src / "config.json").read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(cfg, output={"formats": ["svg"]})))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    name = f"{command}.svg"
+    assert (out / name).read_bytes() == (src / name).read_bytes()
+
+
 class TestGoldenCommands:
     """Outputs of the commands around the lower bound, the classification and
     the mode assembly, recorded before the resonance solve and the assembly
@@ -774,16 +787,24 @@ def test_load_config_integrates_the_table_at_most_twice(monkeypatch):
     assert len(calls) <= 2
 
 
-@pytest.mark.parametrize("config, layouts", [("ref1", 2), ("tgp_tabulated", 1)])
+@pytest.mark.parametrize("config, layouts", [("ref1", 2), ("ref1-grid", 3),
+                                             ("tgp_tabulated", 1)])
 def test_check_builds_one_mode_stack_per_system(tmp_path, monkeypatch, config, layouts):
-    # ref1: the system's stack and the flux twin's, which the flux map reads
-    # too; decay shares one stack between the series and the mode-1 trajectory
+    # ref1: the system's stack and the flux twin's (the flux map builds none);
+    # on the history grid the flux map compares the prony realization with the
+    # twin, a third stack; decay shares one stack between the series and the
+    # mode-1 trajectory
     from beamstab import modal
-    path = write_config(tmp_path) if config == "ref1" else GOLDEN / config / "config.json"
+    extra = {"memory": {"scheme": "sgrid-upwind", "nodes": 16}} if config == "ref1-grid" else {}
+    path = (GOLDEN / config / "config.json" if config == "tgp_tabulated"
+            else write_config(tmp_path, **extra))
     calls = _count_calls(monkeypatch, modal, "_layout")
     assert cli.main(["check", "--config", str(path), "--out", str(tmp_path),
                      "--dump-modes", str(tmp_path / "modes")]) == 0
     assert len(calls) <= layouts
+    if config != "tgp_tabulated":   # a tabulated kernel has no flux twin
+        checks = json.loads((tmp_path / "check.json").read_text(encoding="utf-8"))["checks"]
+        assert {c["name"]: c["ok"] for c in checks}["flux_map_commutation"]
     calls.clear()
     assert cli.main(["decay", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1

@@ -511,23 +511,37 @@ class TestFluxMap:
             for u, got in zip(states, stacked):
                 assert np.all(fn(bs.ModalState(3, u), spec).vec == got)
 
-    @pytest.mark.parametrize("tag", ["BGP", "TGP"])
-    def test_the_system_stack_maps_like_its_spec(self, ref1, rng, tag):
-        spec = ref1[tag]
-        stack = modal_mod._layout(spec, None)
-        states = random_states(rng, stack.dim, 3)
-        for fn in (bs.lambda_map, bs.lambda_lift):
-            assert np.all(fn(bs.ModalState(2, states), stack).vec
-                          == fn(bs.ModalState(2, states), spec).vec)
-
-    def test_a_stack_on_the_history_grid_is_refused(self, ref1):
-        # the same exponential kernel, but its memory on the upwind grid
+    def test_a_state_on_the_history_grid_is_refused(self, ref1):
+        # the same exponential kernel, but its memory on the upwind grid:
+        # 21 states against the prony layout's 6
         spec = ref1["TGP"]
-        stack = modal_mod._layout(spec, bs.make_grid(spec.kernel_g, 16))
-        state = bs.ModalState(1, np.zeros(stack.dim, dtype=complex))
+        dim = modal_mod._layout(spec, bs.make_grid(spec.kernel_g, 16)).dim
+        state = bs.ModalState(1, np.zeros(dim, dtype=complex))
         for fn in (bs.lambda_map, bs.lambda_lift):
-            with pytest.raises(bs.UnsupportedMapError, match="sgrid-upwind"):
-                fn(state, stack)
+            with pytest.raises(bs.DomainError, match="6 entries"):
+                fn(state, spec)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 9), ()], ids=["3", "4x9", "scalar"])
+    def test_a_state_of_the_wrong_length_is_refused(self, ref1, shape):
+        state = bs.ModalState(1, np.ones(shape, dtype=complex))
+        for fn in (bs.lambda_map, bs.lambda_lift):
+            with pytest.raises(bs.DomainError, match="10 entries"):
+                fn(state, ref1["BGP"])
+
+    @pytest.mark.parametrize("tag", ["BGP", "TGP"])
+    def test_the_map_builds_no_layout(self, ref1, rng, monkeypatch, tag):
+        spec = ref1[tag]
+        states = random_states(rng, bs.assemble(spec, 2).dim, 3)
+        calls, layout = [], modal_mod._layout
+
+        def counted(*args):
+            calls.append(args)
+            return layout(*args)
+
+        monkeypatch.setattr(modal_mod, "_layout", counted)
+        for fn in (bs.lambda_map, bs.lambda_lift):
+            fn(bs.ModalState(2, states), spec)
+        assert calls == []
 
     def test_discrete_flux_bound_on_history_grid(self, ref1, rng):
         # sigma ||flux image||^2 <= varpi ||history||^2 on upwind states

@@ -83,8 +83,8 @@ singular value of K1, hence at every t
 r the certificate's radius for the modes up to n_max + 1, and b_n = inf
 where c_min omega_n <= r or the row test fails (every mode of a multi-term
 prony stack and of the upwind grid, whose K1 is singular up to rounding,
-and of the classical law, which has no radius: these keep the full walk
-and a ``truncated`` tail).  Before a chunk is
+and of the classical law, whose bands have a centre 0 too: these keep the
+full walk and a ``truncated`` tail).  Before a chunk is
 eigendecomposed, its modes whose b_n is below the smallest value so far
 (``resolvent._below``) are dropped.  b_n does not increase with n and the
 values only grow, so the modes kept form a prefix, and once one mode is
@@ -298,7 +298,9 @@ def _tail_bounds(stack, ts, n_max):
     ell = stack.spec.coeffs.ell
     om_top = (n_max + 1) * np.pi / ell
     cert = rmod._Certificate(stack, om_top)
-    g_norm = cert.c[-1] * om_top + cert.radius   # >= ||Gh_n|| for n <= n_max + 1
+    # >= ||Gh_n|| for n <= n_max + 1 where H2 = 0; on the classical law b_n is
+    # inf anyway, as its band at 0 holds lam = 0
+    g_norm = cert.c[-1] * om_top + cert.radius
     guard = cert.contracts and ((EIG_COND_LIMIT + np.max(ts, initial=0.0) * g_norm)
                                 * stack.dim * np.finfo(float).eps <= rmod.ROUND_REL)
     return lambda ns: cert.upper(0.0, ns * np.pi / ell, where=guard)

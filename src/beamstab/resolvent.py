@@ -65,9 +65,29 @@ triangular with diagonal i lam - rate != 0, p_n = omega_n ||D^{-1} U1^T||,
 q_n = omega_n ||U1 D^{-1}|| and S_n = i lam - B_n + omega_n^2 U1 D^{-1} U1^T,
 so D^{-1} and the rest are computed once per lambda for every mode; b_n
 then costs the inverse of the d_b x d_b matrix S_n (d_b <= 8), not of the
-d x d resolvent (``_eliminated_bound``).  On the classical law the heat
-states are the temperatures, D_n = (i lam + (varpi/rho3) omega_n^2) I and
-U_n are formed per mode, and U0 != 0 only on the curved beam.
+d x d resolvent (``_eliminated_bound``).
+
+The classical law's bands.  Its heat states are the temperatures, H0 = 0
+and H2 = -kappa I with kappa = varpi/rho3, K0 is skew (so B_n is), and
+U0 != 0 only on the curved beam.  With eps_h = (||U1|| + ||U0||/omega_1)^2
+/ kappa >= ||U_n||^2 / (kappa omega_n^2) for every n, two Schur
+complements give its bands, centred at the singular values c_k of B1 and
+at 0 with the radius r = ||B0||_2 + 2 eps_h:
+
+* an eigenvalue mu with Re mu >= -kappa omega_n^2/2 has |mu + kappa
+  omega_n^2| >= kappa omega_n^2/2, so it is an eigenvalue of the skew B_n
+  moved by at most 2 eps_h (Bauer-Fike), within ||B0|| + 2 eps_h of a band
+  +-c_k omega_n (Weyl);
+* one with Re mu < -kappa omega_n^2/2 lies that far from the spectrum of
+  B_n, so |mu + kappa omega_n^2| <= 2 eps_h and |Im mu| <= 2 eps_h: inside
+  the band at 0;
+* at i lam, |D_n| = |i lam + kappa omega_n^2| >= kappa omega_n^2, so the
+  Neumann series on S_n gives ||S_n^{-1}|| <= 1/(d - r), and the block
+  inverse ||(i lam - G_n)^{-1}||_W <= 1/|D_n| + (1 + a_n)^2 / (d - r) with
+  a_n = (omega_n ||U1|| + ||U0||) / |D_n| >= p_n = q_n.
+
+There is no Weyl lower bound on this law, whose non-skew part grows like
+omega_n^2.
 
 The pruning rule.  Every decision to skip a mode, here and in the decay
 series of ``dynamics``, is one test, ``_below(upper, known)``: a computed
@@ -91,7 +111,7 @@ Candidates come first.  Only modes whose bin lies within r of some band
 centre c_k omega_n can hold an eigenvalue there, so only they go to
 ``eigvals``.  The other two maxima skip the modes whose Neumann bound is
 below the larger of a known lower bound of the max (the best candidate
-value) and the largest Weyl bound (``may_reach``).  Three more bounds gate
+value) and the largest Weyl bound (``may_reach``).  Two more bounds gate
 the resolvent itself or its SVD, in this order (Trefethen & Embree,
 Spectra and Pseudospectra, 2005):
 
@@ -110,37 +130,32 @@ Spectra and Pseudospectra, 2005):
   running max it keeps in one place.  The candidates (step 1) are
   gated from no bound, the value at lam (step 2) from the best candidate
   value, the achieved lambda (step 3) from the candidate value itself.
-* Resolvent-identity gate (step 3): R(lam') = (I + i(lam' - lam)
-  R(lam))^{-1} R(lam), so ||R(lam')|| <= r / (1 - |lam' - lam| r) whenever
-  |lam' - lam| r < 1, for any r >= ||R(lam)||.  With r the mode's step-2
-  value (exact, or b_n or ||X||_F where gated) widened by ROUND_REL, a mode is
-  formed again at lam' only if that bound is not below the candidate value;
-  the candidate's own mode is always kept.
 
 Rounding allowance ROUND_REL = 2^-20 (about 1e-6): the radius is
 r = ||E||_inf + ||S0||_2 + ROUND_REL (c_max omega_{N_max} + ||S0||), one
 constant per sweep.  The allowance covers the computed c_k and ||S0||, the
 rounding of Gh_n, whose norm is at most c_max omega_n + ||K0||, and the
-backward error of its computed eigenvalues tested against the bin.  The
+backward error of its computed eigenvalues tested against the bin.  On the
+classical law (B1 and B0 in place of K1 and S0, 2 eps_h in place of
+||E||) the temperatures add kappa omega_n^2 to that norm, far more than
+ROUND_REL can take, so the radius also carries d^2 eps kappa
+omega_{N_max}^2: their share of the eigenvalues' backward error, about
+d eps ||Gh_n||_F, with a factor d to spare.  The
 computed ||X||_F and largest singular value of X carry relative errors of
 about d^2 eps, well inside the rule's margins.  The eliminated bound b_n is
-taken as inf where D_n or S_n does not invert, where b_n is not finite, and
-where d eps (|lam| + ||Gh_n||_F) b_n or d eps kappa exceeds ROUND_REL/4,
-kappa the larger of the Frobenius condition numbers of S_n and D_n and
+taken as inf where S_n does not invert, where b_n is not finite, and
+where d eps (|lam| + ||Gh_n||_F) b_n or d eps cond exceeds ROUND_REL/4,
+cond the larger of the Frobenius condition numbers of S_n and D and
 ||Gh_n||_F bounded from its closed form (``HeatBlock.gram``).  The first
 term bounds the relative
 error of the mode's computed dense value, whose condition number is at most
 (|lam| + ||Gh_n||) b_n, the second that of the computed b_n, so a mode
-skipped on b_n has its computed dense value below the max as well.  The
-classical law alone has no uniform bound on its non-skew part, which grows
-like omega_n^2 (its heat block's H2): its certificate has an infinite
-radius and no c_k, so the bin test and ``may_reach`` keep every mode
-(``pruning`` is ``none``).  On
-the upwind grid K1 is singular, so one band centre is 0 and a mode leaves
-the bins only where lam exceeds the radius.  Either way the sup is taken over
-the modes 1..N(lam), N(lam) = max(n_max, ceil(WINDOW_FACTOR * c)) with
-c = lam sqrt(rho1/k) ell/pi the index at which omega_n sqrt(k/rho1) = lam,
-not over all n.
+skipped on b_n has its computed dense value below the max as well.  On
+the upwind grid K1 is singular, and the classical law has its band at 0,
+so a mode leaves the bins only where lam exceeds the radius.  Either way
+the sup is taken over the modes 1..N(lam), N(lam) = max(n_max,
+ceil(WINDOW_FACTOR * c)) with c = lam sqrt(rho1/k) ell/pi the index at
+which omega_n sqrt(k/rho1) = lam, not over all n.
 
 Mode cache.  Every range 1..N(lam) starts at mode 1, and the eigenvalues of
 Gh_n do not depend on lam.  ``sweep`` therefore plans every point once (its
@@ -336,48 +351,32 @@ def _batched_norms(G, lam, known=None, work=None):
     return out
 
 
-def _eliminate(D, U):
-    """(U D^{-1} U^T, ||D^{-1}||, ||D^{-1} U^T||, ||U D^{-1}||, ||D||_F
-    ||D^{-1}||_F) of a heat block's D = i lam - H and coupling U (module
-    docstring), per mode where D and U are stacked."""
-    Dinv = np.linalg.inv(D)
-    DU = Dinv @ np.swapaxes(U, -1, -2)
-    two = [np.linalg.norm(a, 2, axis=(-2, -1)) for a in (Dinv, DU, U @ Dinv)]
-    fro = [np.linalg.norm(a, axis=(-2, -1)) for a in (D, Dinv)]
-    return U @ DU, *two, fro[0] * fro[1]
-
-
 def _eliminated_bound(stack, lam):
     """Upper bounds of ||(i lam - Gh_n)^{-1}||_2 per mode from the
-    elimination of the heat block (module docstring), as a function of the
-    modes' omega_n: inf where D_n or S_n does not invert or the rounding
-    guard fails.  Where H2 = 0 and U0 = 0 (memory and flux), D = i lam - H0
-    is eliminated here once; elsewhere (the classical law) D_n per mode."""
+    elimination of a memory or flux stack's heat block (module docstring),
+    as a function of the modes' omega_n: inf where S_n does not invert or
+    the rounding guard fails.  D = i lam - H0 is factored once per lam."""
     heat, eps = stack.heat, np.finfo(float).eps
+    assert not (heat.H2.any() or heat.U0.any())
     D = 1j * lam * np.eye(len(heat.H0)) - heat.H0
+    Dinv = np.linalg.inv(D)   # triangular with diagonal i lam - rate != 0
+    DU = Dinv @ heat.U1.T
+    d_inv, p, q = (np.linalg.norm(a, 2, axis=(0, 1)) for a in (Dinv, DU, heat.U1 @ Dinv))
+    T, cond_D = heat.U1 @ DU, np.linalg.norm(D, axis=(0, 1)) * np.linalg.norm(Dinv, axis=(0, 1))
     shift = 1j * lam * np.eye(len(heat.B0)) - heat.B0
     s00, s01, s11 = heat.gram
-    if heat.H2.any() or heat.U0.any():
-        def parts(om, w):   # D_n = D - omega_n^2 H2 and U_n, w = omega_n, per mode
-            return _eliminate(D - w * w * heat.H2, w * heat.U1 + heat.U0)
-    else:   # D triangular with diagonal i lam - rate != 0, U_n = omega_n U1
-        T, d_inv, p, q, kappa_D = _eliminate(D, heat.U1)
-
-        def parts(om, w):
-            return w * w * T, d_inv, om * p, om * q, kappa_D
 
     def bound(om):
         w = om[:, None, None]
         try:
-            T, d_inv, p, q, kappa_D = parts(om, w)
-            S = shift - w * heat.B1 + T
+            S = shift - w * heat.B1 + w * w * T
             s_inv = np.linalg.norm(np.linalg.inv(S), axis=(1, 2))
         except np.linalg.LinAlgError:
             return np.full(om.size, np.inf)
-        b = d_inv + np.sqrt((1.0 + p ** 2) * (1.0 + q ** 2)) * s_inv
-        kappa = np.maximum(np.linalg.norm(S, axis=(1, 2)) * s_inv, kappa_D)
-        g_norm = np.sqrt(s00 + 2.0 * om * s01 + om * om * s11) + om * om * np.linalg.norm(heat.H2)
-        guard = stack.dim * eps * np.maximum((abs(lam) + g_norm) * b, kappa)
+        b = d_inv + np.sqrt((1.0 + (om * p) ** 2) * (1.0 + (om * q) ** 2)) * s_inv
+        cond = np.maximum(np.linalg.norm(S, axis=(1, 2)) * s_inv, cond_D)
+        g_norm = np.sqrt(s00 + 2.0 * om * s01 + om * om * s11)
+        guard = stack.dim * eps * np.maximum((abs(lam) + g_norm) * b, cond)
         return np.where(np.isfinite(b) & (guard <= ROUND_REL / 4), b, np.inf)
     return bound
 
@@ -429,28 +428,40 @@ def _log_bins(lam_grid):
 
 class _Certificate:
     """The frequency bands of a stack's modes (module docstring), the one
-    owner of their premise: the distinct singular values ``c`` of K1 and
-    one ``radius`` ||E||_inf + ||S0||_2 (plus the allowance) for the modes
-    up to frequency ``om_max``, K0 = S0 + E its skew and symmetric parts.
-    The classical law (an omega_n^2 term H2 in its heat block) has no
-    bands: its radius is infinite (and one zero stands for the c_k), so
-    every query keeps every mode.
+    owner of their premise: the distinct band centres ``c`` and one
+    ``radius`` for the modes up to frequency ``om_max``.  On memory and flux
+    stacks c are the singular values of K1 and the radius is ||E||_inf +
+    ||S0||_2, K0 = S0 + E its skew and symmetric parts.  On the classical
+    law (H0 = 0 and H2 = -kappa I on its temperatures, K0 skew) c are those
+    of B1 and 0, and the radius is ||B0||_2 + 2 eps_h, eps_h = (||U1|| +
+    ||U0|| / omega_1)^2 / kappa, plus the eigenvalues' backward error.
+    Either radius carries the allowance.
     ``contracts`` is the Gershgorin row test of E <= 0, so that
-    Gh_n + Gh_n^T = 2E <= 0: the premise of the decay series' tail bound
-    (``dynamics``), which reads the same c and radius."""
+    Gh_n + Gh_n^T = 2E + 2 omega_n^2 H2 <= 0: the premise of the decay
+    series' tail bound (``dynamics``), which reads the same c and radius."""
 
     def __init__(self, stack, om_max):
-        self.c, self.radius, self.contracts = np.zeros(1), np.inf, False
-        if not stack.heat.H2.any():
-            K0, K1 = stack.K
-            assert np.array_equal(K1, -K1.T)
+        (K0, K1), heat = stack.K, stack.heat
+        assert np.array_equal(K1, -K1.T)
+        # an overflow (a curvature of 1e308) raises here, not in LAPACK
+        with np.errstate(over="raise", invalid="raise"):
             S0, E = (K0 - K0.T) / 2, (K0 + K0.T) / 2
             # Gershgorin: E_ii + sum_{j != i} |E_ij| <= 0 on every row
             self.contracts = bool(np.all(np.abs(E).sum(axis=1) <= -2.0 * np.diag(E)))
-            self.c = kmod._distinct(np.linalg.svd(K1, compute_uv=False))
-            s0 = np.linalg.norm(S0, 2)
-            self.radius = (np.linalg.norm(E, np.inf) + s0
-                           + ROUND_REL * (self.c[-1] * om_max + s0))
+            self.kappa = -float(heat.H2[0, 0]) if heat.H2.any() else 0.0
+            if self.kappa:   # K0 skew, H0 = 0 and H2 = -kappa I
+                assert not (E.any() or heat.H0.any()
+                            or (heat.H2 + self.kappa * np.eye(len(heat.h))).any())
+                self.u = np.linalg.norm(heat.U1, 2), np.linalg.norm(heat.U0, 2)
+                c = [*np.linalg.svd(heat.B1, compute_uv=False), 0.0]
+                s0 = np.linalg.norm(heat.B0, 2)
+                eps_h = (self.u[0] + self.u[1] * stack.spec.coeffs.ell / np.pi) ** 2 / self.kappa
+                rest = 2.0 * eps_h + stack.dim ** 2 * np.finfo(float).eps * self.kappa * om_max**2
+            else:
+                c, s0 = np.linalg.svd(K1, compute_uv=False), np.linalg.norm(S0, 2)
+                rest = np.linalg.norm(E, np.inf)
+            self.c = kmod._distinct(c)
+            self.radius = rest + s0 + ROUND_REL * (self.c[-1] * om_max + s0)
 
     def dist(self, lo, hi, om):
         """Per mode of frequency ``om``, the distance from the interval
@@ -462,16 +473,22 @@ class _Certificate:
 
     def upper(self, lam, om, where=True):
         """Per mode of frequency ``om``, the Neumann bound 1 / (d - r) of the
-        resolvent norm at lam, d the distance to the nearest band centre:
-        inf where d <= r or ``where`` is False."""
+        resolvent norm at lam, d the distance to the nearest band centre,
+        on the classical law 1 / |D_n| + (1 + a_n)^2 / (d - r) with
+        D_n = i lam + kappa omega_n^2 and a_n = (omega_n ||U1|| + ||U0||) /
+        |D_n|: inf where d <= r or ``where`` is False."""
         gap = self.dist(lam, lam, om) - self.radius
-        return np.divide(1.0, gap, out=np.full(gap.shape, np.inf), where=where & (gap > 0))
+        out = np.divide(1.0, gap, out=np.full(gap.shape, np.inf), where=where & (gap > 0))
+        if self.kappa:
+            D = np.hypot(lam, self.kappa * om * om)
+            out = 1.0 / D + (1.0 + (om * self.u[0] + self.u[1]) / D) ** 2 * out
+        return out
 
     def may_reach(self, lam, known, om):
         """Modes of frequency ``om`` whose Neumann bound at lam is not below
         the larger of a lower bound ``known`` of the max and the largest
-        Weyl bound, 1 / (min d + r)."""
-        weyl = 1.0 / np.min(self.dist(lam, lam, om) + self.radius)
+        Weyl bound, 1 / (min d + r), which the classical law has not."""
+        weyl = -np.inf if self.kappa else 1.0 / np.min(self.dist(lam, lam, om) + self.radius)
         return np.flatnonzero(~_below(self.upper(lam, om), max(known, weyl)))
 
 
@@ -481,14 +498,18 @@ class _ModeCache:
 
     The constructor plans each grid point k, its bin (``lo[k]``, ``hi[k]``]
     and range ``counts[k]``, and refuses a range past 2^20 modes or
-    SWEEP_MAX_ENTRIES entries before any assembly.  The bins of the points that search them
-    (``search``) are disjoint, or equal for copies of one point, so the bin
-    holding an eigenvalue is the last one in the distinct sorted lower edges
-    ``edges`` below its imaginary part, if that bin's top (``tops``) is not
-    below it; a point reads the candidates of its bin within its range.
-    ``point(k)`` builds the
-    candidates on its first call, which ``sweep`` makes from point 0 before
-    any worker starts, so that a traced run counts the build inside
+    SWEEP_MAX_ENTRIES entries before any assembly.  ``eliminate`` says
+    whether the eliminated gate pays: where the heat block is at least as
+    large as the beam block, which the classical law's temperatures never
+    are (1 against 4 beam states, 2 against 6), so every stack it selects
+    has the n-independent heat block ``_eliminated_bound`` factors once.
+    The bins of the points that search them (``search``) are disjoint, or
+    equal for copies of one point, so the bin holding an eigenvalue is the
+    last one in the distinct sorted lower edges ``edges`` below its
+    imaginary part, if that bin's top (``tops``) is not below it; a point
+    reads the candidates of its bin within its range.  ``point(k)`` builds
+    the candidates on its first call, which ``sweep`` makes from point 0
+    before any worker starts, so that a traced run counts the build inside
     ``_sweep_point``.
     """
 
@@ -503,8 +524,6 @@ class _ModeCache:
         self.ns = np.arange(1, n_total + 1)
         self.om = self.ns * np.pi / stack.spec.coeffs.ell
         self.cert = _Certificate(stack, self.om[-1])
-        # the eliminated bound pays where S_n is at most half a mode's size
-        # (module docstring)
         self.eliminate = len(stack.heat.H0) >= len(stack.heat.B0)
         self.search = np.flatnonzero(lam_grid > 0) if peak_refine else np.arange(0)
         self.edges, first = np.unique(self.lo[self.search], return_index=True)
@@ -557,8 +576,8 @@ def _sweep_point(cache, k):
     rows, cand_lam, counted = cache.point(k)
     lam, count, cert = cache.lam_grid[k], cache.counts[k], cache.cert
     ns, om = cache.ns[:count], cache.om[:count]
-    work = {"modes_in_range": count, "norm_evals": 0, "svds": 0,
-            "pruning": "certified" if np.isfinite(cert.radius) else "none", **counted}
+    work = {"modes_in_range": count, "norm_evals": 0, "svds": 0, "pruning": "certified",
+            **counted}
 
     def max_norm(sel, at, known, keep=0):
         """(value, n, per-mode values) of the max over the modes of the index
@@ -595,27 +614,15 @@ def _sweep_point(cache, k):
     cand = (value, float(cand_lam[np.argmax(cvals)]), n) if rows.size else None
     known = -np.inf if cand is None else cand[0]
 
-    # 2. the value at lam; a candidate wins only by exceeding it
-    rows = cert.may_reach(lam, known, om)
-    upper = np.full(count, np.inf)   # per mode at lam: exact, or its bound where gated
-    value, n, upper[rows] = max_norm(rows, lam, known)   # -inf where no mode can reach it
+    # 2. the value at lam (-inf where no mode can reach it); a candidate wins
+    # only by exceeding it
+    value, n, _ = max_norm(cert.may_reach(lam, known, om), lam, known)
     if cand is None or not cand[0] > value:
         return ResolventSample(lam=float(lam), value=value, argmax_n=n, work=work)
     value, best_lam, n = cand
     if best_lam != lam:
-        # 3. certify the sup over all candidate modes at the achieved lambda.
-        # Resolvent identity: ||R(lam')|| <= r / (1 - |lam' - lam| r) for
-        # r >= ||R(lam)||, with the computed r trusted to ROUND_REL.  Where
-        # may_reach prunes, the gate saves little (7 of 2,036 resolvents on the
-        # golden BMC sweep, none on the bench sweeps); on the classical law it
-        # is the only bound here (526 instead of 831 TF resolvents in
-        # test_unpruned_schemes).  A TF/BF band certificate would make it redundant.
-        rows = cert.may_reach(best_lam, value, om)
-        r = upper[rows] * (1.0 + ROUND_REL)
-        gap = 1.0 - abs(best_lam - lam) * r
-        bound = np.divide(r, gap, out=np.full(r.shape, np.inf), where=gap > 0)
-        rows = rows[~_below(bound, value) | (ns[rows] == n)]
-        value, n, _ = max_norm(rows, best_lam, value, keep=n)
+        # 3. certify the sup over all candidate modes at the achieved lambda
+        value, n, _ = max_norm(cert.may_reach(best_lam, value, om), best_lam, value, keep=n)
     return ResolventSample(lam=best_lam, value=value, argmax_n=n, work=work)
 
 

@@ -400,7 +400,8 @@ class TestTailCertificate:
         assert np.any(vals < full)
 
     def test_undamped_stacks_walk_every_mode(self, ref1):
-        # the classical law has no radius, and the upwind grid's K1 is singular
+        # the classical law's bands and the upwind grid's (K1 singular) hold a
+        # centre 0, so b_n is infinite
         kern = _tabulated_exp_kernel()
         upwind = bs.SystemSpec("TGP", ref1_coeffs(), kernel_g=kern)
         for spec, grid in ((ref1["TF"], None), (upwind, bs.make_grid(kern, 16))):
